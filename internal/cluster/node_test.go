@@ -165,12 +165,11 @@ func TestStealLoopEndToEnd(t *testing.T) {
 		close(done)
 	}()
 
+	// The steal counter moves only after the push returned, so waiting on
+	// it (not on the victim seeing the push) orders the checks below.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		mu.Lock()
-		id := pushedID
-		mu.Unlock()
-		if id != "" {
+		if _, _, steals, _ := n.Counters(); steals > 0 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -190,8 +189,17 @@ func TestStealLoopEndToEnd(t *testing.T) {
 		t.Errorf("steal counter = %d", steals)
 	}
 
-	// A busy source must not steal.
+	// A busy source must not steal. A tick that read Idle() just before
+	// busy was set may still ask the victim, so wait until the loop has
+	// seen busy (its earlier ticks are then over, having found nothing to
+	// steal) before the victim offers a job again.
 	src.busy.Store(true)
+	for src.busySeen.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("steal loop never checked the busy source")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	mu.Lock()
 	handed = false
 	mu.Unlock()
@@ -210,10 +218,17 @@ func TestStealLoopEndToEnd(t *testing.T) {
 
 type fakeSource struct {
 	busy     atomic.Bool
+	busySeen atomic.Int64 // Idle calls that found the source busy
 	executed atomic.Int64
 }
 
-func (f *fakeSource) Idle() bool { return !f.busy.Load() }
+func (f *fakeSource) Idle() bool {
+	if f.busy.Load() {
+		f.busySeen.Add(1)
+		return false
+	}
+	return true
+}
 func (f *fakeSource) Execute(ctx context.Context, job *StolenJob) ([]byte, error) {
 	f.executed.Add(1)
 	return []byte(`{"k":3}`), nil

@@ -490,18 +490,26 @@ func absorbSmallest(p *partition.Partition, snapBuf *partition.Snapshot, st *Sta
 // the classical "number of runs" FM parameter (§1) as a deterministic
 // strategy portfolio rather than random restarts.
 //
-// When a member finishes feasible at the lower bound (K = M — no other
-// configuration can beat it on the device count), the remaining members
-// are cancelled; their context.Canceled errors are absorbed. Cancelling
-// ctx itself aborts every member and returns ctx's error. Member sinks are
-// wrapped with one shared lock, so several configurations may point at the
-// same obs.Sink.
+// When member i finishes feasible at the lower bound (K = M — no other
+// configuration can beat it on the device count), the members after it
+// are cancelled; their context.Canceled errors are absorbed. Members
+// before it run to completion, and the lowest-index member at the bound
+// wins, so the result is the same at any budget capacity and any goroutine
+// schedule. Cancelling ctx itself aborts every member and returns ctx's
+// error. Member sinks are wrapped with one shared lock, so several
+// configurations may point at the same obs.Sink.
 func Portfolio(ctx context.Context, h *hypergraph.Hypergraph, dev device.Device, cfgs []Config) (*Result, error) {
 	if len(cfgs) == 0 {
 		cfgs = DefaultPortfolio()
 	}
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
+	// One context per member, so an optimal member cancels exactly the
+	// members after it.
+	ctxs := make([]context.Context, len(cfgs))
+	cancels := make([]context.CancelFunc, len(cfgs))
+	for i := range cfgs {
+		ctxs[i], cancels[i] = context.WithCancel(ctx)
+		defer cancels[i]()
+	}
 
 	members := make([]Config, len(cfgs))
 	copy(members, cfgs)
@@ -519,10 +527,12 @@ func Portfolio(ctx context.Context, h *hypergraph.Hypergraph, dev device.Device,
 	}
 	out := make([]slot, len(members))
 	runOne := func(i int) {
-		res, err := Run(runCtx, h, dev, members[i])
+		res, err := Run(ctxs[i], h, dev, members[i])
 		out[i] = slot{res, err}
-		if err == nil && res.Feasible && res.K == res.M {
-			cancel() // provably optimal: stop the losing members
+		if err == nil && atLowerBound(res) {
+			for _, c := range cancels[i+1:] {
+				c() // provably optimal: stop the later members
+			}
 		}
 	}
 	// Member 0 runs on the caller's goroutine (whose budget token, if any,
@@ -539,7 +549,7 @@ func Portfolio(ctx context.Context, h *hypergraph.Hypergraph, dev device.Device,
 			// they run, so concurrent-run profiles split by strategy.
 			labels := pprof.Labels("method", "portfolio", "candidate", members[i].Label)
 			go func(i int) {
-				pprof.Do(runCtx, labels, func(context.Context) {
+				pprof.Do(ctxs[i], labels, func(context.Context) {
 					defer wg.Done()
 					defer members[i].Budget.Release()
 					runOne(i)
@@ -569,6 +579,9 @@ func Portfolio(ctx context.Context, h *hypergraph.Hypergraph, dev device.Device,
 		if best == nil || betterResult(s.res, best) {
 			best = s.res
 		}
+		if atLowerBound(s.res) {
+			break // later members may have been cancelled: the lowest optimal index wins
+		}
 	}
 	if best == nil {
 		if err := ctx.Err(); err != nil {
@@ -581,6 +594,10 @@ func Portfolio(ctx context.Context, h *hypergraph.Hypergraph, dev device.Device,
 	}
 	return best, nil
 }
+
+// atLowerBound reports whether r is provably optimal on device count:
+// feasible with K = M.
+func atLowerBound(r *Result) bool { return r.Feasible && r.K == r.M }
 
 // betterResult orders portfolio outcomes.
 func betterResult(a, b *Result) bool {

@@ -7,6 +7,7 @@ import (
 	"fpart/internal/device"
 	"fpart/internal/gen"
 	"fpart/internal/hypergraph"
+	"fpart/internal/partition"
 )
 
 func TestPortfolioBeatsOrMatchesSingle(t *testing.T) {
@@ -96,5 +97,39 @@ func TestBetterResultOrdering(t *testing.T) {
 	b.Feasible = false
 	if !betterResult(a, b) {
 		t.Error("feasible result should beat infeasible")
+	}
+}
+
+// TestPortfolioDeterministicWithoutBudget races the default mix with a nil
+// budget, so every member runs at once. All four members reach K = M here
+// with different terminal sums, so a winner that depended on which member
+// finished first would show up as a second solution key. The winner must
+// always be the lowest-index member at the bound, as run on its own.
+func TestPortfolioDeterministicWithoutBudget(t *testing.T) {
+	h := gen.Synthetic(200, 20, 1, false)
+	dev := device.XC3020
+	var want partition.Key
+	found := false
+	for _, cfg := range DefaultPortfolio() {
+		r, err := Run(context.Background(), h, dev, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if atLowerBound(r) {
+			want, found = r.Partition.Key(partition.DefaultCost(), partition.NoBlock, r.M), true
+			break
+		}
+	}
+	if !found {
+		t.Fatal("no member reaches K = M; the instance no longer exercises early cancellation")
+	}
+	for run := 0; run < 20; run++ {
+		r, err := Portfolio(context.Background(), h, dev, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := r.Partition.Key(partition.DefaultCost(), partition.NoBlock, r.M); got != want {
+			t.Fatalf("run %d: solution key %v, want %v", run, got, want)
+		}
 	}
 }

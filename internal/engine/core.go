@@ -56,7 +56,7 @@ func (portfolioEngine) Caps() Capabilities {
 		BoardAware:   true,
 		Budgeted:     true,
 		Cost:         5,
-		Summary:      "races the core.DefaultPortfolio configuration mix, first K=M win cancels the rest",
+		Summary:      "races the core.DefaultPortfolio configuration mix, a K=M win cancels the later members",
 	}
 }
 

@@ -30,10 +30,11 @@ type Member struct {
 // Winner selection is the same lexicographic order as core.Portfolio:
 // feasible beats infeasible, then fewer devices, then fewer total
 // terminals, ties resolved to the lowest member index — deterministic at
-// any budget capacity and any goroutine schedule. When a member finishes
+// any budget capacity and any goroutine schedule. When member i finishes
 // feasible at the lower bound (K = M, provably optimal on device count)
-// the remaining members are cancelled; their context.Canceled errors are
-// absorbed.
+// the members after it are cancelled; their context.Canceled errors are
+// absorbed. Members before it run to completion, and the lowest-index
+// member at the bound wins, so no cancellation can change the winner.
 //
 // Concurrency follows the Budget discipline of the rest of the pipeline:
 // the caller is assumed to hold one token already (driver.RunOpts does),
@@ -57,8 +58,14 @@ func Race(ctx context.Context, h *hypergraph.Hypergraph, dev device.Device, memb
 		}
 		engines[i] = eng
 	}
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
+	// One context per member, so an optimal member cancels exactly the
+	// members after it.
+	ctxs := make([]context.Context, len(members))
+	cancels := make([]context.CancelFunc, len(members))
+	for i := range members {
+		ctxs[i], cancels[i] = context.WithCancel(ctx)
+		defer cancels[i]()
+	}
 
 	opts := make([]Options, len(members))
 	var sinkMu sync.Mutex
@@ -77,7 +84,7 @@ func Race(ctx context.Context, h *hypergraph.Hypergraph, dev device.Device, memb
 	}
 	out := make([]slot, len(members))
 	runOne := func(i int) {
-		res, err := engines[i].Run(runCtx, h, dev, opts[i])
+		res, err := engines[i].Run(ctxs[i], h, dev, opts[i])
 		if err == nil {
 			// Board-aware members are gated here, not only in Run dispatch:
 			// runOne calls the engine directly, and the K=M early cancel
@@ -86,8 +93,10 @@ func Race(ctx context.Context, h *hypergraph.Hypergraph, dev device.Device, memb
 			gateBoard(res, opts[i].Board)
 		}
 		out[i] = slot{res, err}
-		if err == nil && res.Feasible && res.K == res.M {
-			cancel() // provably optimal: stop the losing members
+		if err == nil && atLowerBound(res) {
+			for _, c := range cancels[i+1:] {
+				c() // provably optimal: stop the later members
+			}
 		}
 	}
 	var wg sync.WaitGroup
@@ -100,7 +109,7 @@ func Race(ctx context.Context, h *hypergraph.Hypergraph, dev device.Device, memb
 			// run, so a profile of a mixed-method race splits by method.
 			labels := pprof.Labels("method", members[i].Method, "candidate", opts[i].Label)
 			go func(i int) {
-				pprof.Do(runCtx, labels, func(context.Context) {
+				pprof.Do(ctxs[i], labels, func(context.Context) {
 					defer wg.Done()
 					defer budget.Release()
 					runOne(i)
@@ -130,6 +139,9 @@ func Race(ctx context.Context, h *hypergraph.Hypergraph, dev device.Device, memb
 		if best == nil || betterResult(s.res, best) {
 			best = s.res
 		}
+		if atLowerBound(s.res) {
+			break // later members may have been cancelled: the lowest optimal index wins
+		}
 	}
 	if best == nil {
 		if err := ctx.Err(); err != nil {
@@ -142,6 +154,10 @@ func Race(ctx context.Context, h *hypergraph.Hypergraph, dev device.Device, memb
 	}
 	return best, nil
 }
+
+// atLowerBound reports whether r is provably optimal on device count:
+// feasible with K = M.
+func atLowerBound(r *Result) bool { return r.Feasible && r.K == r.M }
 
 // betterResult orders race outcomes: feasible, then device count, then
 // total terminals. Strict, so the first member wins ties.

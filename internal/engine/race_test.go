@@ -14,6 +14,7 @@ import (
 	"fpart/internal/core"
 	"fpart/internal/device"
 	"fpart/internal/hypergraph"
+	"fpart/internal/partition"
 )
 
 // fake is a registrable test engine. Behavior is injected per test through
@@ -95,9 +96,9 @@ func TestRaceNeverExceedsBudget(t *testing.T) {
 }
 
 // TestRaceCancelsLosers mixes a real engine with blocking fakes: when the
-// real member finishes feasible at the K = M lower bound, every fake must
-// observe cancellation, and their context.Canceled returns must be
-// absorbed rather than reported.
+// real member (index 0) finishes feasible at the K = M lower bound, every
+// later fake must observe cancellation, and their context.Canceled returns
+// must be absorbed rather than reported.
 func TestRaceCancelsLosers(t *testing.T) {
 	registerFakes()
 	h := ring(t, 2, 4, 2)
@@ -116,7 +117,7 @@ func TestRaceCancelsLosers(t *testing.T) {
 	}
 	defer budget.Release()
 
-	members := append([]Member{{Method: "test-fake-1"}, {Method: "test-fake-2"}, {Method: "test-fake-3"}}, Member{Method: "fpart"})
+	members := []Member{{Method: "fpart"}, {Method: "test-fake-1"}, {Method: "test-fake-2"}, {Method: "test-fake-3"}}
 	res, err := Race(context.Background(), h, dev, members, budget)
 	if err != nil {
 		t.Fatal(err)
@@ -126,6 +127,57 @@ func TestRaceCancelsLosers(t *testing.T) {
 	}
 	if got := cancelled.Load(); got != 3 {
 		t.Fatalf("want all 3 losing members cancelled, got %d", got)
+	}
+}
+
+// TestRaceOptimalWinnerIsLowestIndex pins the schedule-independence rule:
+// a later member reaching K = M first cancels only the members after it.
+// The earlier member keeps running to completion and, being at the bound
+// too, wins even though the later one finished first with fewer terminals.
+func TestRaceOptimalWinnerIsLowestIndex(t *testing.T) {
+	registerFakes()
+	h := ring(t, 2, 4, 2)
+	dev := device.Device{Name: "d", DatasheetCells: 13, Pins: 30, Fill: 1.0}
+
+	split := partition.New(h, dev)
+	split.Move(0, split.AddBlock()) // cuts nets: more terminals than whole
+	whole := partition.New(h, dev)
+	later := make(chan struct{})
+	var earlyCancelled, lateCancelled atomic.Bool
+	fakeBehavior = func(i int, ctx context.Context) (*Result, error) {
+		switch i {
+		case 0:
+			<-later // finish only after member 1 has reported optimal
+			earlyCancelled.Store(ctx.Err() != nil)
+			return &Result{Partition: split, K: 1, M: 1, Feasible: true}, nil
+		case 1:
+			defer close(later)
+			return &Result{Partition: whole, K: 1, M: 1, Feasible: true}, nil
+		default:
+			<-ctx.Done()
+			lateCancelled.Store(true)
+			return nil, ctx.Err()
+		}
+	}
+
+	budget := core.NewBudget(4)
+	if !budget.TryAcquire() {
+		t.Fatal("fresh budget refused a token")
+	}
+	defer budget.Release()
+
+	res, err := Race(context.Background(), h, dev, fakeMembers(3), budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if earlyCancelled.Load() {
+		t.Error("member 0 was cancelled by a later optimal member")
+	}
+	if !lateCancelled.Load() {
+		t.Error("member 2 was not cancelled by member 1's optimal result")
+	}
+	if res.Partition != split {
+		t.Errorf("winner has terminal sum %d, want member 0's %d", res.Partition.TerminalSum(), split.TerminalSum())
 	}
 }
 

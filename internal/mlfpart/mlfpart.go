@@ -212,15 +212,25 @@ func PartitionCtx(ctx context.Context, h *hypergraph.Hypergraph, dev device.Devi
 	}
 	res.Stats.Merge(cr.Stats)
 
-	// Uncoarsen: project the assignment one level down, rebuild the
-	// partition on the finer graph (exact by the projection invariant),
-	// and refine its boundary.
+	// Uncoarsen: project the assignment one level down, load it into the
+	// arena partition on the finer graph (exact by the projection
+	// invariant), and refine its boundary. The arena and both assignment
+	// buffers are sized once for the finest graph — loading its all-zero
+	// assignment presizes every slab — so no level allocates.
 	p := cr.Partition
 	k := p.NumBlocks()
-	assign := p.Assignment(nil)
-	var fine []partition.BlockID
-	ref := newRefiner(cfg)
 	t0 = time.Now()
+	var assign, fine []partition.BlockID
+	if hr.Depth() > 0 {
+		finest := hr.Graph(0)
+		fine = make([]partition.BlockID, finest.NumNodes())
+		assign = p.Assignment(make([]partition.BlockID, 0, finest.NumNodes()))
+		p = &partition.Partition{}
+		if err := p.Load(finest, dev, fine, k); err != nil {
+			return nil, fmt.Errorf("mlfpart: size arena: %w", err)
+		}
+	}
+	ref := newRefiner(cfg)
 	for li := hr.Depth(); li >= 1; li-- {
 		if err := ctx.Err(); err != nil {
 			em.Emit(obs.Event{Type: obs.Cancelled})
@@ -228,8 +238,7 @@ func PartitionCtx(ctx context.Context, h *hypergraph.Hypergraph, dev device.Devi
 		}
 		fine = hr.Project(li, assign, fine)
 		fh := hr.Graph(li - 1)
-		p, err = partition.FromAssignment(fh, dev, fine, k)
-		if err != nil {
+		if err := p.Load(fh, dev, fine, k); err != nil {
 			return nil, fmt.Errorf("mlfpart: project to level %d: %w", li-1, err)
 		}
 		before := p.Cut()

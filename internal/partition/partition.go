@@ -47,9 +47,10 @@ type Partition struct {
 	// Per-net block state, packed structure-of-arrays (PR 7 layout): one
 	// stride-wide row of pin counts per net in blockPins, the net's span in
 	// spans, and a touched-block bitset in netTouch (twords words per net).
-	// stride (≥ k, doubling growth) fixes the row width so PinCount and the
-	// Move inner loop are single indexed loads, and CopyFrom is three flat
-	// copies over contiguous slabs.
+	// stride (≥ k) fixes the row width so PinCount and the Move inner loop
+	// are single indexed loads, and CopyFrom is three flat copies over
+	// contiguous slabs. Load sizes it to exactly k; AddBlock doubles it
+	// whenever k outgrows it.
 	stride    int
 	twords    int
 	blockPins []int32
@@ -95,21 +96,11 @@ func max0(x int) int {
 	return x
 }
 
-// growZeroed32 returns buf resized to n with every element zeroed, reusing
+// growZeroed returns buf resized to n with every element zeroed, reusing
 // its backing array when it is large enough.
-func growZeroed32(buf []int32, n int) []int32 {
+func growZeroed[T int | int32 | uint64](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]int32, n)
-	}
-	buf = buf[:n]
-	clear(buf)
-	return buf
-}
-
-// growZeroed64 is growZeroed32 for bitset words.
-func growZeroed64(buf []uint64, n int) []uint64 {
-	if cap(buf) < n {
-		return make([]uint64, n)
+		return make([]T, n)
 	}
 	buf = buf[:n]
 	clear(buf)
@@ -118,25 +109,116 @@ func growZeroed64(buf []uint64, n int) []uint64 {
 
 // FromAssignment builds a partition of h with k blocks from an explicit
 // per-node block mapping (e.g., one loaded from an assignment file). The
-// mapping must cover every node with blocks in [0, k).
+// mapping must cover every node with blocks in [0, k). It is Load on a
+// fresh Partition.
 func FromAssignment(h *hypergraph.Hypergraph, dev device.Device, blocks []BlockID, k int) (*Partition, error) {
-	if len(blocks) != h.NumNodes() {
-		return nil, fmt.Errorf("partition: assignment covers %d of %d nodes", len(blocks), h.NumNodes())
+	p := &Partition{}
+	if err := p.Load(h, dev, blocks, k); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// Load rebinds p to hypergraph h on device dev and sets it to the k-block
+// partition given by blocks, reusing every buffer that still fits. The
+// mapping must cover every node with blocks in [0, k); on error p is left
+// untouched. Load sizes the packed row stride to exactly k and builds all
+// incremental state — pin-count rows, spans, touch bitsets, the cut, the
+// per-block totals, and the cost aggregates — in one counting sweep,
+// O(pins + n + k) plus clearing the nets·k pin-count slab. The result
+// equals the partition that New followed by k−1 AddBlock calls and one Move
+// per node would build, except that Moves() reads 0 and the external-
+// balance cache starts empty. The multilevel engine loads every
+// uncoarsening level into one presized arena this way.
+func (p *Partition) Load(h *hypergraph.Hypergraph, dev device.Device, blocks []BlockID, k int) error {
+	n := h.NumNodes()
+	if len(blocks) != n {
+		return fmt.Errorf("partition: assignment covers %d of %d nodes", len(blocks), n)
 	}
 	if k < 1 {
-		return nil, fmt.Errorf("partition: k = %d", k)
-	}
-	p := New(h, dev)
-	for i := 1; i < k; i++ {
-		p.AddBlock()
+		return fmt.Errorf("partition: k = %d", k)
 	}
 	for v, b := range blocks {
 		if b < 0 || int(b) >= k {
-			return nil, fmt.Errorf("partition: node %d assigned to block %d of %d", v, b, k)
+			return fmt.Errorf("partition: node %d assigned to block %d of %d", v, b, k)
 		}
-		p.Move(hypergraph.NodeID(v), b)
 	}
-	return p, nil
+	p.h, p.dev = h, dev
+	p.k = k
+	p.smax, p.tmax, p.auxCap = dev.SMax(), dev.TMax(), dev.AuxCap
+	p.assign = append(p.assign[:0], blocks...)
+	p.bindResources(h, dev)
+
+	// Per-block totals: one pass over the nodes.
+	p.blockSize = growZeroed(p.blockSize, k)
+	p.blockAux = growZeroed(p.blockAux, k)
+	p.blockCutInc = growZeroed(p.blockCutInc, k)
+	p.blockPads = growZeroed(p.blockPads, k)
+	p.blockNodes = growZeroed(p.blockNodes, k)
+	p.blockRes = growZeroed(p.blockRes, k*p.nres)
+	for v, b := range blocks {
+		id := hypergraph.NodeID(v)
+		p.blockSize[b] += h.SizeOf(id)
+		p.blockAux[b] += h.AuxOf(id)
+		p.blockNodes[b]++
+		if h.KindOf(id) == hypergraph.Pad {
+			p.blockPads[b]++
+		}
+		for r, col := range p.resOf {
+			if col != nil {
+				p.blockRes[int(b)*p.nres+r] += int(col[v])
+			}
+		}
+	}
+
+	// Per-net state: one pass over the pins, rows of width exactly k.
+	nets := h.NumNets()
+	p.stride, p.twords = k, (k+63)/64
+	p.blockPins = growZeroed(p.blockPins, nets*p.stride)
+	p.spans = growZeroed(p.spans, nets)
+	p.netTouch = growZeroed(p.netTouch, nets*p.twords)
+	p.cut = 0
+	for e := 0; e < nets; e++ {
+		row, tbase := e*p.stride, e*p.twords
+		var span int32
+		for _, v := range h.NetPins(hypergraph.NetID(e)) {
+			b := int(blocks[v])
+			if p.blockPins[row+b] == 0 {
+				span++
+				p.netTouch[tbase+b/64] |= 1 << (uint(b) % 64)
+			}
+			p.blockPins[row+b]++
+		}
+		p.spans[e] = span
+		if span < 2 {
+			continue
+		}
+		p.cut++
+		for w := 0; w < p.twords; w++ {
+			for word := p.netTouch[tbase+w]; word != 0; word &= word - 1 {
+				p.blockCutInc[w*64+bits.TrailingZeros64(word)]++
+			}
+		}
+	}
+	p.moves = 0
+
+	// Cost aggregates: one pass over the blocks.
+	p.feasCount, p.termSum, p.sizeOver, p.termOver = 0, 0, 0, 0
+	p.ebM, p.ebNum = 0, 0
+	for b := 0; b < k; b++ {
+		id := BlockID(b)
+		t := p.Terminals(id)
+		p.termSum += t
+		p.sizeOver += max0(p.blockSize[b] - p.smax)
+		p.termOver += max0(t - p.tmax)
+		if p.Feasible(id) {
+			p.feasCount++
+		}
+		for r := 0; r < p.nres; r++ {
+			p.resOver[r] += max0(p.blockRes[b*p.nres+r] - p.resCaps[r])
+		}
+	}
+	return nil
 }
 
 // New creates a partition with a single block 0 containing every node.
@@ -174,9 +256,9 @@ func (p *Partition) Reset(h *hypergraph.Hypergraph, dev device.Device) {
 		p.stride = 4
 	}
 	p.twords = (p.stride + 63) / 64
-	p.blockPins = growZeroed32(p.blockPins, nets*p.stride)
-	p.spans = growZeroed32(p.spans, nets)
-	p.netTouch = growZeroed64(p.netTouch, nets*p.twords)
+	p.blockPins = growZeroed(p.blockPins, nets*p.stride)
+	p.spans = growZeroed(p.spans, nets)
+	p.netTouch = growZeroed(p.netTouch, nets*p.twords)
 	for e := 0; e < nets; e++ {
 		p.blockPins[e*p.stride] = int32(h.NetDegree(hypergraph.NetID(e)))
 		p.spans[e] = 1
@@ -186,19 +268,12 @@ func (p *Partition) Reset(h *hypergraph.Hypergraph, dev device.Device) {
 	p.moves = 0
 	p.ebM, p.ebNum = 0, 0
 
-	// Bind the device's extra resource axes to the netlist's demand
-	// columns by name; a missing column means every node demands zero.
-	p.nres = len(dev.Resources)
-	p.resCaps = p.resCaps[:0]
-	p.resOf = p.resOf[:0]
+	p.bindResources(h, dev)
 	p.blockRes = p.blockRes[:0]
-	p.resOver = p.resOver[:0]
-	for _, r := range dev.Resources {
-		p.resCaps = append(p.resCaps, r.Cap)
-		p.resOf = append(p.resOf, h.ResourceColumn(r.Name))
-		total := h.TotalResource(r.Name)
+	for r, res := range dev.Resources {
+		total := h.TotalResource(res.Name)
 		p.blockRes = append(p.blockRes, total)
-		p.resOver = append(p.resOver, max0(total-r.Cap))
+		p.resOver[r] = max0(total - res.Cap)
 	}
 
 	p.feasCount = 0
@@ -208,6 +283,20 @@ func (p *Partition) Reset(h *hypergraph.Hypergraph, dev device.Device) {
 	if p.Feasible(0) {
 		p.feasCount = 1
 	}
+}
+
+// bindResources binds the device's extra resource axes to the netlist's
+// demand columns by name (a missing column means every node demands zero)
+// and zeroes the per-axis overflow sums.
+func (p *Partition) bindResources(h *hypergraph.Hypergraph, dev device.Device) {
+	p.nres = len(dev.Resources)
+	p.resCaps = p.resCaps[:0]
+	p.resOf = p.resOf[:0]
+	for _, r := range dev.Resources {
+		p.resCaps = append(p.resCaps, r.Cap)
+		p.resOf = append(p.resOf, h.ResourceColumn(r.Name))
+	}
+	p.resOver = growZeroed(p.resOver, p.nres)
 }
 
 // CopyFrom makes p a deep, independent copy of src, reusing p's buffers
@@ -333,7 +422,8 @@ func (p *Partition) Nodes(b BlockID) int { return p.blockNodes[b] }
 func (p *Partition) Cut() int { return p.cut }
 
 // Moves returns the total number of Move operations applied, a cheap proxy
-// for algorithm effort used in statistics.
+// for algorithm effort used in statistics. It reads 0 right after New,
+// Reset or Load.
 func (p *Partition) Moves() int64 { return p.moves }
 
 // restride doubles the row width of the packed per-net state so it can

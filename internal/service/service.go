@@ -677,7 +677,7 @@ func (s *Service) Cancel(j *Job) bool {
 			return true
 		}
 		delete(s.inflight, j.key)
-		s.completeLocked(j, StateCanceled, nil, context.Canceled)
+		s.completeLocked(j, StateCanceled, nil, nil, context.Canceled)
 		return true
 	case StateRunning:
 		if j.coalesced {
@@ -692,7 +692,7 @@ func (s *Service) Cancel(j *Job) bool {
 				j.stealTimer.Stop()
 			}
 			delete(s.inflight, j.key)
-			s.completeLocked(j, StateCanceled, nil, context.Canceled)
+			s.completeLocked(j, StateCanceled, nil, nil, context.Canceled)
 			return true
 		}
 		if j.cancel != nil {
@@ -747,10 +747,13 @@ func (s *Service) runJob(job *Job) {
 	s.m.computations.Add(1)
 	cancel()
 
+	var report quality.Report
 	if err == nil {
-		// Write-through to the disk store before taking the service lock
-		// (file I/O off the submission path).
+		// Write-through to the disk store and analyze the result before
+		// taking the service lock (file I/O and the O(pins) analysis off
+		// the submission path).
 		s.persistResult(job, res)
+		report = quality.Analyze(res.Partition, res.M)
 	}
 
 	s.mu.Lock()
@@ -761,28 +764,25 @@ func (s *Service) runJob(job *Job) {
 		if errors.Is(err, context.Canceled) {
 			state = StateCanceled
 		}
-		s.completeLocked(job, state, nil, err)
+		s.completeLocked(job, state, nil, nil, err)
 		return
 	}
-	report := quality.Analyze(res.Partition, res.M)
 	s.cache.add(job.key, cacheEntry{res: res, report: report, events: job.bcast.Events()})
 	if res.Stats != nil {
 		s.m.observePhases(job.method, res.Stats)
 	}
-	s.completeLocked(job, StateDone, res, nil)
+	s.completeLocked(job, StateDone, res, &report, nil)
 }
 
 // completeLocked moves a leader job (and its followers) to a terminal
-// state. Callers hold mu.
-func (s *Service) completeLocked(job *Job, state State, res *driver.Result, err error) {
+// state, attaching res and its quality report (both nil on failure).
+// Callers hold mu.
+func (s *Service) completeLocked(job *Job, state State, res *driver.Result, report *quality.Report, err error) {
 	job.state = state
 	job.finished = time.Now()
 	job.err = err
 	job.result = res
-	if res != nil {
-		report := quality.Analyze(res.Partition, res.M)
-		job.report = &report
-	}
+	job.report = report
 	s.m.finished(job.method, state)
 	close(job.done)
 	for _, f := range job.followers {
@@ -901,7 +901,7 @@ func (s *Service) requeueStolen(j *Job) {
 	s.m.stealRequeued.Add(1)
 	if s.closed {
 		delete(s.inflight, j.key)
-		s.completeLocked(j, StateCanceled, nil, ErrShuttingDown)
+		s.completeLocked(j, StateCanceled, nil, nil, ErrShuttingDown)
 		return
 	}
 	j.state = StateQueued
@@ -911,7 +911,7 @@ func (s *Service) requeueStolen(j *Job) {
 		// The queue refilled while the job was out; failing it honestly
 		// beats blocking the timer goroutine on a full queue.
 		delete(s.inflight, j.key)
-		s.completeLocked(j, StateFailed, nil, errors.New("service: stolen job lost and queue full"))
+		s.completeLocked(j, StateFailed, nil, nil, errors.New("service: stolen job lost and queue full"))
 	}
 }
 
@@ -965,7 +965,7 @@ func (s *Service) CompleteStolen(id string, payload []byte) error {
 	}
 	s.cache.add(j.key, cacheEntry{res: res, report: report, events: sr.Events})
 	s.m.stolenCompleted.Add(1)
-	s.completeLocked(j, StateDone, res, nil)
+	s.completeLocked(j, StateDone, res, &report, nil)
 	return nil
 }
 

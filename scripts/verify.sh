@@ -1,6 +1,7 @@
 #!/bin/sh
 # The repository's verify gate (see ROADMAP.md):
-# build + vet + gofmt + full tests + race run of the concurrency tests +
+# build + vet + gofmt + full tests + a repeated racer-determinism test +
+# race run of the concurrency tests +
 # a short-mode pass over every benchmark so the harness cannot silently rot.
 set -eu
 cd "$(dirname "$0")/.."
@@ -14,6 +15,10 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 go test ./...
+# Racers (core.Portfolio, engine.Race) must pick the same winner at any
+# goroutine schedule; repeat the registry differential so a schedule-
+# dependent winner fails here instead of passing most runs.
+go test -count=5 -run TestRegistryDispatchMatchesDirectCalls ./internal/driver
 go test -race ./internal/obs ./internal/core ./internal/sanchis ./internal/service ./internal/store ./internal/cluster ./internal/driver ./internal/engine ./internal/kwayx ./internal/flow ./internal/multilevel ./internal/mlfpart
 go test -short -run '^$' -bench . -benchtime 1x .
 ./scripts/smoke_scale.sh
