@@ -70,7 +70,7 @@ func run() error {
 	traceFormat := flag.String("trace-format", "", "stream algorithm events to stderr: text or json")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the partitioning run to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile (taken after partitioning) to this file")
-	listMethods := flag.Bool("list-methods", false, "list the registered partitioning methods with their capability flags and exit")
+	listMethods := flag.Bool("list-methods", false, "list the registered partitioning methods (budgeted column, summary) and exit")
 	flag.Parse()
 
 	if *listMethods {

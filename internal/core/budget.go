@@ -1,6 +1,10 @@
 package core
 
-import "context"
+import (
+	"context"
+	"runtime/pprof"
+	"sync"
+)
 
 // Budget is a counting semaphore bounding how many CPU-bound goroutines the
 // partitioning pipeline runs at once. One Budget is shared across every
@@ -8,9 +12,10 @@ import "context"
 // members, and intra-run speculative peeling — so stacking those layers
 // cannot oversubscribe the machine. A nil *Budget is valid and unlimited.
 //
-// Budget gates concurrency only, never results: speculative peeling runs
-// the same fixed candidate set at any capacity, executing candidates that
-// fail TryAcquire on the caller's goroutine instead of a new one.
+// Budget gates concurrency only, never results: Fan, the one fan-out behind
+// portfolio members and speculative candidates, runs the same fixed set of
+// indices at any capacity, executing those that fail TryAcquire on the
+// caller's goroutine instead of a new one.
 type Budget struct {
 	sem chan struct{}
 }
@@ -65,4 +70,40 @@ func (b *Budget) Release() {
 		return
 	}
 	<-b.sem
+}
+
+// Fan runs run(0), ..., run(n-1) and returns once all have returned. The
+// caller is assumed to hold one token already: run(0) executes on the
+// calling goroutine under it, every other index gets its own goroutine
+// only when TryAcquire grants a spare token (released when that run
+// returns), and the indices left over run on the calling goroutine in
+// index order after run(0). A saturated budget therefore degrades to
+// sequential execution, never to oversubscription. Spawned goroutines run
+// under pprof labels(i), so profiles split by member. Token availability
+// decides which runs overlap in time, never which runs happen.
+func (b *Budget) Fan(ctx context.Context, n int, labels func(i int) pprof.LabelSet, run func(i int)) {
+	if n < 1 {
+		return
+	}
+	var wg sync.WaitGroup
+	spawned := make([]bool, n)
+	for i := 1; i < n; i++ {
+		if !b.TryAcquire() {
+			continue
+		}
+		spawned[i] = true
+		wg.Add(1)
+		go pprof.Do(ctx, labels(i), func(context.Context) {
+			defer wg.Done()
+			defer b.Release()
+			run(i)
+		})
+	}
+	run(0)
+	for i := 1; i < n; i++ {
+		if !spawned[i] {
+			run(i)
+		}
+	}
+	wg.Wait()
 }

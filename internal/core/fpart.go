@@ -433,7 +433,7 @@ func absorbSmallest(p *partition.Partition, snapBuf *partition.Snapshot, st *Sta
 		best := cand{v: -1, to: partition.NoBlock, w: -1}
 		for _, v := range p.NodesIn(target) {
 			affinity := map[partition.BlockID]int{}
-			for _, e := range h.Nets(v) {
+			for _, e := range h.NodeNets(v) {
 				for _, b := range p.Blocks(e, nil) {
 					if b != target {
 						affinity[b]++
@@ -497,7 +497,9 @@ func absorbSmallest(p *partition.Partition, snapBuf *partition.Snapshot, st *Sta
 // wins, so the result is the same at any budget capacity and any goroutine
 // schedule. Cancelling ctx itself aborts every member and returns ctx's
 // error. Member sinks are wrapped with one shared lock, so several
-// configurations may point at the same obs.Sink.
+// configurations may point at the same obs.Sink. Members fan out under the
+// first configuration's Budget (see Budget.Fan); give every member the
+// same one.
 func Portfolio(ctx context.Context, h *hypergraph.Hypergraph, dev device.Device, cfgs []Config) (*Result, error) {
 	if len(cfgs) == 0 {
 		cfgs = DefaultPortfolio()
@@ -535,35 +537,11 @@ func Portfolio(ctx context.Context, h *hypergraph.Hypergraph, dev device.Device,
 			}
 		}
 	}
-	// Member 0 runs on the caller's goroutine (whose budget token, if any,
-	// the caller already holds); the others spawn only when their budget
-	// has spare tokens and fall back to sequential execution otherwise, so
-	// a saturated machine degrades to the classic one-by-one portfolio.
-	var wg sync.WaitGroup
-	spawned := make([]bool, len(members))
-	for i := 1; i < len(members); i++ {
-		if members[i].Budget.TryAcquire() {
-			spawned[i] = true
-			wg.Add(1)
-			// Tag profiler samples on portfolio goroutines with the member
-			// they run, so concurrent-run profiles split by strategy.
-			labels := pprof.Labels("method", "portfolio", "candidate", members[i].Label)
-			go func(i int) {
-				pprof.Do(ctxs[i], labels, func(context.Context) {
-					defer wg.Done()
-					defer members[i].Budget.Release()
-					runOne(i)
-				})
-			}(i)
-		}
-	}
-	runOne(0)
-	for i := 1; i < len(members); i++ {
-		if !spawned[i] {
-			runOne(i)
-		}
-	}
-	wg.Wait()
+	// Tag profiler samples on portfolio goroutines with the member they
+	// run, so concurrent-run profiles split by strategy.
+	members[0].Budget.Fan(ctx, len(members), func(i int) pprof.LabelSet {
+		return pprof.Labels("method", "portfolio", "candidate", members[i].Label)
+	}, runOne)
 
 	var best *Result
 	var firstErr error
@@ -744,7 +722,7 @@ func worstCell(p *partition.Partition, b partition.BlockID) hypergraph.NodeID {
 	bestScore := 0
 	for _, v := range p.NodesIn(b) {
 		internal := 0
-		for _, e := range h.Nets(v) {
+		for _, e := range h.NodeNets(v) {
 			if p.Span(e) == 1 {
 				internal++
 			}

@@ -44,13 +44,12 @@ type speculator struct {
 // specCand is one racing candidate: a trajectory over an arena clone plus
 // its round outcome.
 type specCand struct {
-	rs      runState
-	st      Stats
-	arena   *arena
-	out     peelOutcome
-	err     error
-	key     partition.Key
-	spawned bool
+	rs    runState
+	st    Stats
+	arena *arena
+	out   peelOutcome
+	err   error
+	key   partition.Key
 }
 
 // newSpeculator builds the fixed candidate set for cfg (already
@@ -101,7 +100,7 @@ func (s *speculator) round(r *runState) (peelOutcome, error) {
 		c := &s.cands[i]
 		c.arena = getArena(r.p, s.variants[i])
 		c.st = Stats{}
-		c.out, c.err, c.spawned = peelProgress, nil, false
+		c.out, c.err = peelProgress, nil
 		em := c.rs.em
 		c.rs = runState{
 			ctx: roundCtx, cfg: r.cfg, dev: r.dev,
@@ -122,38 +121,18 @@ func (s *speculator) round(r *runState) (peelOutcome, error) {
 		}
 	}
 
-	// Race. Extra candidates get their own goroutine only while the shared
-	// budget has spare tokens; the rest run on this goroutine afterwards.
-	// Token availability shapes the overlap, never the candidate set.
-	var wg sync.WaitGroup
-	for i := 1; i < width; i++ {
-		if r.cfg.Budget.TryAcquire() {
-			c := &s.cands[i]
-			c.spawned = true
-			wg.Add(1)
-			// Profiler labels tag every sample taken on a speculation
-			// goroutine with the peel step and candidate variant, so a CPU
-			// or goroutine profile of a concurrent run attributes time to
-			// (method, peel, candidate) instead of one anonymous closure.
-			labels := pprof.Labels(
-				"method", "speculate",
-				"peel", strconv.Itoa(r.iter),
-				"candidate", s.labels[i%len(s.labels)],
-			)
-			go pprof.Do(roundCtx, labels, func(context.Context) {
-				defer wg.Done()
-				defer r.cfg.Budget.Release()
-				runCand(c)
-			})
-		}
-	}
-	runCand(&s.cands[0])
-	for i := 1; i < width; i++ {
-		if !s.cands[i].spawned {
-			runCand(&s.cands[i])
-		}
-	}
-	wg.Wait()
+	// Race. Token availability shapes the overlap, never the candidate set.
+	// Profiler labels tag every sample taken on a speculation goroutine with
+	// the peel step and candidate variant, so a CPU or goroutine profile of
+	// a concurrent run attributes time to (method, peel, candidate) instead
+	// of one anonymous closure.
+	r.cfg.Budget.Fan(roundCtx, width, func(i int) pprof.LabelSet {
+		return pprof.Labels(
+			"method", "speculate",
+			"peel", strconv.Itoa(r.iter),
+			"candidate", s.labels[i%len(s.labels)],
+		)
+	}, func(i int) { runCand(&s.cands[i]) })
 
 	defer func() {
 		for i := range s.cands {

@@ -20,11 +20,8 @@ func (kwayxEngine) Name() string { return "kwayx" }
 
 func (kwayxEngine) Caps() Capabilities {
 	return Capabilities{
-		Cancellable:  true,
-		Instrumented: true,
-		BoardAware:   true,
-		Cost:         1,
-		Summary:      "k-way.x recursive bipartitioning baseline (Kuznar-Brglez-Kozminski)",
+		Cost:    1,
+		Summary: "k-way.x recursive bipartitioning baseline (Kuznar-Brglez-Kozminski)",
 	}
 }
 
@@ -45,11 +42,8 @@ func (flowEngine) Name() string { return "flow" }
 
 func (flowEngine) Caps() Capabilities {
 	return Capabilities{
-		Cancellable:  true,
-		Instrumented: true,
-		BoardAware:   true,
-		Cost:         3,
-		Summary:      "FBB-MW flow-based peeling baseline (Liu-Wong max-flow min-cut)",
+		Cost:    3,
+		Summary: "FBB-MW flow-based peeling baseline (Liu-Wong max-flow min-cut)",
 	}
 }
 
@@ -71,11 +65,8 @@ func (multilevelEngine) Name() string { return "multilevel" }
 
 func (multilevelEngine) Caps() Capabilities {
 	return Capabilities{
-		Cancellable:  true,
-		Instrumented: true,
-		BoardAware:   true,
-		Cost:         2,
-		Summary:      "multilevel coarsen/split/refine baseline (hMETIS-style V-cycles)",
+		Cost:    2,
+		Summary: "multilevel coarsen/split/refine baseline (hMETIS-style V-cycles)",
 	}
 }
 

@@ -18,12 +18,9 @@ func (fpartEngine) Name() string { return "fpart" }
 
 func (fpartEngine) Caps() Capabilities {
 	return Capabilities{
-		Cancellable:  true,
-		Instrumented: true,
-		BoardAware:   true,
-		Budgeted:     true,
-		Cost:         4,
-		Summary:      "guided iterative improvement of Krupnova & Saucier (the paper's algorithm)",
+		Budgeted: true,
+		Cost:     4,
+		Summary:  "guided iterative improvement of Krupnova & Saucier (the paper's algorithm)",
 	}
 }
 
@@ -41,8 +38,7 @@ func (fpartEngine) Run(ctx context.Context, h *hypergraph.Hypergraph, dev device
 }
 
 // portfolioEngine wraps core.Portfolio over the DefaultPortfolio
-// configuration mix (engine-variant racing of one method); Race is the
-// engine-agnostic generalization that mixes registered methods instead.
+// configuration mix (engine-variant racing of one method).
 type portfolioEngine struct{}
 
 func init() { Register(1, portfolioEngine{}) }
@@ -51,12 +47,9 @@ func (portfolioEngine) Name() string { return "portfolio" }
 
 func (portfolioEngine) Caps() Capabilities {
 	return Capabilities{
-		Cancellable:  true,
-		Instrumented: true,
-		BoardAware:   true,
-		Budgeted:     true,
-		Cost:         5,
-		Summary:      "races the core.DefaultPortfolio configuration mix, a K=M win cancels the later members",
+		Budgeted: true,
+		Cost:     5,
+		Summary:  "races the core.DefaultPortfolio configuration mix, a K=M win cancels the later members",
 	}
 }
 

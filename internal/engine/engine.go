@@ -8,9 +8,7 @@
 // ("fpart", "portfolio", "kwayx", "flow", "multilevel"); the driver, the
 // fpartd service, and the CLIs all resolve methods through Lookup and
 // derive their method lists, usage strings, and capability matrices from
-// the registry. Race generalizes core.Portfolio to an engine-agnostic
-// portfolio: any mix of registered methods competes under one shared
-// core.Budget, with the same lexicographic winner selection.
+// the registry.
 //
 // Every registered engine honours the same contract:
 //
@@ -19,7 +17,9 @@
 //   - events flow to Options.Sink and effort counters land in
 //     Result.Stats (nil sinks are free — the obs.Emitter is nil-safe);
 //   - Result.Elapsed is measured by the engine itself, not by the caller's
-//     stopwatch, so queueing and token waits never pollute it.
+//     stopwatch, so queueing and token waits never pollute it;
+//   - Options.Board is honoured: Run places the result on the board and
+//     routes its cut nets after the engine returns.
 package engine
 
 import (
@@ -39,25 +39,13 @@ import (
 	"fpart/internal/partition"
 )
 
-// Capabilities describes what a registered engine supports; the service
-// and CLI surface these flags so callers know what instrumentation to
-// expect before dispatching.
+// Capabilities describes how a registered engine differs from the others;
+// the service and CLI surface them so callers can choose before
+// dispatching. What every engine shares is the package-level contract.
 type Capabilities struct {
-	// Cancellable engines poll ctx in their pass loops and return ctx.Err()
-	// promptly, even mid-pass.
-	Cancellable bool
-	// Instrumented engines emit obs events to Options.Sink and fill
-	// Result.Stats.
-	Instrumented bool
 	// Budgeted engines draw extra concurrency tokens from Options.Budget
 	// (speculation, portfolio members) beyond the one the caller holds.
 	Budgeted bool
-	// BoardAware engines accept Options.Board: after the run the dispatch
-	// layer places the partition on the board and routes the cut nets
-	// (board.Route), demoting Result.Feasible when placement or routing
-	// fails. The gate is generic post-processing, so every registered
-	// engine sets it; a custom Engine that bypasses Run/Race does not.
-	BoardAware bool
 	// Cost ranks the engine's relative compute expense (1 = cheapest).
 	// It is the static prior of the fpartd degradation ladder: under
 	// load, admission control falls back from an expensive engine to a
@@ -86,28 +74,6 @@ func CheaperThan(name string) []Info {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Caps.Cost < out[j].Caps.Cost })
 	return out
-}
-
-// Flags renders the capability booleans as a stable comma-joined list
-// ("cancellable,instrumented,budgeted"), or "-" when none are set.
-func (c Capabilities) Flags() string {
-	var out []string
-	if c.Cancellable {
-		out = append(out, "cancellable")
-	}
-	if c.Instrumented {
-		out = append(out, "instrumented")
-	}
-	if c.Budgeted {
-		out = append(out, "budgeted")
-	}
-	if c.BoardAware {
-		out = append(out, "board-aware")
-	}
-	if len(out) == 0 {
-		return "-"
-	}
-	return strings.Join(out, ",")
 }
 
 // Options tunes one Run dispatch beyond the method choice.
@@ -157,7 +123,7 @@ type Result struct {
 type Engine interface {
 	// Name is the registry key ("fpart", "kwayx", ...).
 	Name() string
-	// Caps reports the engine's capability flags.
+	// Caps reports how the engine differs from the others.
 	Caps() Capabilities
 	// Run partitions circuit h targeting device dev under opts.
 	Run(ctx context.Context, h *hypergraph.Hypergraph, dev device.Device, opts Options) (*Result, error)
@@ -245,7 +211,7 @@ func List() []Info {
 }
 
 // WriteList renders the registry as an aligned text table — one engine per
-// line with its capability flags and summary. `fpart -list-methods` prints
+// line with its budgeted flag ("-" when unset) and summary. `fpart -list-methods` prints
 // exactly this, and the README method table mirrors it.
 func WriteList(w io.Writer) {
 	infos := List()
@@ -256,7 +222,11 @@ func WriteList(w io.Writer) {
 		}
 	}
 	for _, inf := range infos {
-		fmt.Fprintf(w, "%-*s  %-36s %s\n", wide, inf.Name, inf.Caps.Flags(), inf.Caps.Summary)
+		budgeted := "-"
+		if inf.Caps.Budgeted {
+			budgeted = "budgeted"
+		}
+		fmt.Fprintf(w, "%-*s  %-8s  %s\n", wide, inf.Name, budgeted, inf.Caps.Summary)
 	}
 }
 
@@ -273,9 +243,6 @@ func Run(ctx context.Context, method string, h *hypergraph.Hypergraph, dev devic
 	eng, ok := Lookup(method)
 	if !ok {
 		return nil, fmt.Errorf("unknown method %q (valid: %v)", method, Names())
-	}
-	if opts.Board != nil && !eng.Caps().BoardAware {
-		return nil, fmt.Errorf("method %q is not board-aware", method)
 	}
 	res, err := eng.Run(ctx, h, dev, opts)
 	if err != nil {

@@ -2,12 +2,15 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
 	"fpart/internal/board"
+	"fpart/internal/core"
 	"fpart/internal/device"
 	"fpart/internal/hypergraph"
+	"fpart/internal/partition"
 )
 
 // ring builds c clusters of n nodes each, chained into a cycle, with pads —
@@ -37,9 +40,8 @@ func ring(t testing.TB, c, n, pads int) *hypergraph.Hypergraph {
 	return b.MustBuild()
 }
 
-// realNames is the registry content every build of the repo ships; tests
-// assert on this prefix (not the whole listing) so test-only fake engines
-// registered at high ranks cannot interfere.
+// realNames is the head of the shipped registry, in rank order; tests
+// assert on this prefix rather than the whole listing.
 var realNames = []string{"fpart", "portfolio", "kwayx", "flow", "multilevel"}
 
 func TestRegistryOrderAndCaps(t *testing.T) {
@@ -51,9 +53,6 @@ func TestRegistryOrderAndCaps(t *testing.T) {
 		inf := infos[i]
 		if inf.Name != want {
 			t.Fatalf("List()[%d] = %q, want %q (rank order broken)", i, inf.Name, want)
-		}
-		if !inf.Caps.Cancellable || !inf.Caps.Instrumented {
-			t.Errorf("%s: every shipped engine is cancellable+instrumented: %+v", inf.Name, inf.Caps)
 		}
 		if inf.Caps.Summary == "" {
 			t.Errorf("%s: missing summary", inf.Name)
@@ -70,13 +69,101 @@ func TestRegistryOrderAndCaps(t *testing.T) {
 	}
 }
 
+// TestCapabilitiesFlags pins the capability fields that remain: each one
+// must differ across the registry, or it carries no information. Budgeted
+// takes both values, and Cost ranks every engine so that CheaperThan lists
+// exactly the strictly cheaper engines, cheapest first.
 func TestCapabilitiesFlags(t *testing.T) {
-	if got := (Capabilities{}).Flags(); got != "-" {
-		t.Errorf("empty caps: %q", got)
+	infos := List()
+	budgeted := map[bool]int{}
+	for _, inf := range infos {
+		budgeted[inf.Caps.Budgeted]++
+		if inf.Caps.Cost <= 0 {
+			t.Errorf("%s: unranked (Cost %d)", inf.Name, inf.Caps.Cost)
+		}
 	}
-	all := Capabilities{Cancellable: true, Instrumented: true, Budgeted: true, BoardAware: true}
-	if got := all.Flags(); got != "cancellable,instrumented,budgeted,board-aware" {
-		t.Errorf("full caps: %q", got)
+	if budgeted[true] == 0 || budgeted[false] == 0 {
+		t.Errorf("Budgeted is constant across the registry: %v", budgeted)
+	}
+	for _, inf := range infos {
+		ladder := CheaperThan(inf.Name)
+		want := 0
+		for _, other := range infos {
+			if other.Caps.Cost < inf.Caps.Cost {
+				want++
+			}
+		}
+		if len(ladder) != want {
+			t.Errorf("CheaperThan(%q): %d engines, want %d", inf.Name, len(ladder), want)
+		}
+		for i, step := range ladder {
+			if step.Caps.Cost >= inf.Caps.Cost {
+				t.Errorf("CheaperThan(%q) lists %q at cost %d ≥ %d", inf.Name, step.Name, step.Caps.Cost, inf.Caps.Cost)
+			}
+			if i > 0 && step.Caps.Cost < ladder[i-1].Caps.Cost {
+				t.Errorf("CheaperThan(%q) not cheapest first: %+v", inf.Name, ladder)
+			}
+		}
+	}
+	if got := CheaperThan("simulated-annealing"); got != nil {
+		t.Errorf("unknown method has a ladder: %+v", got)
+	}
+}
+
+// TestRaceOptimalWinnerIsLowestIndex pins the winner rule of the racer
+// behind the portfolio method: the lowest-index member at K = M wins, so
+// the result through the registry is the same at any budget capacity and
+// equals that member's run on its own.
+func TestRaceOptimalWinnerIsLowestIndex(t *testing.T) {
+	h := ring(t, 4, 10, 4)
+	dev := device.Device{Name: "d", DatasheetCells: 13, Pins: 30, Fill: 1.0}
+	var want partition.Key
+	found := false
+	for _, cfg := range core.DefaultPortfolio() {
+		r, err := core.Run(context.Background(), h, dev, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Feasible && r.K == r.M {
+			want, found = r.Partition.Key(partition.DefaultCost(), partition.NoBlock, r.M), true
+			break
+		}
+	}
+	if !found {
+		t.Fatal("no member reaches K = M; the instance no longer exercises the winner rule")
+	}
+	for _, capacity := range []int{1, 2, 4} {
+		budget := core.NewBudget(capacity)
+		if !budget.TryAcquire() {
+			t.Fatal("fresh budget refused a token")
+		}
+		res, err := Run(context.Background(), "portfolio", h, dev, Options{Budget: budget})
+		budget.Release()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Partition.Key(partition.DefaultCost(), partition.NoBlock, res.M); got != want {
+			t.Errorf("capacity %d: solution key %v, want the lowest optimal member's %v", capacity, got, want)
+		}
+	}
+}
+
+// TestRacePropagatesParentCancellation checks that cancelling the caller's
+// context aborts every member of the portfolio race and surfaces the
+// cancellation through the registry.
+func TestRacePropagatesParentCancellation(t *testing.T) {
+	h := ring(t, 2, 4, 2)
+	dev := device.Device{Name: "d", DatasheetCells: 13, Pins: 30, Fill: 1.0}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	budget := core.NewBudget(4)
+	if !budget.TryAcquire() {
+		t.Fatal("fresh budget refused a token")
+	}
+	defer budget.Release()
+	_, err := Run(ctx, "portfolio", h, dev, Options{Budget: budget})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v", err)
 	}
 }
 
@@ -126,17 +213,6 @@ func TestBoardGating(t *testing.T) {
 	}
 }
 
-func TestRunRejectsBoardOnNonBoardAware(t *testing.T) {
-	registerFakes()
-	h := ring(t, 2, 4, 2)
-	dev := device.Device{Name: "d", DatasheetCells: 13, Pins: 30, Fill: 1.0}
-	b := board.Board{Slots: 4, Topology: board.Crossbar}
-	_, err := Run(context.Background(), "test-fake-0", h, dev, Options{Board: &b})
-	if err == nil || !strings.Contains(err.Error(), "board-aware") {
-		t.Errorf("non-board-aware method with a board: %v", err)
-	}
-}
-
 func TestUsageStringAndWriteList(t *testing.T) {
 	if !strings.HasPrefix(UsageString(), strings.Join(realNames, ", ")) {
 		t.Errorf("UsageString() = %q, want the registry in rank order", UsageString())
@@ -151,8 +227,13 @@ func TestUsageStringAndWriteList(t *testing.T) {
 		if !strings.HasPrefix(lines[i], want) {
 			t.Errorf("WriteList line %d = %q, want method %q first", i, lines[i], want)
 		}
-		if !strings.Contains(lines[i], "cancellable,instrumented") {
-			t.Errorf("WriteList line %d lacks capability flags: %q", i, lines[i])
+		inf := List()[i]
+		flag := "-"
+		if inf.Caps.Budgeted {
+			flag = "budgeted"
+		}
+		if f := strings.Fields(lines[i]); len(f) < 3 || f[1] != flag || !strings.HasSuffix(lines[i], inf.Caps.Summary) {
+			t.Errorf("WriteList line %d = %q, want the %q column then the summary", i, lines[i], flag)
 		}
 	}
 }
@@ -169,6 +250,15 @@ func TestRegisterRejectsBadEngines(t *testing.T) {
 	}
 	mustPanic("empty name", func() { Register(999, fake{name: ""}) })
 	mustPanic("duplicate", func() { Register(999, fake{name: "fpart"}) })
+}
+
+// fake is a test engine for registry validation; it is never registered.
+type fake struct{ name string }
+
+func (f fake) Name() string       { return f.name }
+func (f fake) Caps() Capabilities { return Capabilities{} }
+func (f fake) Run(context.Context, *hypergraph.Hypergraph, device.Device, Options) (*Result, error) {
+	return nil, nil
 }
 
 func TestRunUnknownMethod(t *testing.T) {

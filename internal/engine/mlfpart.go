@@ -18,12 +18,9 @@ func (mlfpartEngine) Name() string { return "mlfpart" }
 
 func (mlfpartEngine) Caps() Capabilities {
 	return Capabilities{
-		Cancellable:  true,
-		Instrumented: true,
-		BoardAware:   true,
-		Budgeted:     true,
-		Cost:         2,
-		Summary:      "multilevel-accelerated FPART (coarsen, peel coarsest, refine down)",
+		Budgeted: true,
+		Cost:     2,
+		Summary:  "multilevel-accelerated FPART (coarsen, peel coarsest, refine down)",
 	}
 }
 

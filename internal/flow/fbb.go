@@ -41,9 +41,9 @@ func buildNetwork(p *partition.Partition, rem partition.BlockID) *fbbNetwork {
 	pins := 0
 	for e := 0; e < h.NumNets(); e++ {
 		ne := hypergraph.NetID(e)
-		if p.Span(ne) == 1 && p.PinCount(ne, rem) == len(h.Pins(ne)) && len(h.Pins(ne)) >= 2 {
+		if p.Span(ne) == 1 && p.PinCount(ne, rem) == len(h.NetPins(ne)) && len(h.NetPins(ne)) >= 2 {
 			internal++
-			pins += len(h.Pins(ne))
+			pins += len(h.NetPins(ne))
 		}
 	}
 	total := n + 2*internal + 2
@@ -59,7 +59,7 @@ func buildNetwork(p *partition.Partition, rem partition.BlockID) *fbbNetwork {
 	aux := int32(n)
 	for e := 0; e < h.NumNets(); e++ {
 		ne := hypergraph.NetID(e)
-		ep := h.Pins(ne)
+		ep := h.NetPins(ne)
 		if !(p.Span(ne) == 1 && p.PinCount(ne, rem) == len(ep) && len(ep) >= 2) {
 			continue
 		}
@@ -122,7 +122,7 @@ func (nw *fbbNetwork) evaluate(side []int32) (size, term int) {
 		} else {
 			size += nd.Size
 		}
-		for _, e := range nw.h.Nets(v) {
+		for _, e := range nw.h.NodeNets(v) {
 			if seen[e] {
 				continue
 			}
@@ -133,7 +133,7 @@ func (nw *fbbNetwork) evaluate(side []int32) (size, term int) {
 			if nw.p.Span(e) > 1 {
 				outside = true
 			} else {
-				for _, u := range nw.h.Pins(e) {
+				for _, u := range nw.h.NetPins(e) {
 					if !inX[u] {
 						outside = true
 						break
@@ -193,6 +193,7 @@ func fbbPeelCtx(ctx context.Context, p *partition.Partition, rem partition.Block
 
 	var best []hypergraph.NodeID
 	bestSize := -1
+	res := make([]int, p.NumRes())
 	guard := len(remNodes) + 4
 	for iter := 0; iter < guard; iter++ {
 		if err := ctx.Err(); err != nil {
@@ -214,10 +215,20 @@ func fbbPeelCtx(ctx context.Context, p *partition.Partition, rem partition.Block
 		if float64(size) >= minFill*float64(smax) || bestSize < 0 {
 			sz, term := nw.evaluate(side)
 			if dev.Fits(sz, term) && sz > bestSize {
-				bestSize = sz
-				best = best[:0]
+				// seed.Grow below only adds nodes, so a nucleus over any
+				// resource cap could never shed the excess: reject it here.
+				clear(res)
 				for _, i := range side {
-					best = append(best, nw.nodes[i])
+					for r := range res {
+						res[r] += p.ResDemandOf(nw.nodes[i], r)
+					}
+				}
+				if dev.FitsRes(res) {
+					bestSize = sz
+					best = best[:0]
+					for _, i := range side {
+						best = append(best, nw.nodes[i])
+					}
 				}
 			}
 		}
@@ -270,8 +281,8 @@ func (nw *fbbNetwork) bestFrontier(side []int32, inSide map[int32]bool, toSource
 	counts := make(map[int32]int)
 	for _, i := range side {
 		v := nw.nodes[i]
-		for _, e := range nw.h.Nets(v) {
-			for _, u := range nw.h.Pins(e) {
+		for _, e := range nw.h.NodeNets(v) {
+			for _, u := range nw.h.NetPins(e) {
 				ui, ok := nw.flowIdx[u]
 				if !ok || inSide[ui] || blocked[ui] {
 					continue
@@ -308,8 +319,8 @@ func farthestInRemainder(p *partition.Partition, rem partition.BlockID, s hyperg
 	for len(queue) > 0 {
 		v := queue[0]
 		queue = queue[1:]
-		for _, e := range h.Nets(v) {
-			for _, u := range h.Pins(e) {
+		for _, e := range h.NodeNets(v) {
+			for _, u := range h.NetPins(e) {
 				if p.Block(u) != rem {
 					continue
 				}

@@ -192,8 +192,8 @@ func greedyFallback(p *partition.Partition, rem partition.BlockID, dev device.De
 	size := h.Node(seedNode).Size
 	frontier := map[hypergraph.NodeID]int{}
 	expand := func(v hypergraph.NodeID) {
-		for _, e := range h.Nets(v) {
-			for _, u := range h.Pins(e) {
+		for _, e := range h.NodeNets(v) {
+			for _, u := range h.NetPins(e) {
 				if !in[u] && p.Block(u) == rem {
 					frontier[u]++
 				}

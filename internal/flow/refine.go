@@ -58,7 +58,7 @@ func RefinePairCtx(ctx context.Context, p *partition.Partition, a, b partition.B
 		if p.PinCount(ne, a) == 0 || p.PinCount(ne, b) == 0 || !pairNet(ne) {
 			continue
 		}
-		for _, v := range h.Pins(ne) {
+		for _, v := range h.NetPins(ne) {
 			add(v)
 		}
 	}
@@ -66,11 +66,11 @@ func RefinePairCtx(ctx context.Context, p *partition.Partition, a, b partition.B
 	for r := 0; r < radius && len(frontier) > 0 && len(corridor) < maxCorridor; r++ {
 		mark := len(corridor)
 		for _, v := range frontier {
-			for _, e := range h.Nets(v) {
+			for _, e := range h.NodeNets(v) {
 				if !pairNet(e) {
 					continue
 				}
-				for _, u := range h.Pins(e) {
+				for _, u := range h.NetPins(e) {
 					add(u)
 				}
 			}
@@ -107,7 +107,7 @@ func RefinePairCtx(ctx context.Context, p *partition.Partition, a, b partition.B
 		if !pairNet(ne) {
 			continue
 		}
-		pins := h.Pins(ne)
+		pins := h.NetPins(ne)
 		hasCorr, srcPin, sinkPin := false, false, false
 		for _, v := range pins {
 			if flowIdx[v] >= 0 {

@@ -34,7 +34,7 @@ func TestGenerateDeterministic(t *testing.T) {
 		t.Fatalf("net counts differ: %d vs %d", h1.NumNets(), h2.NumNets())
 	}
 	for e := 0; e < h1.NumNets(); e++ {
-		a, b := h1.Pins(hypergraph.NetID(e)), h2.Pins(hypergraph.NetID(e))
+		a, b := h1.NetPins(hypergraph.NetID(e)), h2.NetPins(hypergraph.NetID(e))
 		if len(a) != len(b) {
 			t.Fatalf("net %d degree differs", e)
 		}
@@ -76,7 +76,7 @@ func TestSequentialHasClock(t *testing.T) {
 	h := Generate(s, device.XC3000)
 	maxDeg := 0
 	for e := 0; e < h.NumNets(); e++ {
-		if d := len(h.Pins(hypergraph.NetID(e))); d > maxDeg {
+		if d := len(h.NetPins(hypergraph.NetID(e))); d > maxDeg {
 			maxDeg = d
 		}
 	}
@@ -88,7 +88,7 @@ func TestSequentialHasClock(t *testing.T) {
 	hc := Generate(c, device.XC3000)
 	maxDeg = 0
 	for e := 0; e < hc.NumNets(); e++ {
-		if d := len(hc.Pins(hypergraph.NetID(e))); d > maxDeg {
+		if d := len(hc.NetPins(hypergraph.NetID(e))); d > maxDeg {
 			maxDeg = d
 		}
 	}

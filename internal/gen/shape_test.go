@@ -15,7 +15,7 @@ func windowCut(h *hypergraph.Hypergraph, lo, hi int) int {
 	cut := 0
 	for e := 0; e < h.NumNets(); e++ {
 		in, out := false, false
-		for _, v := range h.Pins(hypergraph.NetID(e)) {
+		for _, v := range h.NetPins(hypergraph.NetID(e)) {
 			if int(v) >= lo && int(v) < hi {
 				in = true
 			} else {
@@ -61,7 +61,7 @@ func TestClockNetCapped(t *testing.T) {
 	h := GenerateParams(spec, device.XC3000, Params{ClockFanout: 100})
 	maxDeg := 0
 	for e := 0; e < h.NumNets(); e++ {
-		if d := len(h.Pins(hypergraph.NetID(e))); d > maxDeg {
+		if d := len(h.NetPins(hypergraph.NetID(e))); d > maxDeg {
 			maxDeg = d
 		}
 	}

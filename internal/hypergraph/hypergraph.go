@@ -55,8 +55,6 @@ type Node struct {
 	// "handled in a similar way as the size constraint"). Zero for nodes
 	// without such demand.
 	Aux int
-	// Nets lists the nets incident to the node, in insertion order.
-	Nets []NetID
 }
 
 // Net is a hyperedge connecting two or more nodes.
@@ -73,9 +71,8 @@ type Net struct {
 // (compressed sparse row) slabs built once at Build time: the pin lists of
 // all nets concatenated into pinOfNet (indexed by netOff) and the transpose
 // — the net lists of all nodes — concatenated into netOfNode (indexed by
-// nodeOff). Node.Nets and Net.Pins are subslices of these slabs, so the
-// legacy struct-based accessors and the zero-alloc span accessors
-// (NetPins, NodeNets) read the same contiguous memory.
+// nodeOff). NodeNets and NetPins are zero-alloc views into these slabs, and
+// every Net.Pins is repointed at its span of pinOfNet.
 type Hypergraph struct {
 	nodes []Node
 	nets  []Net
@@ -138,20 +135,13 @@ func (h *Hypergraph) Node(id NodeID) *Node { return &h.nodes[id] }
 // treated as read-only.
 func (h *Hypergraph) Net(id NetID) *Net { return &h.nets[id] }
 
-// Nets returns the nets incident to node id. The slice must not be modified.
-func (h *Hypergraph) Nets(id NodeID) []NetID { return h.netOfNode[h.nodeOff[id]:h.nodeOff[id+1]] }
-
-// Pins returns the pins of net id. The slice must not be modified.
-func (h *Hypergraph) Pins(id NetID) []NodeID { return h.pinOfNet[h.netOff[id]:h.netOff[id+1]] }
-
-// NodeNets is the CSR span accessor for the nets incident to node id: a
-// zero-alloc view into the flat transpose slab. Identical to Nets; the
-// explicit name marks call sites migrated to the flat layout.
+// NodeNets returns the nets incident to node id, in ascending net order: a
+// zero-alloc view into the flat transpose slab. The slice must not be
+// modified.
 func (h *Hypergraph) NodeNets(id NodeID) []NetID { return h.netOfNode[h.nodeOff[id]:h.nodeOff[id+1]] }
 
-// NetPins is the CSR span accessor for the pins of net id: a zero-alloc
-// view into the flat pin slab. Identical to Pins; the explicit name marks
-// call sites migrated to the flat layout.
+// NetPins returns the pins of net id: a zero-alloc view into the flat pin
+// slab. The slice must not be modified.
 func (h *Hypergraph) NetPins(id NetID) []NodeID { return h.pinOfNet[h.netOff[id]:h.netOff[id+1]] }
 
 // Degree returns the number of nets incident to node id.
@@ -360,7 +350,7 @@ func (b *Builder) AddNetUnique(name string, pins []NodeID) NetID {
 // pins are rejected.
 //
 // Build assembles the flat CSR incidence slabs in two counting-sort passes
-// and repoints every Net.Pins and Node.Nets at its slab span, so the whole
+// and repoints every Net.Pins at its slab span, so the whole
 // incidence structure costs four allocations regardless of net count and
 // all accessors read contiguous memory.
 func (b *Builder) Build() (*Hypergraph, error) {
@@ -406,14 +396,12 @@ func (b *Builder) Build() (*Hypergraph, error) {
 		e.Pins = h.pinOfNet[h.netOff[ei]:h.netOff[ei+1]:h.netOff[ei+1]]
 	}
 
-	// Packed attribute arrays + aggregate stats; repoint Node.Nets at the
-	// transpose slab.
+	// Packed attribute arrays + aggregate stats.
 	h.nodeSize = make([]int32, n)
 	h.nodeAux = make([]int32, n)
 	h.nodeKind = make([]NodeKind, n)
 	for i := range h.nodes {
 		nd := &h.nodes[i]
-		nd.Nets = h.netOfNode[h.nodeOff[i]:h.nodeOff[i+1]:h.nodeOff[i+1]]
 		h.nodeSize[i] = int32(nd.Size)
 		h.nodeAux[i] = int32(nd.Aux)
 		h.nodeKind[i] = nd.Kind
@@ -423,7 +411,7 @@ func (b *Builder) Build() (*Hypergraph, error) {
 			h.numPads++
 		}
 		h.totalAux += nd.Aux
-		if d := len(nd.Nets); d > h.maxDegree {
+		if d := h.Degree(NodeID(i)); d > h.maxDegree {
 			h.maxDegree = d
 		}
 	}
@@ -477,8 +465,8 @@ func (h *Hypergraph) BFSDistances(seed NodeID) []int {
 	for len(queue) > 0 {
 		v := queue[0]
 		queue = queue[1:]
-		for _, e := range h.nodes[v].Nets {
-			for _, u := range h.nets[e].Pins {
+		for _, e := range h.NodeNets(v) {
+			for _, u := range h.NetPins(e) {
 				if dist[u] == -1 {
 					dist[u] = dist[v] + 1
 					queue = append(queue, u)
@@ -544,8 +532,8 @@ func (h *Hypergraph) Components() [][]NodeID {
 			v := queue[0]
 			queue = queue[1:]
 			comp = append(comp, v)
-			for _, e := range h.nodes[v].Nets {
-				for _, u := range h.nets[e].Pins {
+			for _, e := range h.NodeNets(v) {
+				for _, u := range h.NetPins(e) {
 					if !seen[u] {
 						seen[u] = true
 						queue = append(queue, u)
@@ -647,7 +635,7 @@ func (h *Hypergraph) ComputeStats() Stats {
 	}
 	var degSum int
 	for i := range h.nodes {
-		d := len(h.nodes[i].Nets)
+		d := h.Degree(NodeID(i))
 		degSum += d
 		if d > s.MaxNodeDegree {
 			s.MaxNodeDegree = d

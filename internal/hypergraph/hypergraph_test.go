@@ -40,7 +40,7 @@ func TestBuilderBasics(t *testing.T) {
 	if h.TotalSize() != 4 {
 		t.Errorf("TotalSize = %d, want 4 (pad size excluded, zero promoted)", h.TotalSize())
 	}
-	if got := len(h.Pins(1)); got != 2 {
+	if got := len(h.NetPins(1)); got != 2 {
 		t.Errorf("net n2 pins = %d, want 2 after dedup", got)
 	}
 	if h.Node(p).Size != 0 {
@@ -95,9 +95,9 @@ func TestIncidenceIsConsistent(t *testing.T) {
 	h := chain(t, 5)
 	// Every pin relation must appear in both directions.
 	for ei := 0; ei < h.NumNets(); ei++ {
-		for _, v := range h.Pins(NetID(ei)) {
+		for _, v := range h.NetPins(NetID(ei)) {
 			found := false
-			for _, e := range h.Nets(v) {
+			for _, e := range h.NodeNets(v) {
 				if e == NetID(ei) {
 					found = true
 				}
@@ -245,11 +245,11 @@ func TestQuickIncidenceInvariant(t *testing.T) {
 		h := randomGraph(r, n, 1+r.Intn(60))
 		pinRefs := 0
 		for ei := 0; ei < h.NumNets(); ei++ {
-			pinRefs += len(h.Pins(NetID(ei)))
+			pinRefs += len(h.NetPins(NetID(ei)))
 		}
 		nodeRefs, size, pads := 0, 0, 0
 		for i := 0; i < h.NumNodes(); i++ {
-			nodeRefs += len(h.Nets(NodeID(i)))
+			nodeRefs += len(h.NodeNets(NodeID(i)))
 			nd := h.Node(NodeID(i))
 			if nd.Kind == Pad {
 				pads++
@@ -273,7 +273,7 @@ func TestQuickBFSLipschitz(t *testing.T) {
 		h := randomGraph(r, n, 1+r.Intn(50))
 		dist := h.BFSDistances(0)
 		for ei := 0; ei < h.NumNets(); ei++ {
-			pins := h.Pins(NetID(ei))
+			pins := h.NetPins(NetID(ei))
 			for _, u := range pins {
 				for _, v := range pins {
 					du, dv := dist[u], dist[v]

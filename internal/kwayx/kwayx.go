@@ -192,7 +192,7 @@ func repair(p *partition.Partition, rem partition.BlockID, st *obs.Stats, em *ob
 			sizeViolated := p.Size(id) > p.Device().SMax()
 			for _, v := range p.NodesIn(id) {
 				internal := 0
-				for _, e := range h.Nets(v) {
+				for _, e := range h.NodeNets(v) {
 					if p.Span(e) == 1 {
 						internal++
 					}

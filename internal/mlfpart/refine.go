@@ -78,7 +78,7 @@ func (r *refiner) topPairs(p *partition.Partition) []blockPair {
 		if p.Span(ne) != 2 {
 			continue
 		}
-		a := p.Block(h.Pins(ne)[0])
+		a := p.Block(h.NetPins(ne)[0])
 		b := p.OtherBlock(ne, a)
 		if a > b {
 			a, b = b, a
@@ -132,7 +132,7 @@ func (r *refiner) pairBoundary(p *partition.Partition, a, b partition.BlockID) [
 		if p.PinCount(ne, a) == 0 || p.PinCount(ne, b) == 0 {
 			continue
 		}
-		for _, v := range h.Pins(ne) {
+		for _, v := range h.NetPins(ne) {
 			if seen[v] || h.KindOf(v) != hypergraph.Interior {
 				continue
 			}
@@ -166,7 +166,7 @@ func (r *refiner) greedyPass(ctx context.Context, p *partition.Partition, stats 
 		if h.KindOf(id) != hypergraph.Interior {
 			continue
 		}
-		for _, e := range h.Nets(id) {
+		for _, e := range h.NodeNets(id) {
 			if p.Span(e) > 1 {
 				cand = append(cand, id)
 				break
@@ -258,7 +258,7 @@ type moveCand struct {
 func bestMove(p *partition.Partition, v hypergraph.NodeID) moveCand {
 	h := p.Hypergraph()
 	from := p.Block(v)
-	nets := h.Nets(v)
+	nets := h.NodeNets(v)
 	var tstore [16]partition.BlockID
 	targets := tstore[:0]
 	for _, e := range nets {

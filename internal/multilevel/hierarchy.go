@@ -155,8 +155,8 @@ func coarsenCtx(ctx context.Context, h *hypergraph.Hypergraph, maxClusterSize in
 		epoch++
 		touched = touched[:0]
 		vsz := h.SizeOf(v)
-		for _, e := range h.Nets(v) {
-			pins := h.Pins(e)
+		for _, e := range h.NodeNets(v) {
+			pins := h.NetPins(e)
 			if len(pins) < 2 {
 				continue
 			}
@@ -194,7 +194,10 @@ func coarsenCtx(ctx context.Context, h *hypergraph.Hypergraph, maxClusterSize in
 	// Build the coarse hypergraph. Coarse nodes are anonymous: names carry
 	// no algorithmic weight and a million-node level would otherwise spend
 	// most of its build time populating the builder's name index.
+	// Every demand column is summed like size and aux, so a coarse node
+	// demands exactly what its members do on every resource axis.
 	var b hypergraph.Builder
+	resNames := h.ResourceNames()
 	f2c := make([]hypergraph.NodeID, n)
 	for i := range f2c {
 		f2c[i] = -1
@@ -204,14 +207,24 @@ func coarsenCtx(ctx context.Context, h *hypergraph.Hypergraph, maxClusterSize in
 		if f2c[v] != -1 {
 			continue
 		}
-		if m := match[v]; m != -1 {
-			id := b.AddNode("", h.KindOf(v), h.SizeOf(v)+h.SizeOf(m))
-			b.SetAux(id, h.AuxOf(v)+h.AuxOf(m))
-			f2c[v], f2c[m] = id, id
-		} else {
-			id := b.AddNode("", h.KindOf(v), h.SizeOf(v))
-			b.SetAux(id, h.AuxOf(v))
-			f2c[v] = id
+		m := match[v]
+		size, aux := h.SizeOf(v), h.AuxOf(v)
+		if m != -1 {
+			size, aux = size+h.SizeOf(m), aux+h.AuxOf(m)
+		}
+		id := b.AddNode("", h.KindOf(v), size)
+		b.SetAux(id, aux)
+		for _, name := range resNames {
+			col := h.ResourceColumn(name)
+			d := col[v]
+			if m != -1 {
+				d += col[m]
+			}
+			b.SetResource(id, name, int(d))
+		}
+		f2c[v] = id
+		if m != -1 {
+			f2c[m] = id
 		}
 	}
 	cstamp := make([]int32, b.NumNodes())
@@ -219,7 +232,7 @@ func coarsenCtx(ctx context.Context, h *hypergraph.Hypergraph, maxClusterSize in
 		cstamp[i] = -1
 	}
 	for e := 0; e < h.NumNets(); e++ {
-		pins := h.Pins(hypergraph.NetID(e))
+		pins := h.NetPins(hypergraph.NetID(e))
 		coarse := make([]hypergraph.NodeID, 0, len(pins))
 		for _, p := range pins {
 			c := f2c[p]

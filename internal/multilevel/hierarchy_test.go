@@ -7,6 +7,7 @@ package multilevel
 // down carries identical block sizes, pin conservation, and cut value.
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math/rand"
@@ -15,11 +16,12 @@ import (
 	"fpart/internal/device"
 	"fpart/internal/gen"
 	"fpart/internal/hypergraph"
+	"fpart/internal/netlist"
 	"fpart/internal/partition"
 )
 
 // checkHierarchy verifies the structural invariants between every pair of
-// adjacent levels: total size/aux conservation per cluster, pad kinds
+// adjacent levels: size/aux/resource-column conservation per cluster, pad kinds
 // preserved, every fine node mapped, and no surviving net losing a pin's
 // cluster.
 func checkHierarchy(t *testing.T, hr *Hierarchy) {
@@ -51,6 +53,21 @@ func checkHierarchy(t *testing.T, hr *Hierarchy) {
 					li, c, ch.SizeOf(id), ch.AuxOf(id), size[c], aux[c])
 			}
 		}
+		for _, name := range fh.ResourceNames() {
+			fcol, ccol := fh.ResourceColumn(name), ch.ResourceColumn(name)
+			if ch.TotalResource(name) != fh.TotalResource(name) || ccol == nil {
+				t.Fatalf("level %d: %s total %d != %d", li, name, ch.TotalResource(name), fh.TotalResource(name))
+			}
+			sum := make([]int32, ch.NumNodes())
+			for v, c := range f2c {
+				sum[c] += fcol[v]
+			}
+			for c := range sum {
+				if sum[c] != ccol[c] {
+					t.Fatalf("level %d: cluster %d demands %s %d, members sum to %d", li, c, name, ccol[c], sum[c])
+				}
+			}
+		}
 		if ch.TotalSize() != fh.TotalSize() {
 			t.Fatalf("level %d: total size %d != %d", li, ch.TotalSize(), fh.TotalSize())
 		}
@@ -63,13 +80,13 @@ func checkHierarchy(t *testing.T, hr *Hierarchy) {
 		// them on both sides.
 		fineNets := make(map[string]int)
 		for e := 0; e < fh.NumNets(); e++ {
-			key := netKey(f2c, fh.Pins(hypergraph.NetID(e)))
+			key := netKey(f2c, fh.NetPins(hypergraph.NetID(e)))
 			if key != "" {
 				fineNets[key]++
 			}
 		}
 		for e := 0; e < ch.NumNets(); e++ {
-			pins := ch.Pins(hypergraph.NetID(e))
+			pins := ch.NetPins(hypergraph.NetID(e))
 			ids := make([]hypergraph.NodeID, len(pins))
 			copy(ids, pins)
 			key := sortedKey(ids)
@@ -136,6 +153,23 @@ func TestHierarchyInvariants(t *testing.T) {
 		}
 		checkHierarchy(t, hr)
 	}
+	// A stamped netlist: every DSP/BRAM demand must survive each level.
+	var buf bytes.Buffer
+	if err := gen.StreamPHG(&buf, 2000, 40, 3, false, []gen.ResStamp{{Name: "DSP", Period: 16}, {Name: "BRAM", Period: 64}}); err != nil {
+		t.Fatal(err)
+	}
+	h, err := netlist.ReadPHG(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hr, err := BuildHierarchy(context.Background(), h, HierarchyConfig{CoarsestNodes: 64, MaxClusterSize: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hr.Depth() < 2 || len(h.ResourceNames()) != 2 {
+		t.Fatalf("stamped instance: depth %d, columns %v", hr.Depth(), h.ResourceNames())
+	}
+	checkHierarchy(t, hr)
 }
 
 // Projecting a random feasible-shaped assignment from any level down to

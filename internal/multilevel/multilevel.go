@@ -203,8 +203,8 @@ func growSplit(h *hypergraph.Hypergraph, smax int) map[hypergraph.NodeID]bool {
 	size := h.Node(seedNode).Size
 	gainTo := map[hypergraph.NodeID]int{}
 	expand := func(v hypergraph.NodeID) {
-		for _, e := range h.Nets(v) {
-			for _, u := range h.Pins(e) {
+		for _, e := range h.NodeNets(v) {
+			for _, u := range h.NetPins(e) {
 				if !inA[u] {
 					gainTo[u]++
 				}
@@ -278,8 +278,8 @@ func ClusterOrder(h *hypergraph.Hypergraph) []hypergraph.NodeID {
 	var orphans []hypergraph.NodeID
 	for _, p := range h.PadIDs() {
 		var anchor hypergraph.NodeID = -1
-		for _, e := range h.Nets(p) {
-			for _, u := range h.Pins(e) {
+		for _, e := range h.NodeNets(p) {
+			for _, u := range h.NetPins(e) {
 				if h.Node(u).Kind == hypergraph.Interior {
 					anchor = u
 					break
@@ -408,18 +408,22 @@ func PartitionCtx(ctx context.Context, h *hypergraph.Hypergraph, dev device.Devi
 }
 
 // trimToFeasible shrinks/saturates a candidate set so the carved block
-// meets both device constraints: it regrows from the candidate's highest
+// meets every device constraint: it regrows from the candidate's highest
 // connectivity core using the pin-aware greedy growth.
 func trimToFeasible(p *partition.Partition, rem partition.BlockID, dev device.Device, set []hypergraph.NodeID) []hypergraph.NodeID {
-	// Check the set as-is first.
-	size, okAux := 0, true
+	// Check the set as-is first: size, aux, and every resource axis summed
+	// over the whole set.
+	h := p.Hypergraph()
+	size, aux := 0, 0
+	res := make([]int, p.NumRes())
 	for _, v := range set {
-		size += p.Hypergraph().Node(v).Size
-		if dev.AuxCap > 0 {
-			okAux = okAux && p.Hypergraph().Node(v).Aux <= dev.AuxCap
+		size += h.SizeOf(v)
+		aux += h.AuxOf(v)
+		for r := range res {
+			res[r] += p.ResDemandOf(v, r)
 		}
 	}
-	if size <= dev.SMax() && okAux {
+	if size <= dev.SMax() && (dev.AuxCap == 0 || aux <= dev.AuxCap) && dev.FitsRes(res) {
 		if term := probeTerminals(p, rem, set); term <= dev.TMax() {
 			return seed.Grow(p, rem, dev, set)
 		}
@@ -444,14 +448,14 @@ func probeTerminals(p *partition.Partition, rem partition.BlockID, set []hypergr
 		if h.Node(v).Kind == hypergraph.Pad {
 			term++
 		}
-		for _, e := range h.Nets(v) {
+		for _, e := range h.NodeNets(v) {
 			if seen[e] {
 				continue
 			}
 			seen[e] = true
 			outside := p.Span(e) > 1
 			if !outside {
-				for _, u := range h.Pins(e) {
+				for _, u := range h.NetPins(e) {
 					if !in[u] {
 						outside = true
 						break

@@ -36,8 +36,8 @@ func TestClusterOrderPadsNextToAnchors(t *testing.T) {
 	for _, p := range h.PadIDs() {
 		// The pad's anchor is its first interior neighbour.
 		var anchor hypergraph.NodeID = -1
-		for _, e := range h.Nets(p) {
-			for _, u := range h.Pins(e) {
+		for _, e := range h.NodeNets(p) {
+			for _, u := range h.NetPins(e) {
 				if h.Node(u).Kind == hypergraph.Interior {
 					anchor = u
 					break
@@ -79,7 +79,7 @@ func TestClusterOrderHasLowCutWidth(t *testing.T) {
 		cross := 0
 		for e := 0; e < h.NumNets(); e++ {
 			has, out := false, false
-			for _, u := range h.Pins(hypergraph.NetID(e)) {
+			for _, u := range h.NetPins(hypergraph.NetID(e)) {
 				if in[u] {
 					has = true
 				} else {

@@ -36,7 +36,7 @@ func TestPHGRoundTrip(t *testing.T) {
 		t.Errorf("round trip mismatch: %v vs %v", h2, h)
 	}
 	for e := 0; e < h.NumNets(); e++ {
-		if len(h2.Pins(hypergraph.NetID(e))) != len(h.Pins(hypergraph.NetID(e))) {
+		if len(h2.NetPins(hypergraph.NetID(e))) != len(h.NetPins(hypergraph.NetID(e))) {
 			t.Errorf("net %d pin count differs", e)
 		}
 	}
@@ -174,7 +174,7 @@ func TestQuickRoundTrips(t *testing.T) {
 				return false
 			}
 			for e := 0; e < h.NumNets(); e++ {
-				a, bb := h.Pins(hypergraph.NetID(e)), h2.Pins(hypergraph.NetID(e))
+				a, bb := h.NetPins(hypergraph.NetID(e)), h2.NetPins(hypergraph.NetID(e))
 				if len(a) != len(bb) {
 					return false
 				}
@@ -270,8 +270,8 @@ func TestBLIFHypergraph(t *testing.T) {
 	for e := 0; e < h.NumNets(); e++ {
 		if h.Net(hypergraph.NetID(e)).Name == "w2" {
 			found = true
-			if len(h.Pins(hypergraph.NetID(e))) != 3 {
-				t.Errorf("w2 has %d pins, want 3", len(h.Pins(hypergraph.NetID(e))))
+			if len(h.NetPins(hypergraph.NetID(e))) != 3 {
+				t.Errorf("w2 has %d pins, want 3", len(h.NetPins(hypergraph.NetID(e))))
 			}
 		}
 	}

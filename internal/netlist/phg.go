@@ -177,7 +177,7 @@ func WriteHgr(w io.Writer, h *hypergraph.Hypergraph) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "%d %d 10\n", h.NumNets(), h.NumNodes())
 	for e := 0; e < h.NumNets(); e++ {
-		pins := h.Pins(hypergraph.NetID(e))
+		pins := h.NetPins(hypergraph.NetID(e))
 		for i, p := range pins {
 			if i > 0 {
 				fmt.Fprint(bw, " ")

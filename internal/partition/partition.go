@@ -520,7 +520,7 @@ type NetDelta struct {
 }
 
 // MoveTrace is Move, additionally appending one NetDelta per incident net
-// to buf (in h.Nets(v) order) and returning it. Pass a reused buffer to
+// to buf (in h.NodeNets(v) order) and returning it. Pass a reused buffer to
 // avoid allocation; a nil buf records nothing. A same-block no-op move
 // returns buf unchanged.
 func (p *Partition) MoveTrace(v hypergraph.NodeID, to BlockID, buf []NetDelta) []NetDelta {
@@ -941,7 +941,7 @@ func (p *Partition) Validate() error {
 	cut := 0
 	for e := 0; e < p.h.NumNets(); e++ {
 		want := map[BlockID]int{}
-		for _, v := range p.h.Pins(hypergraph.NetID(e)) {
+		for _, v := range p.h.NetPins(hypergraph.NetID(e)) {
 			want[p.assign[v]]++
 		}
 		if len(want) != p.Span(hypergraph.NetID(e)) {

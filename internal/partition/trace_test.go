@@ -43,7 +43,7 @@ func TestQuickMoveTraceMatchesObservedTransitions(t *testing.T) {
 			v := hypergraph.NodeID(r.Intn(n))
 			to := BlockID(r.Intn(k))
 			from := p.Block(v)
-			nets := h.Nets(v)
+			nets := h.NodeNets(v)
 			type obs struct{ fp, tp, span int }
 			before := make([]obs, len(nets))
 			for i, e := range nets {

@@ -348,7 +348,7 @@ func (e *Engine) dirIndex(fi, ti int) int {
 // gain1 returns the first-level (exact Δcut) gain of moving v from F to T.
 func (e *Engine) gain1(v hypergraph.NodeID, f, t partition.BlockID) int {
 	g := 0
-	for _, net := range e.h.Nets(v) {
+	for _, net := range e.h.NodeNets(v) {
 		pf := e.p.PinCount(net, f)
 		span := e.p.Span(net)
 		if pf == 1 {
@@ -371,7 +371,7 @@ func (e *Engine) gain1(v hypergraph.NodeID, f, t partition.BlockID) int {
 // bookkeeping; pad relocation itself is T-neutral (−1 on F, +1 on T).
 func (e *Engine) gainPin(v hypergraph.NodeID, f, t partition.BlockID) int {
 	g := 0
-	for _, net := range e.h.Nets(v) {
+	for _, net := range e.h.NodeNets(v) {
 		pf := e.p.PinCount(net, f)
 		pt := e.p.PinCount(net, t)
 		span := e.p.Span(net)
@@ -1357,8 +1357,8 @@ func (e *Engine) applyMoveRecompute(c candidate) {
 	e.lockNets(v, e.blkIdx[c.to])
 	e.journal = append(e.journal, moveRec{v: v, from: c.from, to: c.to})
 	e.epoch++
-	for _, net := range e.h.Nets(v) {
-		for _, u := range e.h.Pins(net) {
+	for _, net := range e.h.NodeNets(v) {
+		for _, u := range e.h.NetPins(net) {
 			if u == v || e.locked[u] || e.subsetExcluded(u) || e.stamp[u] == e.epoch {
 				continue
 			}
@@ -1401,7 +1401,7 @@ func (e *Engine) deltaUpdate(v hypergraph.NodeID, from, to partition.BlockID) {
 	e.touched = e.touched[:0]
 	if workers := flushWorkerCount(); workers >= 2 {
 		est := 0
-		for _, net := range e.h.Nets(v) {
+		for _, net := range e.h.NodeNets(v) {
 			est += e.h.NetDegree(net)
 		}
 		if est >= parallelFlushThreshold {
@@ -1409,7 +1409,7 @@ func (e *Engine) deltaUpdate(v hypergraph.NodeID, from, to partition.BlockID) {
 			return
 		}
 	}
-	for i, net := range e.h.Nets(v) {
+	for i, net := range e.h.NodeNets(v) {
 		nd := &e.netBuf[i]
 		pcFb, pcTb := nd.FromPins, nd.ToPins
 		pcFa, pcTa := pcFb-1, pcTb+1
@@ -1421,7 +1421,7 @@ func (e *Engine) deltaUpdate(v hypergraph.NodeID, from, to partition.BlockID) {
 			// after for every pin and direction. Only the level-2 memo
 			// goes stale (pin counts and v's lock changed on this net):
 			// stamp the pins so the flush loop bumps their revision.
-			for _, u := range e.h.Pins(net) {
+			for _, u := range e.h.NetPins(net) {
 				if u == v || e.locked[u] || e.subsetExcluded(u) {
 					continue
 				}
@@ -1432,7 +1432,7 @@ func (e *Engine) deltaUpdate(v hypergraph.NodeID, from, to partition.BlockID) {
 			}
 			continue
 		}
-		for _, u := range e.h.Pins(net) {
+		for _, u := range e.h.NetPins(net) {
 			if u == v || e.locked[u] || e.subsetExcluded(u) {
 				continue
 			}
@@ -1596,10 +1596,10 @@ func flushWorkerCount() int {
 //     count can change any total.
 //   - The bucket flush reuses the serial flushTouched tail.
 func (e *Engine) deltaUpdateSharded(v hypergraph.NodeID, from, to partition.BlockID, fi, ti, slots int, contrib func(pcA, pcDest, span int32) int32, workers int) {
-	nets := e.h.Nets(v)
+	nets := e.h.NodeNets(v)
 	for i, net := range nets {
 		e.netIdx[net] = int32(i)
-		for _, u := range e.h.Pins(net) {
+		for _, u := range e.h.NetPins(net) {
 			if u == v || e.locked[u] || e.subsetExcluded(u) {
 				continue
 			}

@@ -120,7 +120,7 @@ func (t *tracker) remainderPins(e hypergraph.NetID) int {
 
 // external reports whether net e has pins outside the remainder.
 func (t *tracker) external(e hypergraph.NetID) bool {
-	return t.remainderPins(e) < len(t.h.Pins(e))
+	return t.remainderPins(e) < len(t.h.NetPins(e))
 }
 
 // netCounts returns whether net e currently contributes a terminal to the
@@ -141,7 +141,7 @@ func (t *tracker) Probe(v hypergraph.NodeID) (size, term int) {
 	if n.Kind == hypergraph.Pad {
 		term++
 	}
-	for _, e := range t.h.Nets(v) {
+	for _, e := range t.h.NodeNets(v) {
 		before := int(t.pinsIn[e])
 		wasC := t.contributes(e, before)
 		isC := t.contributes(e, before+1)
@@ -169,7 +169,7 @@ func (t *tracker) Add(v hypergraph.NodeID) {
 	}
 	t.nodes++
 	t.inC[v] = true
-	for _, e := range t.h.Nets(v) {
+	for _, e := range t.h.NodeNets(v) {
 		before := int(t.pinsIn[e])
 		after := before + 1
 		rp := t.remainderPins(e)
@@ -232,8 +232,8 @@ func restrictedBFS(bs *bfsScratch, p *partition.Partition, rem partition.BlockID
 	queue = append(queue, seedNode)
 	for head := 0; head < len(queue); head++ {
 		v := queue[head]
-		for _, e := range h.Nets(v) {
-			for _, u := range h.Pins(e) {
+		for _, e := range h.NodeNets(v) {
+			for _, u := range h.NetPins(e) {
 				if p.Block(u) != rem {
 					continue
 				}
@@ -395,8 +395,8 @@ func GreedyConeMerge(p *partition.Partition, rem partition.BlockID, dev device.D
 func (g *grow) add(p *partition.Partition, h *hypergraph.Hypergraph, rem partition.BlockID, v hypergraph.NodeID) {
 	g.t.Add(v)
 	g.members = append(g.members, v)
-	for _, e := range h.Nets(v) {
-		for _, u := range h.Pins(e) {
+	for _, e := range h.NodeNets(v) {
+		for _, u := range h.NetPins(e) {
 			if u != v && !g.inFront[u] && p.Block(u) == rem && !g.t.Contains(u) {
 				g.inFront[u] = true
 				g.frontier = append(g.frontier, u)
@@ -586,8 +586,8 @@ func sweepFrom(p *partition.Partition, rem partition.BlockID, dev device.Device,
 		// valid entry the lazy heap yields is unchanged.
 		sc.epoch++
 		sc.touched = sc.touched[:0]
-		for _, e := range h.Nets(v) {
-			for _, u := range h.Pins(e) {
+		for _, e := range h.NodeNets(v) {
+			for _, u := range h.NetPins(e) {
 				if u != v && p.Block(u) == rem && !t.Contains(u) {
 					attract[u]++
 					if mark[u] != sc.epoch {

@@ -52,7 +52,7 @@ func Fingerprint(h *hypergraph.Hypergraph, dev device.Device, method, boardSpec 
 		putInt(n.Aux)
 	}
 	for e := 0; e < h.NumNets(); e++ {
-		pins := h.Pins(hypergraph.NetID(e))
+		pins := h.NetPins(hypergraph.NetID(e))
 		putInt(len(pins))
 		for _, p := range pins {
 			putInt(int(p))

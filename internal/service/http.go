@@ -144,14 +144,12 @@ func viewOf(snap Snapshot, withAssignment bool) JobView {
 // MethodView is the JSON rendering of one registered engine in the
 // GET /methods discovery response.
 type MethodView struct {
-	Name         string `json:"name"`
-	Cancellable  bool   `json:"cancellable"`
-	Instrumented bool   `json:"instrumented"`
-	Budgeted     bool   `json:"budgeted"`
-	// BoardAware reports that jobs on this engine accept the "board"
-	// request field (multi-FPGA feasibility gating).
-	BoardAware bool   `json:"board_aware"`
-	Summary    string `json:"summary"`
+	Name     string `json:"name"`
+	Budgeted bool   `json:"budgeted"`
+	// Cost is the engine's relative compute rank (engine.Capabilities.Cost),
+	// the static order of the degradation ladder; 0 means unranked.
+	Cost    int    `json:"cost"`
+	Summary string `json:"summary"`
 }
 
 // Handler returns the service's HTTP API:
@@ -196,18 +194,16 @@ func (s *Service) Handler() http.Handler {
 }
 
 // handleMethods renders the engine registry so clients can discover
-// which method names Submit accepts and what each engine guarantees.
+// which method names Submit accepts and how the engines differ.
 func handleMethods(w http.ResponseWriter, r *http.Request) {
 	infos := engine.List()
 	views := make([]MethodView, len(infos))
 	for i, info := range infos {
 		views[i] = MethodView{
-			Name:         info.Name,
-			Cancellable:  info.Caps.Cancellable,
-			Instrumented: info.Caps.Instrumented,
-			Budgeted:     info.Caps.Budgeted,
-			BoardAware:   info.Caps.BoardAware,
-			Summary:      info.Caps.Summary,
+			Name:     info.Name,
+			Budgeted: info.Caps.Budgeted,
+			Cost:     info.Caps.Cost,
+			Summary:  info.Caps.Summary,
 		}
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"methods": views})

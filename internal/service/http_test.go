@@ -15,6 +15,7 @@ import (
 
 	"fpart/internal/device"
 	"fpart/internal/driver"
+	"fpart/internal/engine"
 	"fpart/internal/hypergraph"
 	"fpart/internal/obs"
 )
@@ -385,7 +386,7 @@ func TestHTTPMetrics(t *testing.T) {
 }
 
 // TestHTTPMethods covers the engine-registry discovery endpoint: the
-// listing mirrors driver.Methods() order, carries capability flags, and
+// listing mirrors driver.Methods() order, carries each registry capability, and
 // every advertised name is accepted at submit.
 func TestHTTPMethods(t *testing.T) {
 	s := New(Config{Workers: 2})
@@ -407,11 +408,9 @@ func TestHTTPMethods(t *testing.T) {
 		if m.Name != want[i] {
 			t.Fatalf("method %d: want %q, got %q", i, want[i], m.Name)
 		}
-		if !m.Cancellable || !m.Instrumented || m.Summary == "" {
-			t.Fatalf("method %s should advertise cancellable+instrumented and a summary: %+v", m.Name, m)
-		}
-		if !m.BoardAware {
-			t.Fatalf("method %s should advertise board_aware (every registered engine accepts the board gate)", m.Name)
+		eng, _ := engine.Lookup(m.Name)
+		if caps := eng.Caps(); m.Budgeted != caps.Budgeted || m.Cost != caps.Cost || m.Summary != caps.Summary || m.Summary == "" {
+			t.Fatalf("method %s should advertise its registry capabilities %+v, got %+v", m.Name, caps, m)
 		}
 	}
 

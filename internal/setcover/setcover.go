@@ -235,7 +235,7 @@ func repair(p *partition.Partition, dev device.Device) {
 			sizeViolated := p.Size(id) > dev.SMax()
 			for _, v := range p.NodesIn(id) {
 				internal := 0
-				for _, e := range h.Nets(v) {
+				for _, e := range h.NodeNets(v) {
 					if p.Span(e) == 1 {
 						internal++
 					}

@@ -160,8 +160,8 @@ func maxAdjacencyOrder(h *hypergraph.Hypergraph) []hypergraph.NodeID {
 	appendNode := func(v hypergraph.NodeID) {
 		ordered[v] = true
 		order = append(order, v)
-		for _, e := range h.Nets(v) {
-			for _, u := range h.Pins(e) {
+		for _, e := range h.NodeNets(v) {
+			for _, u := range h.NetPins(e) {
 				if !ordered[u] {
 					attract[u]++
 				}
@@ -226,11 +226,11 @@ func segmentDP(h *hypergraph.Hypergraph, dev device.Device, order []hypergraph.N
 			if nd.Kind == hypergraph.Pad {
 				pads++
 			}
-			for _, e := range h.Nets(v) {
+			for _, e := range h.NodeNets(v) {
 				before := pinsIn[e]
 				after := before + 1
 				pinsIn[e] = after
-				total := len(h.Pins(e))
+				total := len(h.NetPins(e))
 				// A net crosses when the segment holds some but not all of
 				// its pins... but pins to the RIGHT of i or LEFT of j are
 				// both outside; total inside is `after` only if every pin

@@ -50,12 +50,12 @@ case "$methods" in
 *) fail "method discovery missing registry entries: $methods" ;;
 esac
 case "$methods" in
-*'"cancellable":true'*) ;;
-*) fail "method discovery missing capability flags: $methods" ;;
+*'"budgeted":true'*) ;;
+*) fail "method discovery missing the budgeted capability: $methods" ;;
 esac
 case "$methods" in
-*'"board_aware":true'*) ;;
-*) fail "method discovery missing the board-aware capability: $methods" ;;
+*'"cost":'[1-9]*) ;;
+*) fail "method discovery missing the cost rank: $methods" ;;
 esac
 
 # Unknown methods are rejected at submit with the registry quoted.

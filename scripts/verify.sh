@@ -15,9 +15,9 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 go test ./...
-# Racers (core.Portfolio, engine.Race) must pick the same winner at any
-# goroutine schedule; repeat the registry differential so a schedule-
-# dependent winner fails here instead of passing most runs.
+# The racer (core.Portfolio, fanned out by core.Budget.Fan) must pick the
+# same winner at any goroutine schedule; repeat the registry differential so
+# a schedule-dependent winner fails here instead of passing most runs.
 go test -count=5 -run TestRegistryDispatchMatchesDirectCalls ./internal/driver
 go test -race ./internal/obs ./internal/core ./internal/sanchis ./internal/service ./internal/store ./internal/cluster ./internal/driver ./internal/engine ./internal/kwayx ./internal/flow ./internal/multilevel ./internal/mlfpart
 go test -short -run '^$' -bench . -benchtime 1x .
