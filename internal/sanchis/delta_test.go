@@ -1,9 +1,11 @@
 package sanchis
 
-// Tests for the incremental delta-gain move kernel, its equivalence to the
-// wholesale recompute path, and the parallel initPass.
+// Oracle tests for the move kernel: after every applied move, every gain
+// the kernel maintains incrementally must equal a recomputation from the
+// partition, and the cached best-move selection must equal the full scan.
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -35,73 +37,138 @@ func randomCircuit(r *rand.Rand) *hypergraph.Hypergraph {
 	return b.MustBuild()
 }
 
-// TestDeltaGainMatchesRecompute is the differential proof required by the
-// kernel: from identical seeds, the delta-gain path and the wholesale
-// recompute path must walk bit-identical trajectories — same final
-// assignment, same lexicographic solution key, same move counts — across
-// devices, block counts, and every gain-model variant.
-func TestDeltaGainMatchesRecompute(t *testing.T) {
+// stepPasses drives passes over blocks move by move, choosing each move
+// with sel and calling check after initPass (move −1) and after every
+// applied move. Each pass rolls back the second half of its journal, so
+// later passes start from a partition the kernel itself produced. A
+// non-nil cells restricts the passes like ImproveSubsetCtx.
+func stepPasses(t *testing.T, e *Engine, blocks []partition.BlockID, rem partition.BlockID, m int,
+	cells []hypergraph.NodeID, passes int, sel func([]int32) (candidate, bool), check func(move int)) {
+	t.Helper()
+	if cells != nil {
+		e.subset = cells
+		e.inSubset = make([]bool, e.h.NumNodes())
+		for _, v := range cells {
+			e.inSubset[v] = true
+		}
+		defer func() { e.subset, e.inSubset = nil, nil }()
+	}
+	e.prepare(blocks, rem, m)
+	scratch := make([]int32, 0, e.cfg.TieWidth)
+	for pass := 0; pass < passes; pass++ {
+		e.initPass()
+		e.journal = e.journal[:0]
+		check(-1)
+		for move := 0; ; move++ {
+			c, ok := sel(scratch)
+			if !ok {
+				break
+			}
+			e.applyMove(c)
+			check(move)
+		}
+		for i := len(e.journal) - 1; i >= len(e.journal)/2; i-- {
+			e.p.Move(e.journal[i].v, e.journal[i].from)
+		}
+	}
+}
+
+// checkKernelState is the gain oracle: every unlocked candidate cell's
+// bucket gain equals cellGain in every direction, its level-2 memo entry,
+// when valid, equals gain2, cells outside a subset are absent from the buckets,
+// and the delta accumulator is back to all-zero.
+func checkKernelState(t *testing.T, e *Engine, label string, move int) {
+	t.Helper()
+	for vi := 0; vi < e.h.NumNodes(); vi++ {
+		v := hypergraph.NodeID(vi)
+		b := e.p.Block(v)
+		fi := e.blkIdx[b]
+		if fi < 0 || e.locked[v] {
+			continue
+		}
+		for ti, tb := range e.blocks {
+			if ti == fi {
+				continue
+			}
+			got, in := e.buckets[e.dirIndex(fi, ti)].Gain(int32(v))
+			if e.subsetExcluded(v) {
+				if in {
+					t.Fatalf("%s move %d: excluded cell %d is in bucket %d→%d", label, move, v, fi, ti)
+				}
+				continue
+			}
+			if want := e.cellGain(v, b, tb); !in || got != want {
+				t.Fatalf("%s move %d: cell %d dir %d→%d: bucket gain %d (present=%v), cellGain %d",
+					label, move, v, fi, ti, got, in, want)
+			}
+			// Read the memo without gain2Of, which would overwrite a stale
+			// entry and hide it from every later check.
+			s := ti
+			if ti > fi {
+				s--
+			}
+			idx := vi*(len(e.blocks)-1) + s
+			if got, want := int(e.g2cache[idx]), e.gain2(v, b, tb); e.g2stamp[idx] == e.cellRev[v] && got != want {
+				t.Fatalf("%s move %d: cell %d dir %d→%d: memoised gain2 %d, gain2 %d",
+					label, move, v, fi, ti, got, want)
+			}
+		}
+	}
+	for i, a := range e.accum {
+		if a != 0 {
+			t.Fatalf("%s move %d: accum[%d] = %d, want all-zero between moves", label, move, i, a)
+		}
+	}
+}
+
+// randomInstance draws a random k-block assignment of h from r.
+func randomInstance(r *rand.Rand, h *hypergraph.Hypergraph, k int) ([]partition.BlockID, []partition.BlockID) {
+	assign := make([]partition.BlockID, h.NumNodes())
+	for v := range assign {
+		assign[v] = partition.BlockID(r.Intn(k))
+	}
+	blocks := make([]partition.BlockID, k)
+	for i := range blocks {
+		blocks[i] = partition.BlockID(i)
+	}
+	return assign, blocks
+}
+
+// TestDeltaBucketStateMatchesRecompute runs the gain oracle after every
+// move of several passes, across devices, block counts, every gain-model
+// variant, and whole-graph and subset-restricted passes.
+func TestDeltaBucketStateMatchesRecompute(t *testing.T) {
 	devices := []device.Device{
 		{Name: "tight", DatasheetCells: 12, Pins: 10, Fill: 1.0},
 		{Name: "roomy", DatasheetCells: 20, Pins: 24, Fill: 1.0},
-	}
-	variants := []struct {
-		name string
-		mut  func(*Config)
-	}{
-		{"default", func(*Config) {}},
-		{"pin-gain", func(c *Config) { c.PinGain = true }},
-		{"cut-objective", func(c *Config) { c.CutObjective = true }},
-		{"deep-levels", func(c *Config) { c.GainLevels = 4 }},
 	}
 	for seed := int64(1); seed <= 6; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		h := randomCircuit(r)
 		k := 2 + r.Intn(4)
-		assign := make([]partition.BlockID, h.NumNodes())
-		for v := range assign {
-			assign[v] = partition.BlockID(r.Intn(k))
+		assign, blocks := randomInstance(r, h, k)
+		var cells []hypergraph.NodeID
+		for v := 0; v < h.NumNodes(); v++ {
+			if v%3 != 0 {
+				cells = append(cells, hypergraph.NodeID(v))
+			}
 		}
 		for _, dev := range devices {
 			m := device.LowerBound(h, dev)
-			rem := partition.BlockID(k - 1)
-			blocks := make([]partition.BlockID, k)
-			for i := range blocks {
-				blocks[i] = partition.BlockID(i)
-			}
-			for _, vt := range variants {
-				run := func(disable bool) ([]partition.BlockID, partition.Key, Stats) {
+			for _, vt := range kernelVariants {
+				for _, subset := range [][]hypergraph.NodeID{nil, cells} {
 					p, err := partition.FromAssignment(h, dev, assign, k)
 					if err != nil {
 						t.Fatal(err)
 					}
 					cfg := Default()
 					vt.mut(&cfg)
-					cfg.DisableDeltaGain = disable
 					e := New(p, cfg)
-					st := e.Improve(blocks, rem, m)
-					out := make([]partition.BlockID, h.NumNodes())
-					for v := range out {
-						out[v] = p.Block(hypergraph.NodeID(v))
-					}
+					label := fmt.Sprintf("seed %d dev %s %s subset=%v", seed, dev.Name, vt.name, subset != nil)
+					stepPasses(t, e, blocks, partition.BlockID(k-1), m, subset, 3, e.selectBest,
+						func(move int) { checkKernelState(t, e, label, move) })
 					if err := p.Validate(); err != nil {
-						t.Fatalf("seed %d dev %s %s disable=%v: %v", seed, dev.Name, vt.name, disable, err)
-					}
-					return out, p.Key(cfg.Cost, rem, m), st
-				}
-				gotA, keyA, stA := run(false)
-				gotB, keyB, stB := run(true)
-				if keyA != keyB {
-					t.Errorf("seed %d dev %s %s: key delta=%v recompute=%v", seed, dev.Name, vt.name, keyA, keyB)
-				}
-				if stA.MovesApplied != stB.MovesApplied || stA.Passes != stB.Passes {
-					t.Errorf("seed %d dev %s %s: stats delta=(%d moves, %d passes) recompute=(%d, %d)",
-						seed, dev.Name, vt.name, stA.MovesApplied, stA.Passes, stB.MovesApplied, stB.Passes)
-				}
-				for v := range gotA {
-					if gotA[v] != gotB[v] {
-						t.Fatalf("seed %d dev %s %s: node %d delta=%d recompute=%d",
-							seed, dev.Name, vt.name, v, gotA[v], gotB[v])
+						t.Fatalf("%s: %v", label, err)
 					}
 				}
 			}
@@ -109,176 +176,48 @@ func TestDeltaGainMatchesRecompute(t *testing.T) {
 	}
 }
 
-// TestDeltaBucketStateMatchesRecompute drives a pass move by move and
-// checks, after every applied move, that each unlocked active cell's bucket
-// gain equals a fresh recomputation in every direction, and that the delta
-// accumulator returned to its all-zero resting state.
-func TestDeltaBucketStateMatchesRecompute(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	h := randomCircuit(r)
-	dev := device.Device{Name: "d", DatasheetCells: 14, Pins: 12, Fill: 1.0}
-	const k = 3
-	assign := make([]partition.BlockID, h.NumNodes())
-	for v := range assign {
-		assign[v] = partition.BlockID(r.Intn(k))
+// TestDirCandStress checks, at every step of several passes, that the
+// per-direction candidate cache selects exactly the move the full scan
+// selects, over a wide random instance set (up to 15 blocks, mixed cell
+// sizes, pads) under both gain models.
+func TestDirCandStress(t *testing.T) {
+	if testing.Short() {
+		t.Skip("stress")
 	}
-	for _, pin := range []bool{false, true} {
-		p, err := partition.FromAssignment(h, dev, assign, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := Default()
-		cfg.PinGain = pin
-		e := New(p, cfg)
-		blocks := []partition.BlockID{0, 1, 2}
-		e.prepare(blocks, 2, k)
-		e.initPass()
-		e.journal = e.journal[:0]
-		scratch := make([]int32, 0, e.cfg.TieWidth)
-		for move := 0; ; move++ {
-			c, ok := e.selectBest(scratch)
-			if !ok {
-				break
-			}
-			e.applyMove(c)
-			for v := 0; v < h.NumNodes(); v++ {
-				if e.locked[v] {
-					continue
-				}
-				b := p.Block(hypergraph.NodeID(v))
-				fi := e.blkIdx[b]
-				for ti := range blocks {
-					if ti == fi {
-						continue
-					}
-					got, in := e.buckets[e.dirIndex(fi, ti)].Gain(int32(v))
-					want := e.cellGain(hypergraph.NodeID(v), b, blocks[ti])
-					if !in || got != want {
-						t.Fatalf("pin=%v move %d: cell %d dir %d→%d: bucket gain %d (present=%v), recomputed %d",
-							pin, move, v, fi, ti, got, in, want)
-					}
-				}
-			}
-			for i, a := range e.accum {
-				if a != 0 {
-					t.Fatalf("pin=%v move %d: accum[%d] = %d, want all-zero between moves", pin, move, i, a)
-				}
-			}
-		}
-	}
-}
-
-// TestParallelInitPassDeterministic forces the parallel gain-fill path on a
-// small fixture (threshold 0) and checks the result is identical to the
-// serial path. Running under the -race leg of scripts/verify.sh, this also
-// proves the worker pool is data-race free.
-func TestParallelInitPassDeterministic(t *testing.T) {
-	run := func(threshold int) ([]partition.BlockID, int) {
-		oldT, oldW := parallelInitThreshold, parallelInitWorkers
-		parallelInitThreshold = threshold
-		parallelInitWorkers = 4 // real goroutines even when GOMAXPROCS is 1
-		defer func() { parallelInitThreshold, parallelInitWorkers = oldT, oldW }()
-		h, _ := clusters(t, 3, 8)
-		dev := device.Device{Name: "d", DatasheetCells: 10, Pins: 40, Fill: 1.0}
-		p := scrambled(t, h, dev, 3)
-		e := New(p, Default())
-		e.Improve([]partition.BlockID{0, 1, 2}, 2, 3)
-		out := make([]partition.BlockID, h.NumNodes())
-		for v := range out {
-			out[v] = p.Block(hypergraph.NodeID(v))
-		}
-		return out, p.Cut()
-	}
-	serialA, cutA := run(1 << 60) // always serial
-	parB, cutB := run(0)          // always parallel
-	if cutA != cutB {
-		t.Fatalf("parallel initPass changed the cut: serial %d, parallel %d", cutA, cutB)
-	}
-	for v := range serialA {
-		if serialA[v] != parB[v] {
-			t.Fatalf("parallel initPass changed assignment of node %d", v)
-		}
-	}
-}
-
-// TestDirBoundMatchesFullScan is the differential proof for the
-// per-direction selection-bound cache: with the cache on and off, identical
-// seeds must walk bit-identical trajectories — the cache may only skip
-// directions that would lose every comparison anyway.
-func TestDirBoundMatchesFullScan(t *testing.T) {
 	devices := []device.Device{
+		{Name: "tiny", DatasheetCells: 8, Pins: 8, Fill: 1.0},
 		{Name: "tight", DatasheetCells: 12, Pins: 10, Fill: 1.0},
 		{Name: "roomy", DatasheetCells: 20, Pins: 24, Fill: 1.0},
 	}
-	for seed := int64(1); seed <= 8; seed++ {
+	for seed := int64(1); seed <= 60; seed++ {
 		r := rand.New(rand.NewSource(seed))
-		h := randomCircuit(r)
-		k := 2 + r.Intn(4)
-		assign := make([]partition.BlockID, h.NumNodes())
-		for v := range assign {
-			assign[v] = partition.BlockID(r.Intn(k))
-		}
+		h := stressCircuit(r)
+		k := 2 + r.Intn(14)
+		assign, blocks := randomInstance(r, h, k)
 		for _, dev := range devices {
 			m := device.LowerBound(h, dev)
-			rem := partition.BlockID(k - 1)
-			blocks := make([]partition.BlockID, k)
-			for i := range blocks {
-				blocks[i] = partition.BlockID(i)
-			}
-			run := func(disable bool) ([]partition.BlockID, partition.Key, Stats) {
-				old := disableDirBound
-				disableDirBound = disable
-				defer func() { disableDirBound = old }()
+			for _, pin := range []bool{false, true} {
 				p, err := partition.FromAssignment(h, dev, assign, k)
 				if err != nil {
 					t.Fatal(err)
 				}
 				cfg := Default()
+				cfg.PinGain = pin
 				e := New(p, cfg)
-				st := e.Improve(blocks, rem, m)
-				out := make([]partition.BlockID, h.NumNodes())
-				for v := range out {
-					out[v] = p.Block(hypergraph.NodeID(v))
+				step := 0
+				sel := func(scratch []int32) (candidate, bool) {
+					want, wok := e.selectBestScan(scratch)
+					got, ok := e.selectBestCached(scratch)
+					if ok != wok || got.v != want.v || got.from != want.from || got.to != want.to || got.g1 != want.g1 || got.bal != want.bal {
+						t.Fatalf("seed %d dev %s pin %v step %d: cached (%v, %d→%d, g1 %d, bal %d, ok %v), scan (%v, %d→%d, g1 %d, bal %d, ok %v)",
+							seed, dev.Name, pin, step, got.v, got.from, got.to, got.g1, got.bal, ok,
+							want.v, want.from, want.to, want.g1, want.bal, wok)
+					}
+					step++
+					return got, ok
 				}
-				return out, p.Key(cfg.Cost, rem, m), st
-			}
-			gotA, keyA, stA := run(false)
-			gotB, keyB, stB := run(true)
-			if keyA != keyB {
-				t.Errorf("seed %d dev %s: key cached=%v full=%v", seed, dev.Name, keyA, keyB)
-			}
-			if stA.MovesApplied != stB.MovesApplied || stA.Passes != stB.Passes {
-				t.Errorf("seed %d dev %s: stats cached=(%d moves, %d passes) full=(%d, %d)",
-					seed, dev.Name, stA.MovesApplied, stA.Passes, stB.MovesApplied, stB.Passes)
-			}
-			for v := range gotA {
-				if gotA[v] != gotB[v] {
-					t.Fatalf("seed %d dev %s: node %d cached=%d full=%d",
-						seed, dev.Name, v, gotA[v], gotB[v])
-				}
+				stepPasses(t, e, blocks, partition.BlockID(k-1), m, nil, 3, sel, func(int) {})
 			}
 		}
-	}
-}
-
-// TestDeltaGainStatsReduceBucketOps documents the point of the kernel: on a
-// non-trivial multi-block instance the delta path performs strictly fewer
-// bucket mutations than wholesale recomputation.
-func TestDeltaGainStatsReduceBucketOps(t *testing.T) {
-	run := func(disable bool) Stats {
-		h, _ := clusters(t, 4, 8)
-		dev := device.Device{Name: "d", DatasheetCells: 10, Pins: 40, Fill: 1.0}
-		p := scrambled(t, h, dev, 4)
-		cfg := Default()
-		cfg.DisableDeltaGain = disable
-		e := New(p, cfg)
-		return e.Improve([]partition.BlockID{0, 1, 2, 3}, 3, 4)
-	}
-	delta, whole := run(false), run(true)
-	if delta.MovesApplied != whole.MovesApplied {
-		t.Fatalf("paths diverged: %d vs %d moves", delta.MovesApplied, whole.MovesApplied)
-	}
-	if delta.BucketOps >= whole.BucketOps {
-		t.Errorf("delta path did not reduce bucket ops: %d vs %d", delta.BucketOps, whole.BucketOps)
 	}
 }

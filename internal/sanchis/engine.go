@@ -23,10 +23,7 @@ package sanchis
 import (
 	"context"
 	"math"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"fpart/internal/gain"
 	"fpart/internal/hypergraph"
@@ -92,11 +89,6 @@ type Config struct {
 	// the infeasible region. Zero disables (the paper's baseline
 	// behaviour: a full pass).
 	EarlyStop int
-	// DisableDeltaGain replaces the incremental delta-gain move kernel
-	// with the wholesale per-neighbour gain recomputation it superseded.
-	// The two paths produce bit-identical pass trajectories; the switch
-	// exists for verification (differential tests) and ablation benches.
-	DisableDeltaGain bool
 	// Obs, when non-nil, receives stack-restart and restart-solution
 	// accept/reject events (§3.6). The nil emitter is inert; see
 	// internal/obs.
@@ -208,12 +200,6 @@ type Engine struct {
 	// per net instead of a scan over the net's pins.
 	netLock []int32
 
-	// netIdx maps a net to its index in the current move's netBuf trace
-	// during a sharded flush, -1 otherwise. Sized by NumNets; only the
-	// entries of the moved cell's nets are ever set, and they are reset
-	// before the flush returns.
-	netIdx []int32
-
 	journal []moveRec
 
 	// delta-gain kernel scratch (sized in ImproveCtx). accum holds the
@@ -247,7 +233,7 @@ type Engine struct {
 	g2stamp []int32
 	cellRev []int32
 
-	// parallel initPass scratch: the active cells of the pass and their
+	// initPass scratch: the active cells of the pass and their
 	// per-direction seed gains, plus the counting-sort grouping of active
 	// cells by source block used for the direction-major bucket fill.
 	activeV  []int32
@@ -450,7 +436,7 @@ func (e *Engine) cellGain(v hypergraph.NodeID, f, t partition.BlockID) int {
 
 // gain2Of returns gain2 through the per-(cell, direction) memo. A move
 // changes the level-2 gain of exactly the cells sharing a net with the
-// moved cell, so deltaUpdate (and the recompute path) invalidate that
+// moved cell, so deltaUpdate invalidates that
 // neighbourhood and everything else stays cached across selectBest calls.
 func (e *Engine) gain2Of(v hypergraph.NodeID, f, t partition.BlockID) int {
 	s := e.blkIdx[t]
@@ -676,43 +662,9 @@ func (e *Engine) sizeAdmissible(sz int, f, t partition.BlockID) bool {
 	return e.dirWindowFor(f, t).admits(sz)
 }
 
-// parallelInitThreshold is the minimum number of (cell, direction) gain
-// computations before initPass fans its gain computation out across a
-// worker pool; below it the goroutine overhead outweighs the work. A
-// package variable so tests can force the parallel path on small fixtures.
-var parallelInitThreshold = 4096
-
-// parallelInitWorkers overrides the initPass worker count when positive;
-// zero selects min(GOMAXPROCS, 8). Tests set it to exercise the worker
-// pool on machines where GOMAXPROCS is 1.
-var parallelInitWorkers = 0
-
-// parallelFlushThreshold is the minimum estimated pin-visit count (sum of
-// traced net degrees) above which deltaUpdate accumulates gain deltas in
-// parallel. Moves below it — the overwhelming majority — stay on the fused
-// serial path.
-var parallelFlushThreshold = 4096
-
-// parallelFlushWorkers overrides the flush worker count when positive; zero
-// selects min(GOMAXPROCS, 8). Tests set it to exercise the sharded path on
-// machines where GOMAXPROCS is 1.
-var parallelFlushWorkers = 0
-
-// flushShards is the fixed shard count of the parallel flush. It is
-// independent of the worker count: shards are contiguous, index-ordered
-// ranges of the dirty-cell list, each owned by exactly one worker, so the
-// accumulated deltas are bit-identical at any GOMAXPROCS.
-const flushShards = 8
-
 // initPass fills the direction buckets with every unlocked cell of every
-// active block and clears locks.
-//
-// Seed gains are pure reads of the partition — independent per (cell,
-// direction) — so they are computed into gainBuf by a bounded worker pool
-// when the pass is large enough. Bucket insertion stays serial and follows
-// the exact (cell ascending, direction ascending) order the serial path
-// used, so the LIFO seed order of every gain list is identical regardless
-// of worker count.
+// active block and clears locks. Seed gains are computed into gainBuf
+// cell-major, then inserted direction-major.
 func (e *Engine) initPass() {
 	n := e.h.NumNodes()
 	maxG := e.h.MaxDegree()
@@ -776,88 +728,58 @@ func (e *Engine) initPass() {
 	}
 	e.gainBuf = e.gainBuf[:need]
 
-	fill := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			v := hypergraph.NodeID(e.activeV[i])
-			b := e.p.Block(v)
-			fi := e.blkIdx[b]
-			o := i * slots
-			s := 0
-			for ti := range e.blocks {
-				if ti == fi {
-					continue
-				}
-				e.gainBuf[o+s] = int32(e.cellGain(v, b, e.blocks[ti]))
-				s++
-			}
-		}
-	}
 	if !e.cfg.PinGain {
 		// First-level gains decompose per net: a span-1 net with other pins
 		// contributes −1 to every direction, and a span-2 net with v as the
 		// sole F pin contributes +1 to exactly one direction (its second
 		// endpoint). One net sweep per cell therefore fills all k−1 slots —
 		// O(deg) instead of O(k·deg) — which dominates initPass on the
-		// large-k Table 6 devices. The per-direction cellGain path above is
-		// kept for PinGain, whose per-net delta depends on the destination.
-		fill = func(lo, hi int) {
-			acc := make([]int32, slots)
-			for i := lo; i < hi; i++ {
-				v := hypergraph.NodeID(e.activeV[i])
-				b := e.p.Block(v)
-				fi := e.blkIdx[b]
-				var common int32
-				clearInt32s(acc)
-				for _, net := range e.h.NodeNets(v) {
-					switch e.p.Span(net) {
-					case 1:
-						if e.h.NetDegree(net) > 1 {
-							common--
+		// large-k Table 6 devices. PinGain, whose per-net delta depends on
+		// the destination, takes the per-direction cellGain path below.
+		for i, vi := range e.activeV {
+			v := hypergraph.NodeID(vi)
+			b := e.p.Block(v)
+			fi := e.blkIdx[b]
+			acc := e.gainBuf[i*slots : (i+1)*slots]
+			clearInt32s(acc)
+			var common int32
+			for _, net := range e.h.NodeNets(v) {
+				switch e.p.Span(net) {
+				case 1:
+					if e.h.NetDegree(net) > 1 {
+						common--
+					}
+				case 2:
+					if e.p.PinCount(net, b) != 1 {
+						continue
+					}
+					ob := e.p.OtherBlock(net, b)
+					if si := e.blkIdx[ob]; si >= 0 {
+						if si > fi {
+							si--
 						}
-					case 2:
-						if e.p.PinCount(net, b) != 1 {
-							continue
-						}
-						ob := e.p.OtherBlock(net, b)
-						if si := e.blkIdx[ob]; si >= 0 {
-							if si > fi {
-								si--
-							}
-							acc[si]++
-						}
+						acc[si]++
 					}
 				}
-				o := i * slots
-				for s := 0; s < slots; s++ {
-					e.gainBuf[o+s] = acc[s] + common
-				}
+			}
+			for s := range acc {
+				acc[s] += common
 			}
 		}
-	}
-	workers := parallelInitWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-		if workers > 8 {
-			workers = 8
-		}
-	}
-	if need < parallelInitThreshold || workers < 2 {
-		fill(0, len(e.activeV))
 	} else {
-		var wg sync.WaitGroup
-		chunk := (len(e.activeV) + workers - 1) / workers
-		for lo := 0; lo < len(e.activeV); lo += chunk {
-			hi := lo + chunk
-			if hi > len(e.activeV) {
-				hi = len(e.activeV)
+		for i, vi := range e.activeV {
+			v := hypergraph.NodeID(vi)
+			b := e.p.Block(v)
+			fi := e.blkIdx[b]
+			o := i * slots
+			for ti := range e.blocks {
+				if ti == fi {
+					continue
+				}
+				e.gainBuf[o] = int32(e.cellGain(v, b, e.blocks[ti]))
+				o++
 			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				fill(lo, hi)
-			}(lo, hi)
 		}
-		wg.Wait()
 	}
 
 	// Insert direction-major: one bucket's list arrays stay hot while all of
@@ -935,14 +857,21 @@ type dirCand struct {
 	g1, g2, bal int32
 }
 
-// disableDirBound turns the per-direction candidate cache off; the
-// differential test proves the cache never changes a selection.
-var disableDirBound = false
-
-// selectBest scans all directions for the best admissible move under the
-// ordering (g1, g2, S_FROM−S_TO). Returns ok=false when no admissible move
-// exists.
+// selectBest returns the best admissible move under the ordering (g1, g2,
+// S_FROM−S_TO), or deeper Krishnamurthy levels in place of g2 when
+// GainLevels ≥ 3. Returns ok=false when no admissible move exists. The
+// published (g1, g2, bal) order goes through the per-direction candidate
+// cache; every other order takes the full scan.
 func (e *Engine) selectBest(scratch []int32) (candidate, bool) {
+	if e.cfg.UseLevel2 && e.cfg.GainLevels < 3 {
+		return e.selectBestCached(scratch)
+	}
+	return e.selectBestScan(scratch)
+}
+
+// selectBestScan scans all directions for the best admissible move under
+// the configured comparator.
+func (e *Engine) selectBestScan(scratch []int32) (candidate, bool) {
 	var best candidate
 	found := false
 	better := func(c candidate) bool {
@@ -984,13 +913,6 @@ func (e *Engine) selectBest(scratch []int32) (candidate, bool) {
 		}
 		return c.bal > best.bal
 	}
-	// The candidate cache assumes the selection order is exactly (g1, g2,
-	// bal); deeper Krishnamurthy levels compare lv vectors instead, so it
-	// is restricted to the published configuration.
-	fast := e.cfg.UseLevel2 && e.cfg.GainLevels < 3
-	if fast && !disableDirBound && len(e.dirCand) > 0 {
-		return e.selectBestCached(scratch)
-	}
 	for fi := range e.blocks {
 		for ti := range e.blocks {
 			if ti == fi {
@@ -1024,41 +946,14 @@ func (e *Engine) selectBest(scratch []int32) (candidate, bool) {
 					continue
 				}
 				examined = true
-				if !fast {
-					c := candidate{v: v, from: f, to: t, g1: topG, bal: bal}
-					if better(c) {
-						if !c.hasG2 && e.cfg.UseLevel2 {
-							c.g2 = e.gain2Of(c.v, c.from, c.to)
-							c.hasG2 = true
-						}
-						best, found = c, true
+				c := candidate{v: v, from: f, to: t, g1: topG, bal: bal}
+				if better(c) {
+					if !c.hasG2 && e.cfg.UseLevel2 {
+						c.g2 = e.gain2Of(c.v, c.from, c.to)
+						c.hasG2 = true
 					}
-					continue
+					best, found = c, true
 				}
-				// Published configuration: the selection key is exactly
-				// (g1, g2, bal), inlined here without candidate copies —
-				// this comparison is the single hottest statement of a run.
-				// g1 (= topG) and bal are direction constants, so cells in
-				// the same top list compete on g2 alone, ties keeping the
-				// earlier (LIFO) cell, exactly as the generic comparator.
-				if found && topG == best.g1 {
-					cg2 := e.gain2Of(v, f, t)
-					if !best.hasG2 {
-						best.g2 = e.gain2Of(best.v, best.from, best.to)
-						best.hasG2 = true
-					}
-					if cg2 < best.g2 || (cg2 == best.g2 && bal <= best.bal) {
-						continue
-					}
-					best = candidate{v: v, from: f, to: t, g1: topG, bal: bal, g2: cg2, hasG2: true}
-					continue
-				}
-				if found && topG < best.g1 {
-					continue
-				}
-				best = candidate{v: v, from: f, to: t, g1: topG, bal: bal,
-					g2: e.gain2Of(v, f, t), hasG2: true}
-				found = true
 			}
 			if !examined {
 				// Whole top list inadmissible: descend in gain order for
@@ -1285,9 +1180,8 @@ func pinContrib(pcA, pcDest, span int32) int32 {
 // the moved cell (in F before, T after), which rules out the span == 1 and
 // span == 2 configurations those contributions would need to differ. Span
 // transitions are captured exactly by the partition's NetDelta trace, so
-// no fallback recompute is needed; the wholesale path survives as
-// Config.DisableDeltaGain and produces bit-identical trajectories (the
-// differential tests assert this).
+// no fallback recompute is needed; the tests check every maintained gain
+// against cellGain after every move.
 func (e *Engine) applyMove(c candidate) {
 	v := c.v
 	fi := e.blkIdx[c.from]
@@ -1316,10 +1210,6 @@ func (e *Engine) applyMove(c candidate) {
 			}
 		}
 	}
-	if e.cfg.DisableDeltaGain {
-		e.applyMoveRecompute(c)
-		return
-	}
 	e.netBuf = e.p.MoveTrace(v, c.to, e.netBuf[:0])
 	e.locked[v] = true
 	e.lockNets(v, e.blkIdx[c.to])
@@ -1329,7 +1219,7 @@ func (e *Engine) applyMove(c candidate) {
 
 // subsetExcluded reports whether u lies outside the restricted move set of
 // an ImproveSubsetCtx call. Excluded cells are absent from the gain
-// buckets, so every update path must skip them exactly as it skips locked
+// buckets, so the delta update must skip them exactly as it skips locked
 // cells. Always false for whole-graph improves.
 func (e *Engine) subsetExcluded(u hypergraph.NodeID) bool {
 	return e.subset != nil && !e.inSubset[u]
@@ -1346,48 +1236,12 @@ func (e *Engine) lockNets(v hypergraph.NodeID, ti int) {
 	}
 }
 
-// applyMoveRecompute is the wholesale update the delta kernel superseded:
-// refresh the gains of every unlocked active cell sharing a net with v, in
-// every direction, by recomputation. Kept behind Config.DisableDeltaGain
-// for differential testing and ablation.
-func (e *Engine) applyMoveRecompute(c candidate) {
-	v := c.v
-	e.p.Move(v, c.to)
-	e.locked[v] = true
-	e.lockNets(v, e.blkIdx[c.to])
-	e.journal = append(e.journal, moveRec{v: v, from: c.from, to: c.to})
-	e.epoch++
-	for _, net := range e.h.NodeNets(v) {
-		for _, u := range e.h.NetPins(net) {
-			if u == v || e.locked[u] || e.subsetExcluded(u) || e.stamp[u] == e.epoch {
-				continue
-			}
-			e.stamp[u] = e.epoch
-			e.cellRev[u]++ // level-2 memo: neighbourhood changed
-			b := e.p.Block(u)
-			ufi := e.blkIdx[b]
-			if ufi < 0 {
-				continue
-			}
-			for ti := range e.blocks {
-				if ti == ufi {
-					continue
-				}
-				g := e.cellGain(u, b, e.blocks[ti])
-				e.buckets[e.dirIndex(ufi, ti)].Update(int32(u), g)
-				e.st.BucketOps++
-			}
-		}
-	}
-}
-
 // deltaUpdate folds the netBuf trace of a just-applied move v: from→to
 // into the gain buckets. Phase 1 accumulates per-(cell, direction) gain
 // deltas; phase 2 applies each non-zero delta with a single bucket
 // adjustment. Cells are processed in first-touch order and directions in
-// ascending order, matching the mutation sequence of the recompute path
-// (whose Update short-circuits unchanged gains), so the LIFO lists evolve
-// identically on both paths.
+// ascending order, so the LIFO order of every gain list is a function of
+// the move sequence alone.
 func (e *Engine) deltaUpdate(v hypergraph.NodeID, from, to partition.BlockID) {
 	nb := e.nb()
 	slots := nb - 1
@@ -1399,16 +1253,6 @@ func (e *Engine) deltaUpdate(v hypergraph.NodeID, from, to partition.BlockID) {
 	}
 	e.epoch++
 	e.touched = e.touched[:0]
-	if workers := flushWorkerCount(); workers >= 2 {
-		est := 0
-		for _, net := range e.h.NodeNets(v) {
-			est += e.h.NetDegree(net)
-		}
-		if est >= parallelFlushThreshold {
-			e.deltaUpdateSharded(v, from, to, fi, ti, slots, contrib, workers)
-			return
-		}
-	}
 	for i, net := range e.h.NodeNets(v) {
 		nd := &e.netBuf[i]
 		pcFb, pcTb := nd.FromPins, nd.ToPins
@@ -1524,9 +1368,8 @@ func (e *Engine) deltaUpdate(v hypergraph.NodeID, from, to partition.BlockID) {
 }
 
 // flushTouched drains the accumulated gain deltas of every dirty cell into
-// the buckets, in first-touch order, restoring accum's all-zero invariant.
-// Shared by the fused and sharded flush paths; it is the only writer of the
-// buckets and the level-2 memo revisions, so it stays serial.
+// the buckets, in first-touch order, restoring accum's all-zero invariant,
+// and bumps each dirty cell's level-2 memo revision.
 func (e *Engine) flushTouched(from, to partition.BlockID, fi, ti, slots int) {
 	for _, ui := range e.touched {
 		u := hypergraph.NodeID(ui)
@@ -1549,7 +1392,7 @@ func (e *Engine) flushTouched(from, to partition.BlockID, fi, ti, slots int) {
 			continue
 		}
 		// Visit the two candidate directions in ascending destination
-		// order, matching the recompute path's direction sweep.
+		// order.
 		lo, hi := fi, ti
 		if lo > hi {
 			lo, hi = hi, lo
@@ -1563,179 +1406,6 @@ func (e *Engine) flushTouched(from, to partition.BlockID, fi, ti, slots int) {
 				e.accum[base+s] = 0
 				e.buckets[row+s].Adjust(ui, int(d))
 				e.st.BucketOps++
-			}
-		}
-	}
-}
-
-// flushWorkerCount resolves the parallel-flush worker count from the
-// override or GOMAXPROCS.
-func flushWorkerCount() int {
-	if parallelFlushWorkers > 0 {
-		return parallelFlushWorkers
-	}
-	w := runtime.GOMAXPROCS(0)
-	if w > 8 {
-		w = 8
-	}
-	return w
-}
-
-// deltaUpdateSharded is deltaUpdate for moves whose trace touches enough
-// pins to amortize goroutine handoff. It produces bit-identical results to
-// the fused path at any worker count:
-//
-//   - Pass A (serial) stamps dirty cells in the exact first-touch order of
-//     the fused scan — stamping precedes every accumulation shortcut there,
-//     so the orders coincide — and indexes the traced nets in netIdx.
-//   - Pass B (parallel) accumulates gain deltas cell-major: the dirty-cell
-//     list is cut into flushShards fixed, index-ordered ranges, each owned
-//     by exactly one worker, so every accum row has a single writer.
-//     Per-cell contributions sum over that cell's traced nets; integer
-//     addition is commutative, so neither shard scheduling nor the worker
-//     count can change any total.
-//   - The bucket flush reuses the serial flushTouched tail.
-func (e *Engine) deltaUpdateSharded(v hypergraph.NodeID, from, to partition.BlockID, fi, ti, slots int, contrib func(pcA, pcDest, span int32) int32, workers int) {
-	nets := e.h.NodeNets(v)
-	for i, net := range nets {
-		e.netIdx[net] = int32(i)
-		for _, u := range e.h.NetPins(net) {
-			if u == v || e.locked[u] || e.subsetExcluded(u) {
-				continue
-			}
-			if e.stamp[u] != e.epoch {
-				e.stamp[u] = e.epoch
-				e.touched = append(e.touched, int32(u))
-			}
-		}
-	}
-	shards := flushShards
-	if shards > len(e.touched) {
-		shards = len(e.touched)
-	}
-	if shards > 0 {
-		chunk := (len(e.touched) + shards - 1) / shards
-		if workers > shards {
-			workers = shards
-		}
-		var next atomic.Int32
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					s := int(next.Add(1)) - 1
-					if s >= shards {
-						return
-					}
-					lo := s * chunk
-					if lo >= len(e.touched) {
-						continue // ceil rounding can leave trailing empty shards
-					}
-					hi := lo + chunk
-					if hi > len(e.touched) {
-						hi = len(e.touched)
-					}
-					e.accumRange(from, to, fi, ti, slots, contrib, lo, hi)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	for _, net := range nets {
-		e.netIdx[net] = -1
-	}
-	e.flushTouched(from, to, fi, ti, slots)
-}
-
-// accumRange accumulates the gain deltas of the dirty cells in
-// touched[lo:hi]. Case analysis mirrors the fused deltaUpdate scan exactly,
-// transposed from net-major to cell-major.
-func (e *Engine) accumRange(from, to partition.BlockID, fi, ti, slots int, contrib func(pcA, pcDest, span int32) int32, lo, hi int) {
-	nb := e.nb()
-	for _, ui := range e.touched[lo:hi] {
-		u := hypergraph.NodeID(ui)
-		b := e.p.Block(u)
-		ufi := e.blkIdx[b]
-		if ufi < 0 {
-			continue
-		}
-		base := int(ui) * slots
-		for _, net := range e.h.NodeNets(u) {
-			i := e.netIdx[net]
-			if i < 0 {
-				continue
-			}
-			nd := &e.netBuf[i]
-			pcFb, pcTb := nd.FromPins, nd.ToPins
-			pcFa, pcTa := pcFb-1, pcTb+1
-			spanB, spanA := nd.SpanBefore, nd.SpanAfter
-			if spanB == spanA && pcFb >= 3 && pcTb >= 2 {
-				continue // no critical transition on this net
-			}
-			switch b {
-			case from:
-				if pcFb >= 3 && spanB == spanA {
-					continue
-				}
-				for tj := 0; tj < nb; tj++ {
-					if tj == ufi {
-						continue
-					}
-					s := tj
-					if tj > ufi {
-						s--
-					}
-					var before, after int32
-					if tj == ti {
-						before = contrib(pcFb, pcTb, spanB)
-						after = contrib(pcFa, pcTa, spanA)
-					} else {
-						pcD := int32(e.p.PinCount(net, e.blocks[tj]))
-						before = contrib(pcFb, pcD, spanB)
-						after = contrib(pcFa, pcD, spanA)
-					}
-					e.accum[base+s] += after - before
-				}
-			case to:
-				if pcTb >= 2 && spanB == spanA {
-					continue
-				}
-				for tj := 0; tj < nb; tj++ {
-					if tj == ufi {
-						continue
-					}
-					s := tj
-					if tj > ufi {
-						s--
-					}
-					var before, after int32
-					if tj == fi {
-						before = contrib(pcTb, pcFb, spanB)
-						after = contrib(pcTa, pcFa, spanA)
-					} else {
-						pcD := int32(e.p.PinCount(net, e.blocks[tj]))
-						before = contrib(pcTb, pcD, spanB)
-						after = contrib(pcTa, pcD, spanA)
-					}
-					e.accum[base+s] += after - before
-				}
-			default:
-				if spanB == spanA && pcFb > 1 {
-					continue
-				}
-				pcA := int32(e.p.PinCount(net, b))
-				s := fi
-				if fi > ufi {
-					s--
-				}
-				e.accum[base+s] += contrib(pcA, pcFa, spanA) - contrib(pcA, pcFb, spanB)
-				s = ti
-				if ti > ufi {
-					s--
-				}
-				e.accum[base+s] += contrib(pcA, pcTa, spanA) - contrib(pcA, pcTb, spanB)
 			}
 		}
 	}
@@ -1979,12 +1649,6 @@ func (e *Engine) prepare(blocks []partition.BlockID, remainder partition.BlockID
 	} else {
 		e.netLock = e.netLock[:need]
 		clear(e.netLock)
-	}
-	if len(e.netIdx) != e.h.NumNets() {
-		e.netIdx = make([]int32, e.h.NumNets())
-		for i := range e.netIdx {
-			e.netIdx[i] = -1
-		}
 	}
 }
 

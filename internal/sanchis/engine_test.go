@@ -510,3 +510,56 @@ func BenchmarkImproveTwoBlock400(b *testing.B) {
 		e.Improve([]partition.BlockID{0, 1}, 1, 2)
 	}
 }
+
+// BenchmarkImproveHighFanout times one 2-block pass on a netlist whose few
+// huge nets make single moves touch thousands of pins: 20k cells, 30k nets
+// of 2–4 pins, plus 5 nets of 4000–6000 pins (a tenth of everything under
+// -short). This is the move shape a parallel gain flush would target; the
+// serial kernel's cost on it is what any such flush has to beat.
+func BenchmarkImproveHighFanout(b *testing.B) {
+	n, nets, bigLo, bigSpan := 20000, 30000, 4000, 2000
+	if testing.Short() {
+		n, nets, bigLo, bigSpan = 2000, 3000, 400, 200
+	}
+	r := rand.New(rand.NewSource(11))
+	var bld hypergraph.Builder
+	for i := 0; i < n; i++ {
+		bld.AddInterior("v", 1)
+	}
+	for e := 0; e < nets; e++ {
+		pins := make([]hypergraph.NodeID, 2+r.Intn(3))
+		for i := range pins {
+			pins[i] = hypergraph.NodeID(r.Intn(n))
+		}
+		bld.AddNet("e", pins...)
+	}
+	for e := 0; e < 5; e++ {
+		pins := make([]hypergraph.NodeID, bigLo+r.Intn(bigSpan+1))
+		for i := range pins {
+			pins[i] = hypergraph.NodeID(r.Intn(n))
+		}
+		bld.AddNet("big", pins...)
+	}
+	h := bld.MustBuild()
+	dev := device.Device{Name: "d", DatasheetCells: n/2 + n/20, Pins: n, Fill: 1.0}
+	assign := make([]partition.BlockID, n)
+	for v := range assign {
+		assign[v] = partition.BlockID(v % 2)
+	}
+	cfg := Default()
+	cfg.MaxPasses = 1
+	cfg.StackDepth = -1
+	var moves int
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		p, err := partition.FromAssignment(h, dev, assign, 2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		e := New(p, cfg)
+		b.StartTimer()
+		moves = e.Improve([]partition.BlockID{0, 1}, 1, 2).MovesApplied
+	}
+	b.ReportMetric(float64(moves), "moves/op")
+}

@@ -20,6 +20,6 @@ go test ./...
 # a schedule-dependent winner fails here instead of passing most runs.
 go test -count=5 -run TestRegistryDispatchMatchesDirectCalls ./internal/driver
 go test -race ./internal/obs ./internal/core ./internal/sanchis ./internal/service ./internal/store ./internal/cluster ./internal/driver ./internal/engine ./internal/kwayx ./internal/flow ./internal/multilevel ./internal/mlfpart
-go test -short -run '^$' -bench . -benchtime 1x .
+go test -short -run '^$' -bench . -benchtime 1x . ./internal/sanchis
 ./scripts/smoke_scale.sh
 echo "verify: all green"
