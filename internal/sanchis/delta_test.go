@@ -176,6 +176,30 @@ func TestDeltaBucketStateMatchesRecompute(t *testing.T) {
 	}
 }
 
+// TestGain2MemoSurvivesLayoutShrink reuses one engine for a 5-block
+// Improve and then a 2-block pass. The level-2 memo is indexed by (cell,
+// direction slot), so the 5-block run leaves stamps at indices that belong
+// to other cells under the 2-block layout; none of them may be trusted.
+func TestGain2MemoSurvivesLayoutShrink(t *testing.T) {
+	dev := device.Device{Name: "d", DatasheetCells: 16, Pins: 14, Fill: 1.0}
+	for seed := int64(1); seed <= 40; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		h := stressCircuit(r)
+		const k = 5
+		assign, blocks := randomInstance(r, h, k)
+		p, err := partition.FromAssignment(h, dev, assign, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := device.LowerBound(h, dev)
+		e := New(p, Default())
+		e.Improve(blocks, k-1, m)
+		label := fmt.Sprintf("seed %d after shrink", seed)
+		stepPasses(t, e, blocks[:2], 1, m, nil, 1, e.selectBest,
+			func(move int) { checkKernelState(t, e, label, move) })
+	}
+}
+
 // TestDirCandStress checks, at every step of several passes, that the
 // per-direction candidate cache selects exactly the move the full scan
 // selects, over a wide random instance set (up to 15 blocks, mixed cell

@@ -1616,15 +1616,19 @@ func (e *Engine) prepare(blocks []partition.BlockID, remainder partition.BlockID
 	if cap(e.touched) < e.h.NumNodes() {
 		e.touched = make([]int32, 0, e.h.NumNodes())
 	}
-	// Level-2 gain memo, laid out like accum. No clearing needed: entries
-	// are only trusted when their stamp matches the cell revision, and
-	// initPass advances every revision past any stamp written earlier.
+	// Level-2 gain memo, laid out like accum. An entry is trusted when its
+	// stamp matches its cell's revision, and initPass advances every
+	// revision past the stamps written for that cell. The slot layout
+	// changes with the active block count, though, so a stamp written for
+	// one cell can sit at an index that now belongs to another cell with a
+	// matching revision: zero the stamps, as for accum.
 	if need := e.h.NumNodes() * slots; cap(e.g2cache) < need {
 		e.g2cache = make([]int32, need)
 		e.g2stamp = make([]int32, need)
 	} else {
 		e.g2cache = e.g2cache[:need]
 		e.g2stamp = e.g2stamp[:need]
+		clear(e.g2stamp)
 	}
 	if cap(e.cellRev) < e.h.NumNodes() {
 		e.cellRev = make([]int32, e.h.NumNodes())
