@@ -1391,13 +1391,9 @@ func (e *Engine) flushTouched(from, to partition.BlockID, fi, ti, slots int) {
 			}
 			continue
 		}
-		// Visit the two candidate directions in ascending destination
-		// order.
-		lo, hi := fi, ti
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		for _, tj := range [2]int{lo, hi} {
+		// Each direction has its own bucket, so the order of the two
+		// adjustments does not matter.
+		for _, tj := range [2]int{fi, ti} {
 			s := tj
 			if tj > ufi {
 				s--
