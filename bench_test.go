@@ -17,7 +17,6 @@ import (
 	"fpart/internal/bench"
 	"fpart/internal/core"
 	"fpart/internal/device"
-	"fpart/internal/driver"
 	"fpart/internal/gen"
 	"fpart/internal/mlfpart"
 	"fpart/internal/netlist"
@@ -26,7 +25,7 @@ import (
 
 // benchOrder trims a table's circuit list under -short so the verify gate
 // can exercise every benchmark in seconds instead of minutes. Full runs
-// (scripts/bench_pr4.sh) use the complete paper grid.
+// (scripts/bench.sh) use the complete paper grid.
 func benchOrder(order []string) []string {
 	if testing.Short() {
 		return order[:2]
@@ -191,47 +190,6 @@ func BenchmarkTable6ResourceVector(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkTable6Speculative races four §3.5 window variants per peel step
-// (speculation width 4) under worker budgets of 1 and 4 over the Table 6
-// grid. The candidate set is fixed by the width — the budget only bounds
-// how many run at once — so both sub-benchmarks compute bit-identical
-// solutions and the parallel1/parallel4 ratio isolates the concurrency
-// win. On a single-core host the ratio approaches 1.0; the honest number
-// is recorded either way (scripts/bench_pr4.sh stamps host CPUs next to
-// it). Routed through driver.RunOpts so the budget semantics match the
-// fpart -parallel flag: the run itself holds one token, extra candidates
-// only overlap when spare tokens exist.
-func BenchmarkTable6Speculative(b *testing.B) {
-	devs := []device.Device{device.XC3020, device.XC3042, device.XC3090, device.XC2064}
-	for _, name := range benchOrder(bench.CircuitOrder) {
-		for _, dev := range devs {
-			if dev.Name == device.XC2064.Name && bench.Table6Published[name][3] == 0 {
-				continue // the paper reports "-" for s-circuits on XC2064
-			}
-			for _, par := range []int{1, 4} {
-				b.Run(fmt.Sprintf("%s/%s/parallel%d", name, dev.Name, par), func(b *testing.B) {
-					spec, _ := gen.ByName(name)
-					h := gen.Generate(spec, dev.Family)
-					opts := driver.Options{SpecWidth: 4, Budget: core.NewBudget(par)}
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						r, err := driver.RunOpts(context.Background(), "fpart", h, dev, opts)
-						if err != nil {
-							b.Fatal(err)
-						}
-						if i == 0 {
-							b.ReportMetric(float64(r.K), "devices")
-						}
-					}
-					b.StopTimer()
-					b.ReportMetric(peakRSSKB(), "peak-rss-kb")
-				})
-			}
-		}
 	}
 }
 

@@ -65,8 +65,7 @@ func run() error {
 	replicateFlag := flag.Bool("replicate", false, "after partitioning a BLIF input, run the functional replication pass (needs -format blif)")
 	fill := flag.Float64("fill", 0, "override the device filling ratio δ (0 keeps the paper's value)")
 	timeout := flag.Duration("timeout", 0, "abort partitioning after this duration, e.g. 30s (0 = no limit)")
-	parallel := flag.Int("parallel", 0, "worker budget for speculation and portfolio racing (0 = all CPUs)")
-	spec := flag.Int("spec", 1, "speculative peeling width for -method fpart: race this many candidate bipartitions per peel step (1 = sequential)")
+	parallel := flag.Int("parallel", 0, "worker budget for portfolio racing (0 = all CPUs)")
 	traceFormat := flag.String("trace-format", "", "stream algorithm events to stderr: text or json")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the partitioning run to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile (taken after partitioning) to this file")
@@ -152,10 +151,9 @@ func run() error {
 	defer stopProfiles()
 
 	res, err := driver.RunOpts(ctx, *method, h, dev, driver.Options{
-		Sink:      sink,
-		SpecWidth: *spec,
-		Budget:    core.NewBudget(driver.ClampParallel(*parallel)),
-		Board:     brd,
+		Sink:   sink,
+		Budget: core.NewBudget(driver.ClampParallel(*parallel)),
+		Board:  brd,
 	})
 	if errors.Is(err, context.DeadlineExceeded) {
 		return fmt.Errorf("timed out after %v (raise -timeout or relax the instance)", *timeout)

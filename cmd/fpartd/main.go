@@ -60,7 +60,6 @@ func main() {
 type options struct {
 	addr           string
 	workers        int
-	spec           int
 	queueDepth     int
 	cacheEntries   int
 	retention      int
@@ -93,7 +92,6 @@ func (o *options) validate() error {
 		{"-queue", int64(o.queueDepth)},
 		{"-cache", int64(o.cacheEntries)},
 		{"-retention", int64(o.retention)},
-		{"-spec", int64(o.spec)},
 		{"-replicas", int64(o.replicas)},
 		{"-store-bytes", o.storeBytes},
 		{"-grace", int64(o.grace)},
@@ -161,7 +159,6 @@ func run() error {
 	var o options
 	flag.StringVar(&o.addr, "addr", "127.0.0.1:8080", "listen address (host:port; port 0 picks a free port)")
 	flag.IntVar(&o.workers, "workers", 0, "worker pool size and shared CPU budget (0 = GOMAXPROCS)")
-	flag.IntVar(&o.spec, "spec", 1, "speculative peeling width for fpart jobs: race this many candidates per peel step within the worker budget (1 = sequential)")
 	flag.IntVar(&o.queueDepth, "queue", 0, "bounded job queue depth; overflow is rejected with 429 (0 = 64)")
 	flag.IntVar(&o.cacheEntries, "cache", 0, "result cache capacity in entries, LRU-evicted (0 = 128)")
 	flag.IntVar(&o.retention, "retention", 0, "finished jobs kept queryable (0 = 1024)")
@@ -198,7 +195,6 @@ func run() error {
 
 	svc := service.New(service.Config{
 		Workers:        o.workers,
-		SpecWidth:      o.spec,
 		QueueDepth:     o.queueDepth,
 		CacheEntries:   o.cacheEntries,
 		JobRetention:   o.retention,

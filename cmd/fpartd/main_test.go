@@ -16,7 +16,6 @@ func TestValidateRejectsNegativeBounds(t *testing.T) {
 		{"queue", func(o *options) { o.queueDepth = -8 }, "-queue"},
 		{"cache", func(o *options) { o.cacheEntries = -2 }, "-cache"},
 		{"retention", func(o *options) { o.retention = -100 }, "-retention"},
-		{"spec", func(o *options) { o.spec = -1 }, "-spec"},
 		{"replicas", func(o *options) { o.replicas = -4 }, "-replicas"},
 		{"store-bytes", func(o *options) { o.dataDir = "d"; o.storeBytes = -1 }, "-store-bytes"},
 		{"grace", func(o *options) { o.grace = -time.Second }, "-grace"},

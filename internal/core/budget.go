@@ -7,15 +7,15 @@ import (
 )
 
 // Budget is a counting semaphore bounding how many CPU-bound goroutines the
-// partitioning pipeline runs at once. One Budget is shared across every
-// layer that can go concurrent — daemon jobs (internal/service), portfolio
-// members, and intra-run speculative peeling — so stacking those layers
-// cannot oversubscribe the machine. A nil *Budget is valid and unlimited.
+// partitioning pipeline runs at once. One Budget is shared across the two
+// layers that can go concurrent — daemon jobs (internal/service) and
+// portfolio members — so stacking them cannot oversubscribe the machine. A
+// nil *Budget is valid and unlimited.
 //
-// Budget gates concurrency only, never results: Fan, the one fan-out behind
-// portfolio members and speculative candidates, runs the same fixed set of
-// indices at any capacity, executing those that fail TryAcquire on the
-// caller's goroutine instead of a new one.
+// Budget gates concurrency only, never results: Fan, the fan-out behind
+// Portfolio's members, runs the same fixed set of indices at any capacity,
+// executing those that fail TryAcquire on the caller's goroutine instead of
+// a new one.
 type Budget struct {
 	sem chan struct{}
 }
@@ -72,12 +72,13 @@ func (b *Budget) Release() {
 	<-b.sem
 }
 
-// Fan runs run(0), ..., run(n-1) and returns once all have returned. The
-// caller is assumed to hold one token already: run(0) executes on the
-// calling goroutine under it, every other index gets its own goroutine
-// only when TryAcquire grants a spare token (released when that run
-// returns), and the indices left over run on the calling goroutine in
-// index order after run(0). A saturated budget therefore degrades to
+// Fan runs run(0), ..., run(n-1) and returns once all have returned. It is
+// the only place the engine packages start goroutines, and Portfolio is its
+// one caller. The caller is assumed to hold one token already: run(0)
+// executes on the calling goroutine under it, every other index gets its
+// own goroutine only when TryAcquire grants a spare token (released when
+// that run returns), and the indices left over run on the calling goroutine
+// in index order after run(0). A saturated budget therefore degrades to
 // sequential execution, never to oversubscription. Spawned goroutines run
 // under pprof labels(i), so profiles split by member. Token availability
 // decides which runs overlap in time, never which runs happen.

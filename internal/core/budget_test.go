@@ -129,3 +129,47 @@ func TestPortfolioCancelsLosers(t *testing.T) {
 		t.Errorf("Cancelled events = %d, want all %d losing members", got, want)
 	}
 }
+
+// TestBudgetSemantics pins the semaphore: capacity, clamping, release,
+// context-aware Acquire, and the inert nil budget.
+func TestBudgetSemantics(t *testing.T) {
+	b := NewBudget(2)
+	if b.Cap() != 2 {
+		t.Fatalf("Cap = %d, want 2", b.Cap())
+	}
+	if !b.TryAcquire() || !b.TryAcquire() {
+		t.Fatal("fresh budget refused its capacity")
+	}
+	if b.TryAcquire() {
+		t.Fatal("budget over-granted")
+	}
+	b.Release()
+	if !b.TryAcquire() {
+		t.Fatal("released token not reusable")
+	}
+	if err := NewBudget(0); err.Cap() != 1 {
+		t.Errorf("NewBudget(0) capacity = %d, want clamp to 1", err.Cap())
+	}
+
+	// Acquire honours the context.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	full := NewBudget(1)
+	full.TryAcquire()
+	if err := full.Acquire(ctx); err == nil {
+		t.Error("Acquire on a full budget ignored a dead context")
+	}
+
+	// The nil budget is unlimited and inert.
+	var nb *Budget
+	if !nb.TryAcquire() {
+		t.Error("nil budget refused")
+	}
+	if err := nb.Acquire(context.Background()); err != nil {
+		t.Error("nil budget Acquire errored")
+	}
+	nb.Release()
+	if nb.Cap() != 0 {
+		t.Error("nil budget reports capacity")
+	}
+}

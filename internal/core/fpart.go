@@ -76,18 +76,10 @@ type Config struct {
 	// Label tags this configuration's events (obs.Event.Source).
 	// Portfolio fills it with "portfolio[i]" when empty.
 	Label string
-	// SpecWidth is the speculative peeling width: at every Algorithm 1
-	// step, race this many candidate bipartitions (candidate 0 is this
-	// configuration, the rest cycle the DefaultPortfolio engine variants)
-	// and adopt the one with the best §3.4 solution key. Values ≤ 1 select
-	// the classic sequential peel. The candidate set is fixed by the width
-	// alone and ties break to the lowest candidate index, so the result is
-	// deterministic at any Budget capacity and any goroutine schedule.
-	SpecWidth int
-	// Budget, when non-nil, caps the extra goroutines speculation may
-	// spawn (candidates that find no free token run on the caller's
-	// goroutine). Share one Budget across runs, portfolio members, and
-	// daemon jobs to bound total CPU oversubscription.
+	// Budget, when non-nil, caps the extra goroutines Portfolio may spawn
+	// for its members (members that find no free token run on the caller's
+	// goroutine). Share one Budget across portfolio runs and daemon jobs to
+	// bound total CPU oversubscription. A single Run never reads it.
 	Budget *Budget
 }
 
@@ -100,9 +92,6 @@ func (c Config) normalize() Config {
 	}
 	if c.Engine == (sanchis.Config{}) {
 		c.Engine = sanchis.Default()
-	}
-	if c.SpecWidth < 1 {
-		c.SpecWidth = 1
 	}
 	return c
 }
@@ -219,10 +208,6 @@ func Run(ctx context.Context, h *hypergraph.Hypergraph, dev device.Device, cfg C
 		p: p, eng: eng, cost: cost, rem: rem, m: m,
 		st: &res.Stats, em: em,
 	}
-	var spec *speculator
-	if cfg.SpecWidth > 1 {
-		spec = newSpeculator(cfg)
-	}
 
 	for !p.Feasible(rem) {
 		if err := ctx.Err(); err != nil {
@@ -231,15 +216,7 @@ func Run(ctx context.Context, h *hypergraph.Hypergraph, dev device.Device, cfg C
 		if p.NumBlocks() >= maxBlocks {
 			break // bail out; Feasible stays false
 		}
-		var (
-			out peelOutcome
-			err error
-		)
-		if spec != nil {
-			out, err = spec.round(r)
-		} else {
-			out, err = r.peelStep()
-		}
+		out, err := r.peelStep()
 		if err != nil {
 			return cancelled(err)
 		}
@@ -278,10 +255,7 @@ const (
 )
 
 // runState bundles one peeling trajectory: the partition being grown, the
-// engine improving it, and the stats/event stream describing it. The main
-// run owns one; every speculation candidate gets its own over an arena
-// clone, with iter carried over so candidate events continue the main
-// iteration numbering.
+// engine improving it, and the stats/event stream describing it.
 type runState struct {
 	ctx  context.Context
 	cfg  Config

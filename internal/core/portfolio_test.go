@@ -133,3 +133,61 @@ func TestPortfolioDeterministicWithoutBudget(t *testing.T) {
 		}
 	}
 }
+
+// TestPortfolioUnderUnitBudget: a one-token budget degrades the portfolio
+// to sequential execution but must still produce a valid best result.
+func TestPortfolioUnderUnitBudget(t *testing.T) {
+	h := ringOfClusters(t, 3, 10, 4)
+	dev := device.Device{Name: "d", DatasheetCells: 13, Pins: 30, Fill: 1.0}
+	cfgs := DefaultPortfolio()
+	b := NewBudget(1)
+	for i := range cfgs {
+		cfgs[i].Budget = b
+	}
+	r, err := Portfolio(context.Background(), h, dev, cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkResult(t, h, r)
+}
+
+// TestPortfolioReachesSpeculationK pins the device counts that speculative
+// peeling (racing four engine variants at every peel step) used to buy over
+// the sequential peel. Over the ten MCNC circuits on the four devices these
+// are the only five pairs where it beat one sequential run; the portfolio,
+// which races the same variants over whole runs, must reach each of them.
+func TestPortfolioReachesSpeculationK(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the portfolio on five MCNC instances")
+	}
+	cases := []struct {
+		circuit string
+		dev     device.Device
+		seqK    int // one sequential run of the published configuration
+		wantK   int
+	}{
+		{"c5315", device.XC3042, 6, 5},
+		{"c5315", device.XC3090, 4, 3},
+		{"c5315", device.XC2064, 11, 10},
+		{"c7552", device.XC3020, 10, 9},
+		{"s15850", device.XC2064, 17, 16},
+	}
+	for _, tc := range cases {
+		t.Run(tc.circuit+"/"+tc.dev.Name, func(t *testing.T) {
+			spec, ok := gen.ByName(tc.circuit)
+			if !ok {
+				t.Fatalf("unknown circuit %s", tc.circuit)
+			}
+			h := gen.Generate(spec, tc.dev.Family)
+			r, err := Portfolio(context.Background(), h, tc.dev, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkResult(t, h, r)
+			if !r.Feasible || r.K != tc.wantK {
+				t.Errorf("portfolio: feasible=%v K=%d, want feasible K=%d (sequential peel: %d)",
+					r.Feasible, r.K, tc.wantK, tc.seqK)
+			}
+		})
+	}
+}

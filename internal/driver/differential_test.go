@@ -31,11 +31,10 @@ func solutionKey(p *partition.Partition) string {
 }
 
 // TestRegistryDispatchMatchesDirectCalls is the refactor's differential
-// guard: dispatching through the engine registry (RunOpts at speculation
-// width 1, no budget, no sink) must produce solutions bit-identical to
-// calling each algorithm package directly, the way the pre-registry method
-// switch did. Any drift means the adapters changed behavior, not just
-// plumbing.
+// guard: dispatching through the engine registry (RunOpts with no budget
+// and no sink) must produce solutions bit-identical to calling each
+// algorithm package directly, the way the pre-registry method switch did.
+// Any drift means the adapters changed behavior, not just plumbing.
 func TestRegistryDispatchMatchesDirectCalls(t *testing.T) {
 	spec, _ := gen.ByName("c3540")
 	h := gen.Generate(spec, device.XC3000)
@@ -47,9 +46,7 @@ func TestRegistryDispatchMatchesDirectCalls(t *testing.T) {
 		direct func() (*partition.Partition, error)
 	}{
 		{"fpart", func() (*partition.Partition, error) {
-			cfg := core.Default()
-			cfg.SpecWidth = 0 // what Options{} maps to: the sequential peel
-			r, err := core.Run(ctx, h, dev, cfg)
+			r, err := core.Run(ctx, h, dev, core.Default())
 			if err != nil {
 				return nil, err
 			}

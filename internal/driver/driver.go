@@ -170,9 +170,8 @@ func ClampParallel(n int) int {
 
 // Options tunes a RunOpts dispatch beyond the method name. It is the
 // engine layer's option set: Sink receives every registered engine's event
-// stream, SpecWidth widens the fpart engine's speculative peel, and Budget
-// is the shared concurrency pool (RunOpts holds one token for the run
-// itself; budgeted engines draw extras from the same pool).
+// stream, and Budget is the shared concurrency pool (RunOpts holds one token
+// for the run itself; budgeted engines draw extras from the same pool).
 type Options = engine.Options
 
 // Run dispatches method on circuit h targeting dev. ctx and sink apply to

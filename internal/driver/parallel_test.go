@@ -23,31 +23,6 @@ func TestClampParallel(t *testing.T) {
 	}
 }
 
-func TestRunOptsSpeculativeFpart(t *testing.T) {
-	c, err := Load(Source{Builtin: "c3540"}, device.XC3042)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := core.NewBudget(2)
-	r, err := RunOpts(context.Background(), "fpart", c.Hypergraph, device.XC3042, Options{
-		SpecWidth: 4,
-		Budget:    b,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.Feasible {
-		t.Error("speculative fpart dispatch infeasible")
-	}
-	if r.Stats == nil || r.Stats.SpecRounds == 0 {
-		t.Error("speculative dispatch recorded no speculation rounds")
-	}
-	// The dispatch token was released: the budget is fully available again.
-	if !b.TryAcquire() || !b.TryAcquire() {
-		t.Error("RunOpts leaked a budget token")
-	}
-}
-
 func TestRunOptsHonoursCancelledAcquire(t *testing.T) {
 	c, err := Load(Source{Builtin: "c3540"}, device.XC3042)
 	if err != nil {
@@ -61,6 +36,14 @@ func TestRunOptsHonoursCancelledAcquire(t *testing.T) {
 	cancel()
 	if _, err := RunOpts(ctx, "fpart", c.Hypergraph, device.XC3042, Options{Budget: b}); err == nil {
 		t.Error("RunOpts ran with no free token and a dead context")
+	}
+	// Once the token is free, a dispatch takes it and gives it back.
+	b.Release()
+	if _, err := RunOpts(context.Background(), "fpart", c.Hypergraph, device.XC3042, Options{Budget: b}); err != nil {
+		t.Fatal(err)
+	}
+	if !b.TryAcquire() {
+		t.Error("RunOpts leaked a budget token")
 	}
 }
 

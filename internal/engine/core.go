@@ -8,8 +8,7 @@ import (
 	"fpart/internal/hypergraph"
 )
 
-// fpartEngine wraps core.Run: the paper's guided iterative improvement,
-// including speculative peeling when Options.SpecWidth > 1.
+// fpartEngine wraps core.Run: the paper's guided iterative improvement.
 type fpartEngine struct{}
 
 func init() { Register(0, fpartEngine{}) }
@@ -18,9 +17,8 @@ func (fpartEngine) Name() string { return "fpart" }
 
 func (fpartEngine) Caps() Capabilities {
 	return Capabilities{
-		Budgeted: true,
-		Cost:     4,
-		Summary:  "guided iterative improvement of Krupnova & Saucier (the paper's algorithm)",
+		Cost:    4,
+		Summary: "guided iterative improvement of Krupnova & Saucier (the paper's algorithm)",
 	}
 }
 
@@ -28,8 +26,6 @@ func (fpartEngine) Run(ctx context.Context, h *hypergraph.Hypergraph, dev device
 	cfg := core.Default()
 	cfg.Sink = opts.Sink
 	cfg.Label = opts.Label
-	cfg.SpecWidth = opts.SpecWidth
-	cfg.Budget = opts.Budget
 	r, err := core.Run(ctx, h, dev, cfg)
 	if err != nil {
 		return nil, err

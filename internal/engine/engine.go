@@ -44,7 +44,7 @@ import (
 // dispatching. What every engine shares is the package-level contract.
 type Capabilities struct {
 	// Budgeted engines draw extra concurrency tokens from Options.Budget
-	// (speculation, portfolio members) beyond the one the caller holds.
+	// (portfolio members) beyond the one the caller holds.
 	Budgeted bool
 	// Cost ranks the engine's relative compute expense (1 = cheapest).
 	// It is the static prior of the fpartd degradation ladder: under
@@ -83,9 +83,8 @@ type Options struct {
 	// Label tags the run's events (obs.Event.Source); empty means the
 	// engine's default labelling.
 	Label string
-	// SpecWidth is the speculative peeling width for the fpart engine
-	// (core.Config.SpecWidth); ≤ 1 selects the sequential peel. It does not
-	// multiply the portfolio — portfolio members already race whole runs.
+	// Deprecated: ignored. SpecWidth was the width of the removed
+	// speculative peel; no engine reads it.
 	SpecWidth int
 	// Budget, when non-nil, is the shared concurrency budget budgeted
 	// engines draw extra tokens from. The caller is expected to hold one

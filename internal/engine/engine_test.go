@@ -57,7 +57,7 @@ func TestRegistryOrderAndCaps(t *testing.T) {
 		if inf.Caps.Summary == "" {
 			t.Errorf("%s: missing summary", inf.Name)
 		}
-		wantBudgeted := want == "fpart" || want == "portfolio"
+		wantBudgeted := want == "portfolio"
 		if inf.Caps.Budgeted != wantBudgeted {
 			t.Errorf("%s: Budgeted = %v, want %v", inf.Name, inf.Caps.Budgeted, wantBudgeted)
 		}

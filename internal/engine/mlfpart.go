@@ -18,16 +18,13 @@ func (mlfpartEngine) Name() string { return "mlfpart" }
 
 func (mlfpartEngine) Caps() Capabilities {
 	return Capabilities{
-		Budgeted: true,
-		Cost:     2,
-		Summary:  "multilevel-accelerated FPART (coarsen, peel coarsest, refine down)",
+		Cost:    2,
+		Summary: "multilevel-accelerated FPART (coarsen, peel coarsest, refine down)",
 	}
 }
 
 func (mlfpartEngine) Run(ctx context.Context, h *hypergraph.Hypergraph, dev device.Device, opts Options) (*Result, error) {
-	r, err := mlfpart.PartitionCtx(ctx, h, dev, mlfpart.Config{
-		Sink: opts.Sink, Label: opts.Label, SpecWidth: opts.SpecWidth, Budget: opts.Budget,
-	})
+	r, err := mlfpart.PartitionCtx(ctx, h, dev, mlfpart.Config{Sink: opts.Sink, Label: opts.Label})
 	if err != nil {
 		return nil, err
 	}

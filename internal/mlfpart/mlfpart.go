@@ -81,11 +81,6 @@ type Config struct {
 	Sink obs.Sink
 	// Label tags this run's events (default "mlfpart").
 	Label string
-	// SpecWidth is forwarded to the coarse core.Run peel.
-	SpecWidth int
-	// Budget, when non-nil, caps the extra goroutines the refinement
-	// gain precompute (and the coarse peel's speculation) may spawn.
-	Budget *core.Budget
 }
 
 func (c Config) normalize() Config {
@@ -163,9 +158,7 @@ func PartitionCtx(ctx context.Context, h *hypergraph.Hypergraph, dev device.Devi
 	m := device.LowerBound(h, dev)
 
 	if h.NumNodes() <= cfg.FlatThreshold {
-		r, err := core.Run(ctx, h, dev, core.Config{
-			Sink: cfg.Sink, Label: cfg.Label, SpecWidth: cfg.SpecWidth, Budget: cfg.Budget,
-		})
+		r, err := core.Run(ctx, h, dev, core.Config{Sink: cfg.Sink, Label: cfg.Label})
 		if err != nil {
 			return nil, err
 		}
@@ -203,9 +196,7 @@ func PartitionCtx(ctx context.Context, h *hypergraph.Hypergraph, dev device.Devi
 
 	// Initial partition: the paper's peel on the coarsest graph, with its
 	// own event stream so traces show both layers.
-	cr, err := core.Run(ctx, hr.Coarsest(), dev, core.Config{
-		Sink: cfg.Sink, Label: cfg.Label + "#coarse", SpecWidth: cfg.SpecWidth, Budget: cfg.Budget,
-	})
+	cr, err := core.Run(ctx, hr.Coarsest(), dev, core.Config{Sink: cfg.Sink, Label: cfg.Label + "#coarse"})
 	if err != nil {
 		em.Emit(obs.Event{Type: obs.Cancelled})
 		return nil, err

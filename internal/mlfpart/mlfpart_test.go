@@ -2,7 +2,6 @@ package mlfpart
 
 import (
 	"context"
-	"runtime"
 	"testing"
 
 	"fpart/internal/core"
@@ -76,44 +75,6 @@ func TestVCycleFeasibleQuality(t *testing.T) {
 	}
 	if fr.Feasible && mr.K > 2*fr.K {
 		t.Fatalf("V-cycle K=%d more than double flat K=%d", mr.K, fr.K)
-	}
-}
-
-// The refined result must be bit-identical at any GOMAXPROCS and any
-// Budget capacity: the only parallel step is a pure precompute.
-func TestDeterminismAcrossParallelism(t *testing.T) {
-	h := gen.Synthetic(3000, 120, 3, false)
-	dev := testDevice(t)
-	run := func(procs int, budget *core.Budget) *Result {
-		old := runtime.GOMAXPROCS(procs)
-		defer runtime.GOMAXPROCS(old)
-		r, err := Partition(h, dev, Config{FlatThreshold: -1, CoarsestNodes: 256, Budget: budget})
-		if err != nil {
-			t.Fatalf("mlfpart(procs=%d): %v", procs, err)
-		}
-		return r
-	}
-	base := run(1, nil)
-	for _, tc := range []struct {
-		name   string
-		procs  int
-		budget *core.Budget
-	}{
-		{"procs4", 4, nil},
-		{"procs4-budget1", 4, core.NewBudget(1)},
-		{"procs8-budget8", 8, core.NewBudget(8)},
-	} {
-		got := run(tc.procs, tc.budget)
-		if got.K != base.K || got.Partition.Cut() != base.Partition.Cut() {
-			t.Fatalf("%s diverged: K=%d cut=%d vs base K=%d cut=%d",
-				tc.name, got.K, got.Partition.Cut(), base.K, base.Partition.Cut())
-		}
-		for v := 0; v < h.NumNodes(); v++ {
-			id := hypergraph.NodeID(v)
-			if got.Partition.Block(id) != base.Partition.Block(id) {
-				t.Fatalf("%s: node %d block %d vs base %d", tc.name, v, got.Partition.Block(id), base.Partition.Block(id))
-			}
-		}
 	}
 }
 

@@ -2,9 +2,7 @@ package mlfpart
 
 import (
 	"context"
-	"runtime"
 	"sort"
-	"sync"
 
 	"fpart/internal/flow"
 	"fpart/internal/hypergraph"
@@ -150,11 +148,9 @@ func (r *refiner) pairBoundary(p *partition.Partition, a, b partition.BlockID) [
 }
 
 // greedyPass runs one feasibility-gated boundary sweep. Best moves are
-// precomputed against the frozen pre-pass state — a pure per-cell function,
-// so sharding it over Budget workers cannot change the result — then
-// applied serially in candidate order with the gain recomputed against the
-// live partition and the move undone if either touched block would leave
-// the device window.
+// precomputed against the frozen pre-pass state, then applied in candidate
+// order with the gain recomputed against the live partition and the move
+// undone if either touched block would leave the device window.
 func (r *refiner) greedyPass(ctx context.Context, p *partition.Partition, stats *obs.Stats) (int, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
@@ -182,34 +178,9 @@ func (r *refiner) greedyPass(ctx context.Context, p *partition.Partition, stats 
 	}
 	gains := r.gains[:len(cand)]
 
-	workers := 1
-	if len(cand) >= 4096 {
-		workers = r.acquireWorkers()
+	for i := range cand {
+		gains[i] = bestMove(p, cand[i])
 	}
-	if workers > 1 {
-		var wg sync.WaitGroup
-		chunk := (len(cand) + workers - 1) / workers
-		for w := 0; w < workers; w++ {
-			lo := w * chunk
-			hi := min(lo+chunk, len(cand))
-			if lo >= hi {
-				break
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				for i := lo; i < hi; i++ {
-					gains[i] = bestMove(p, cand[i])
-				}
-			}(lo, hi)
-		}
-		wg.Wait()
-	} else {
-		for i := range cand {
-			gains[i] = bestMove(p, cand[i])
-		}
-	}
-	r.releaseWorkers(workers)
 	stats.MovesEvaluated += len(cand)
 
 	moved := 0
@@ -304,29 +275,4 @@ func bestMove(p *partition.Partition, v hypergraph.NodeID) moveCand {
 		}
 	}
 	return best
-}
-
-// acquireWorkers sizes the gain-precompute pool: one worker for the
-// caller's own token plus any extra tokens the shared Budget will yield,
-// capped by GOMAXPROCS (and 8 — the precompute is memory-bound). Worker
-// count never affects results, only wall-clock.
-func (r *refiner) acquireWorkers() int {
-	maxW := min(runtime.GOMAXPROCS(0), 8)
-	if r.cfg.Budget == nil {
-		return maxW
-	}
-	w := 1
-	for w < maxW && r.cfg.Budget.TryAcquire() {
-		w++
-	}
-	return w
-}
-
-func (r *refiner) releaseWorkers(w int) {
-	if r.cfg.Budget == nil {
-		return
-	}
-	for i := 1; i < w; i++ {
-		r.cfg.Budget.Release()
-	}
 }

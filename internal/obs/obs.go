@@ -64,12 +64,6 @@ const (
 	Absorb
 	// Cancelled reports a run aborted by context cancellation or deadline.
 	Cancelled
-	// SpecWin reports the candidate that won one speculative peeling round
-	// (carries Iteration, Candidate, Label — the candidate's variant name).
-	SpecWin
-	// SpecLoss reports a candidate whose speculative peel was discarded
-	// (carries Iteration, Candidate, Label).
-	SpecLoss
 	// CoarsenLevel reports one heavy-edge coarsening level of a multilevel
 	// V-cycle (carries Iteration — the level index — and Size — the coarse
 	// node count).
@@ -86,7 +80,7 @@ var eventNames = [numEventTypes]string{
 	"run-start", "run-end", "bipartition-start", "bipartition-end",
 	"improve-pass", "stack-restart", "solution-accepted",
 	"solution-rejected", "repair", "absorb", "cancelled",
-	"spec-win", "spec-loss", "coarsen-level", "refine-level",
+	"coarsen-level", "refine-level",
 }
 
 // String names the event type as used in the text and JSON renderings.
@@ -138,8 +132,6 @@ type Event struct {
 	// K and M carry the block count and lower bound (RunStart, RunEnd).
 	K int `json:"k,omitempty"`
 	M int `json:"m,omitempty"`
-	// Candidate is the speculation candidate index (SpecWin, SpecLoss).
-	Candidate int `json:"candidate,omitempty"`
 	// Passes and Moves quantify an improvement call or restart prefix.
 	Passes int `json:"passes,omitempty"`
 	Moves  int `json:"moves,omitempty"`

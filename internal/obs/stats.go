@@ -64,16 +64,6 @@ type Stats struct {
 	Absorbed int
 	// PeakBlocks is the largest block count observed during the run.
 	PeakBlocks int
-	// SpecRounds counts speculative peeling rounds (peel steps raced at
-	// width > 1). The other counters above describe the adopted trajectory
-	// only; losing candidates' effort is not folded in, so effort metrics
-	// stay comparable across speculation widths.
-	SpecRounds int
-	// SpecWins counts speculative rounds won by a non-base candidate
-	// (candidate 0 is always the caller's own configuration).
-	SpecWins int
-	// SpecLosses counts discarded candidates across all rounds.
-	SpecLosses int
 	// PhaseTime is wall time per algorithm phase, indexed by Phase.
 	PhaseTime [NumPhases]time.Duration
 }
@@ -92,9 +82,6 @@ func (s *Stats) Merge(o Stats) {
 	if o.PeakBlocks > s.PeakBlocks {
 		s.PeakBlocks = o.PeakBlocks
 	}
-	s.SpecRounds += o.SpecRounds
-	s.SpecWins += o.SpecWins
-	s.SpecLosses += o.SpecLosses
 	for i := range s.PhaseTime {
 		s.PhaseTime[i] += o.PhaseTime[i]
 	}
@@ -128,10 +115,6 @@ func (s Stats) Report(w io.Writer) {
 		s.MovesApplied, s.MovesEvaluated, s.MovesGated, 100*s.GateRate(), s.MovesPerPass())
 	fmt.Fprintf(w, "  buckets    %6d ops   peak blocks %d   absorbed %d\n",
 		s.BucketOps, s.PeakBlocks, s.Absorbed)
-	if s.SpecRounds > 0 {
-		fmt.Fprintf(w, "  speculate  %6d rounds   %d variant wins   %d discarded candidates\n",
-			s.SpecRounds, s.SpecWins, s.SpecLosses)
-	}
 	fmt.Fprintf(w, "  phase time")
 	for p := Phase(0); p < NumPhases; p++ {
 		fmt.Fprintf(w, "  %s %s", p, s.PhaseTime[p].Round(time.Microsecond))

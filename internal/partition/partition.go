@@ -48,9 +48,8 @@ type Partition struct {
 	// stride-wide row of pin counts per net in blockPins, the net's span in
 	// spans, and a touched-block bitset in netTouch (twords words per net).
 	// stride (≥ k) fixes the row width so PinCount and the Move inner loop
-	// are single indexed loads, and CopyFrom is three flat copies over
-	// contiguous slabs. Load sizes it to exactly k; AddBlock doubles it
-	// whenever k outgrows it.
+	// are single indexed loads. Load sizes it to exactly k; AddBlock doubles
+	// it whenever k outgrows it.
 	stride    int
 	twords    int
 	blockPins []int32
@@ -297,39 +296,6 @@ func (p *Partition) bindResources(h *hypergraph.Hypergraph, dev device.Device) {
 		p.resOf = append(p.resOf, h.ResourceColumn(r.Name))
 	}
 	p.resOver = growZeroed(p.resOver, p.nres)
-}
-
-// CopyFrom makes p a deep, independent copy of src, reusing p's buffers
-// (including each net counter's grown capacity across repeated copies).
-// Speculative peeling clones the live partition into pooled arenas with it,
-// and adopts the winning candidate back the same way.
-func (p *Partition) CopyFrom(src *Partition) {
-	p.h, p.dev = src.h, src.dev
-	p.k = src.k
-	p.smax, p.tmax, p.auxCap = src.smax, src.tmax, src.auxCap
-	p.assign = append(p.assign[:0], src.assign...)
-	p.blockSize = append(p.blockSize[:0], src.blockSize...)
-	p.blockAux = append(p.blockAux[:0], src.blockAux...)
-	p.blockCutInc = append(p.blockCutInc[:0], src.blockCutInc...)
-	p.blockPads = append(p.blockPads[:0], src.blockPads...)
-	p.blockNodes = append(p.blockNodes[:0], src.blockNodes...)
-	// The packed net state copies as three flat slab memmoves.
-	p.stride, p.twords = src.stride, src.twords
-	p.blockPins = append(p.blockPins[:0], src.blockPins...)
-	p.spans = append(p.spans[:0], src.spans...)
-	p.netTouch = append(p.netTouch[:0], src.netTouch...)
-	p.nres = src.nres
-	p.resCaps = append(p.resCaps[:0], src.resCaps...)
-	p.resOf = append(p.resOf[:0], src.resOf...)
-	p.blockRes = append(p.blockRes[:0], src.blockRes...)
-	p.resOver = append(p.resOver[:0], src.resOver...)
-	p.cut = src.cut
-	p.moves = src.moves
-	p.feasCount = src.feasCount
-	p.termSum = src.termSum
-	p.sizeOver = src.sizeOver
-	p.termOver = src.termOver
-	p.ebM, p.ebNum = src.ebM, src.ebNum
 }
 
 // Hypergraph returns the underlying circuit.

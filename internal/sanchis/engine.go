@@ -271,8 +271,8 @@ func New(p *partition.Partition, cfg Config) *Engine {
 // Reset rebinds the engine to partition p under cfg, reusing every scratch
 // buffer that still fits. The per-cell revision counters, lock stamps, and
 // level-2 memo stamps are rewound to their initial state, so a pooled engine
-// replays exactly the trajectory a fresh New(p, cfg) engine would — the
-// determinism guarantee of speculative peeling rests on this.
+// replays exactly the trajectory a fresh New(p, cfg) engine would, so a
+// result never depends on which pooled engine its run drew.
 func (e *Engine) Reset(p *partition.Partition, cfg Config) {
 	e.p = p
 	e.cfg = cfg.normalize()

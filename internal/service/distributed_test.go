@@ -94,6 +94,79 @@ func TestStorePersistsAcrossRestart(t *testing.T) {
 	}
 }
 
+// TestStoreRetiredEventRecomputes: an envelope whose event stream names a
+// retired event type (a daemon started with the removed -spec flag wrote
+// "spec-win" events) no longer decodes. The service must count it as a
+// decode error and recompute the job instead of failing it.
+func TestStoreRetiredEventRecomputes(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(dir, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1 := New(Config{Workers: 1, Store: st})
+	job, err := s1.Submit(phgRequest(tinyPHG))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, job)
+	shutdownClean(t, s1)
+
+	// Rewrite the stored envelope under the job's key with one event of
+	// the retired type; everything else stays as the run wrote it.
+	payload, ok := st.Get(job.Key())
+	if !ok {
+		t.Fatal("first run left nothing in the store")
+	}
+	var env map[string]json.RawMessage
+	if err := json.Unmarshal(payload, &env); err != nil {
+		t.Fatal(err)
+	}
+	env["events"] = json.RawMessage(`[{"type":"spec-win","iteration":1}]`)
+	if payload, err = json.Marshal(env); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put(job.Key(), payload); err != nil {
+		t.Fatal(err)
+	}
+
+	st2, err := store.Open(dir, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2 := New(Config{Workers: 1, Store: st2})
+	defer shutdownClean(t, s2)
+	decodeErrors := func() string {
+		var sb strings.Builder
+		s2.WriteMetrics(&sb)
+		for _, line := range strings.Split(sb.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, "fpartd_store_decode_errors_total "); ok {
+				return v
+			}
+		}
+		t.Fatal("/metrics has no fpartd_store_decode_errors_total")
+		return ""
+	}
+	if got := decodeErrors(); got != "0" {
+		t.Fatalf("decode errors before the submit = %s, want 0", got)
+	}
+	job2, err := s2.Submit(phgRequest(tinyPHG))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, job2)
+	snap := s2.Snapshot(job2)
+	if snap.State != StateDone || snap.Cached {
+		t.Fatalf("want a recomputed done job, got state=%s cached=%v (err %v)", snap.State, snap.Cached, snap.Err)
+	}
+	if got := decodeErrors(); got != "1" {
+		t.Errorf("decode errors after the submit = %s, want 1", got)
+	}
+	if n := s2.m.computations.Load(); n != 1 {
+		t.Errorf("computations = %d, want 1 (the job must recompute)", n)
+	}
+}
+
 // TestDegradeUnderQueuePressure: once the queue passes the DegradeAt
 // fill fraction, an expensive submission runs on a cheaper engine and
 // records the original method in DegradedFrom.

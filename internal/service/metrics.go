@@ -57,10 +57,6 @@ type metrics struct {
 	computations atomic.Int64
 	busy         atomic.Int64
 
-	specRounds atomic.Int64
-	specWins   atomic.Int64
-	specLosses atomic.Int64
-
 	// Disk-store layer (service-side view; the store keeps its own
 	// hit/miss/eviction counters).
 	storeHits     atomic.Int64
@@ -104,8 +100,8 @@ func (m *metrics) finished(method string, state State) {
 	m.mu.Unlock()
 }
 
-// observePhases folds one completed run's per-phase wall times and
-// speculation outcomes into the method's aggregates.
+// observePhases folds one completed run's per-phase wall times into the
+// method's aggregates.
 func (m *metrics) observePhases(method string, st *obs.Stats) {
 	m.mu.Lock()
 	if m.phase == nil {
@@ -120,9 +116,6 @@ func (m *metrics) observePhases(method string, st *obs.Stats) {
 	for p := obs.Phase(0); p < obs.NumPhases; p++ {
 		hs[p].observe(st.PhaseTime[p].Seconds())
 	}
-	m.specRounds.Add(int64(st.SpecRounds))
-	m.specWins.Add(int64(st.SpecWins))
-	m.specLosses.Add(int64(st.SpecLosses))
 }
 
 // meanRunSeconds is the degradation ladder's cost model: the measured
@@ -213,9 +206,6 @@ func (s *Service) WriteMetrics(w io.Writer) {
 	c("fpartd_cache_misses_total", s.m.cacheMisses.Load(), "submissions that queued a computation")
 	c("fpartd_coalesced_total", s.m.coalesced.Load(), "submissions coalesced onto an in-flight computation")
 	c("fpartd_computations_total", s.m.computations.Load(), "partitioning runs executed by the pool")
-	c("fpartd_spec_rounds_total", s.m.specRounds.Load(), "speculative peeling rounds raced")
-	c("fpartd_spec_wins_total", s.m.specWins.Load(), "speculative rounds won by a non-base candidate")
-	c("fpartd_spec_losses_total", s.m.specLosses.Load(), "speculative candidates discarded")
 
 	c("fpartd_degraded_total", s.m.degraded.Load(), "admissions degraded to a cheaper engine under load")
 	c("fpartd_batch_groups_total", s.m.batchGroups.Load(), "batch job groups admitted")

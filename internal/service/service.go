@@ -48,10 +48,8 @@ type Config struct {
 	// Workers sizes the worker pool and the shared CPU budget; 0 means
 	// runtime.GOMAXPROCS(0) (via driver.ClampParallel).
 	Workers int
-	// SpecWidth is the speculative peeling width applied to fpart jobs
-	// (driver.Options.SpecWidth); ≤ 1 runs the sequential peel. Speculation
-	// draws its extra concurrency from the same Workers-sized budget the
-	// job runners use, so jobs plus speculation never oversubscribe.
+	// Deprecated: ignored. SpecWidth was the width of the removed
+	// speculative peel; the service never reads it.
 	SpecWidth int
 	// QueueDepth bounds the number of admitted-but-unstarted jobs; a full
 	// queue rejects submissions with ErrQueueFull (HTTP 429). 0 means 64.
@@ -738,10 +736,9 @@ func (s *Service) runJob(job *Job) {
 
 	s.m.busy.Add(1)
 	res, err := s.run(ctx, job.method, job.h, job.device, driver.Options{
-		Sink:      job.bcast,
-		SpecWidth: s.cfg.SpecWidth,
-		Budget:    s.budget,
-		Board:     job.board,
+		Sink:   job.bcast,
+		Budget: s.budget,
+		Board:  job.board,
 	})
 	s.m.busy.Add(-1)
 	s.m.computations.Add(1)

@@ -171,11 +171,19 @@ func TestOpenEnforcesShrunkenBudget(t *testing.T) {
 	dir := t.TempDir()
 	s := open(t, dir, 0)
 	payload := []byte(fmt.Sprintf(`{"pad":%q}`, strings.Repeat("y", 100)))
+	// Open orders entries by file mtime. Stamp each file a second apart:
+	// back-to-back writes can share one mtime on filesystems with coarse
+	// timestamps.
+	base := time.Now().Add(-time.Minute)
 	for i := 0; i < 4; i++ {
-		if err := s.Put(fmt.Sprintf("k%d", i), payload); err != nil {
+		key := fmt.Sprintf("k%d", i)
+		if err := s.Put(key, payload); err != nil {
 			t.Fatal(err)
 		}
-		time.Sleep(2 * time.Millisecond)
+		mtime := base.Add(time.Duration(i) * time.Second)
+		if err := os.Chtimes(s.path(key), mtime, mtime); err != nil {
+			t.Fatal(err)
+		}
 	}
 	perEntry := s.Bytes() / 4
 

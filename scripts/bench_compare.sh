@@ -2,8 +2,8 @@
 # Guard against wall-clock regressions between two bench artifacts: compare
 # ns_per_op for every circuit/device instance present in both files and
 # exit nonzero if any got slower by more than the tolerance. Works on any
-# BENCH_*.json written by scripts/bench.sh or scripts/bench_pr4.sh (one
-# instance object per line).
+# BENCH_*.json written by scripts/bench.sh (one instance object per line),
+# including the recorded BENCH_PR4.json.
 #
 # Usage:
 #   scripts/bench_compare.sh OLD.json NEW.json [-tolerance PCT]

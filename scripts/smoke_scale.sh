@@ -2,17 +2,17 @@
 # Scale smoke test: stream a 10^5-cell Rent's-rule synthetic netlist from
 # gencircuit -cells and partition it end-to-end with the mlfpart engine,
 # asserting a feasible result. This is the CI-sized version of the
-# BENCH_PR9.json grid (scripts/bench_pr9.sh records the real artifact up
-# to 10^6 cells); it pins that the V-cycle path stays tractable and
-# correct on every push. Exits non-zero on any failure.
+# BENCH_PR9.json scale grid; it pins that the V-cycle path stays tractable
+# and correct on every push. Exits non-zero on any failure.
 #
 #   CELLS=10000 scripts/smoke_scale.sh   # quicker local run
 set -eu
 cd "$(dirname "$0")/.."
 
 CELLS=${CELLS:-100000}
-# Device pin budget scales with the block size the cells imply; see
-# bench_pr9.sh for the grid rationale.
+# A synthetic CELLSxPINS part (see device.Parse) sized so the block count
+# stays modest: at 10^5 cells it takes under a hundred devices. The same
+# part is used at 10^4 and 10^5 cells, so runs at either size compare.
 DEVICE=${DEVICE:-3000x800}
 
 workdir=$(mktemp -d)
