@@ -368,11 +368,11 @@ func BenchmarkScaling(b *testing.B) {
 }
 
 // BenchmarkMLFpartScale measures the multilevel engine on the synthetic
-// netlists flat FPART cannot touch — the BENCH_PR9.json quantity
-// (scripts/bench_pr9.sh records the full grid up to 10⁶ cells; the
-// -short leg of verify.sh runs the 10⁴-cell row so the V-cycle path is
-// exercised on every push). The device is a synthetic CELLSxPINS part
-// so the block count stays modest as the circuit grows.
+// netlists flat FPART cannot touch. BENCH_PR9.json records the full grid
+// up to 10⁶ cells, perfbench's rent-100k workload re-measures the
+// 10⁵-cell row, and the -short leg of verify.sh runs the 10⁴-cell row so
+// the V-cycle path is exercised on every push. The device is a synthetic
+// CELLSxPINS part so the block count stays modest as the circuit grows.
 func BenchmarkMLFpartScale(b *testing.B) {
 	dev, ok := device.Parse("3000x800")
 	if !ok {

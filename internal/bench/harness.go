@@ -122,7 +122,7 @@ func RunOn(h *hypergraph.Hypergraph, name string, dev device.Device, m Method) (
 		}
 		out.K, out.Feasible = r.K, r.Feasible
 	case SC:
-		r, err := setcover.Partition(h, dev, setcover.Config{})
+		r, err := setcover.Partition(h, dev)
 		if err != nil {
 			return out, err
 		}

@@ -43,15 +43,16 @@ import (
 	"fpart/internal/seed"
 )
 
-// Config tunes FPART. The zero value selects every published parameter of
-// §4: σ1 = σ2 = 0.5, N_small = 15, λ = (0.4, 0.6, 0.1), move windows
+// sigma1 and sigma2 weight logic and I/O occupation in the free-space
+// estimate F = σ1·(S_MAX−S_i)/S_MAX + σ2·(T_MAX−T_i)/T_MAX (§3.1, §4).
+const sigma1, sigma2 = 0.5, 0.5
+
+// Config tunes FPART. The zero value selects the remaining published
+// parameters of §4: N_small = 15, λ = (0.4, 0.6, 0.1), move windows
 // (1.05, 0.95, 0.3), stack depth 4, 2-level gains.
 type Config struct {
 	// Engine configures the iterative-improvement engine (§3.3–§3.7).
 	Engine sanchis.Config
-	// Sigma1 and Sigma2 weight logic and I/O occupation in the free-space
-	// estimate F = σ1·(S_MAX−S_i)/S_MAX + σ2·(T_MAX−T_i)/T_MAX (§3.1).
-	Sigma1, Sigma2 float64
 	// NSmall separates the small-k and big-k improvement strategies (§3.1).
 	NSmall int
 	// DisableSchedule reduces the improvement schedule to the single
@@ -59,7 +60,7 @@ type Config struct {
 	// strategy).
 	DisableSchedule bool
 	// MaxBlocks caps the iteration count for termination safety; zero
-	// selects 4·M+32.
+	// selects device.BlockCap(M).
 	MaxBlocks int
 	// DisableAbsorb turns off the final absorption pass that dissolves
 	// small leftover blocks into the free space of the others once a
@@ -84,9 +85,6 @@ type Config struct {
 }
 
 func (c Config) normalize() Config {
-	if c.Sigma1 == 0 && c.Sigma2 == 0 {
-		c.Sigma1, c.Sigma2 = 0.5, 0.5
-	}
 	if c.NSmall == 0 {
 		c.NSmall = 15
 	}
@@ -194,7 +192,7 @@ func Run(ctx context.Context, h *hypergraph.Hypergraph, dev device.Device, cfg C
 	res.Stats.PeakBlocks = p.NumBlocks()
 	maxBlocks := cfg.MaxBlocks
 	if maxBlocks == 0 {
-		maxBlocks = 4*m + 32
+		maxBlocks = device.BlockCap(m)
 	}
 
 	em.Emit(obs.Event{Type: obs.RunStart, M: m})
@@ -330,7 +328,7 @@ func (r *runState) peelStep() (peelOutcome, error) {
 		}{
 			{"pair(Pmin_size,R)", func() partition.BlockID { return minSizeBlock(r.p, r.rem) }},
 			{"pair(Pmin_IO,R)", func() partition.BlockID { return minIOBlock(r.p, r.rem) }},
-			{"pair(Pmax_F,R)", func() partition.BlockID { return maxFreeBlock(r.p, r.rem, r.cfg.Sigma1, r.cfg.Sigma2) }},
+			{"pair(Pmax_F,R)", func() partition.BlockID { return maxFreeBlock(r.p, r.rem, sigma1, sigma2) }},
 		}
 		prev := pk
 		for _, s := range schedule {

@@ -352,6 +352,11 @@ func LowerBound(h *hypergraph.Hypergraph, d Device) int {
 	return m
 }
 
+// BlockCap returns 4·M+32, the block count at which every peeling
+// partitioner stops for termination safety: a partition that needs more
+// devices than that has failed to converge, not found a solution.
+func BlockCap(m int) int { return 4*m + 32 }
+
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
 // ceil avoids importing math for one call site and keeps exact behaviour on

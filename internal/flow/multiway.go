@@ -26,13 +26,12 @@ type Result struct {
 	Elapsed time.Duration
 }
 
+// peelMinFill is the fraction of S_MAX below which the driver's FBB
+// carves do not pin-evaluate candidate source sides (a speed knob).
+const peelMinFill = 0.55
+
 // Config tunes the FBB-MW-style driver.
 type Config struct {
-	// MinFill is the fraction of S_MAX below which candidate source sides
-	// are not pin-evaluated (speed knob). Zero selects 0.55.
-	MinFill float64
-	// MaxBlocks caps iterations; zero selects 4·M+32.
-	MaxBlocks int
 	// Sink, when non-nil, receives one obs.Event per peeled block.
 	Sink obs.Sink
 	// Label tags this run's events (obs.Event.Source).
@@ -68,9 +67,6 @@ func PartitionCtx(ctx context.Context, h *hypergraph.Hypergraph, dev device.Devi
 				h.Node(id).Name, h.Node(id).Size, dev.SMax())
 		}
 	}
-	if cfg.MinFill == 0 {
-		cfg.MinFill = 0.55
-	}
 	em := obs.NewEmitter(cfg.Sink, cfg.Label)
 
 	p := partition.New(h, dev)
@@ -78,10 +74,7 @@ func PartitionCtx(ctx context.Context, h *hypergraph.Hypergraph, dev device.Devi
 	rem := partition.BlockID(0)
 	res := &Result{Partition: p, M: m}
 	res.Stats.PeakBlocks = p.NumBlocks()
-	maxBlocks := cfg.MaxBlocks
-	if maxBlocks == 0 {
-		maxBlocks = 4*m + 32
-	}
+	maxBlocks := device.BlockCap(m)
 
 	em.Emit(obs.Event{Type: obs.RunStart, M: m})
 	for !p.Feasible(rem) {
@@ -96,7 +89,7 @@ func PartitionCtx(ctx context.Context, h *hypergraph.Hypergraph, dev device.Devi
 		res.Stats.Iterations++
 		em.Emit(obs.Event{Type: obs.BipartitionStart, Iteration: res.Iterations})
 		t0 := time.Now()
-		set, ok, err := fbbPeelCtx(ctx, p, rem, dev, cfg.MinFill)
+		set, ok, err := fbbPeelCtx(ctx, p, rem, dev, peelMinFill)
 		if err != nil {
 			res.Stats.PhaseTime[obs.PhaseSeed] += time.Since(t0)
 			em.Emit(obs.Event{Type: obs.Cancelled})

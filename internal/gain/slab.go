@@ -8,8 +8,8 @@ package gain
 // touching the allocator. Individual buckets behave exactly like ones made
 // with NewBucket; they share nothing but backing storage.
 type Slab struct {
-	dirs, numCells, maxGain int
-	buckets                 []Bucket
+	dirs    int
+	buckets []Bucket
 }
 
 // NewSlab creates dirs buckets for cells 0..numCells-1 and gains in
@@ -30,8 +30,7 @@ func NewSlab(dirs, numCells, maxGain int) *Slab {
 	for i := range heads {
 		heads[i] = none
 	}
-	s := &Slab{dirs: dirs, numCells: numCells, maxGain: maxGain,
-		buckets: make([]Bucket, dirs)}
+	s := &Slab{dirs: dirs, buckets: make([]Bucket, dirs)}
 	for d := 0; d < dirs; d++ {
 		c0, c1 := d*numCells, (d+1)*numCells
 		s.buckets[d] = Bucket{
@@ -54,6 +53,3 @@ func (s *Slab) Bucket(d int) *Bucket { return &s.buckets[d] }
 
 // Dirs returns the number of buckets in the slab.
 func (s *Slab) Dirs() int { return s.dirs }
-
-// Dims returns the per-bucket shape the slab was built with.
-func (s *Slab) Dims() (numCells, maxGain int) { return s.numCells, s.maxGain }

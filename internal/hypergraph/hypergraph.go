@@ -194,15 +194,6 @@ func (h *Hypergraph) TotalResource(name string) int {
 	return 0
 }
 
-// ResourceOf returns node v's demand for the named resource (zero when no
-// such column exists). Hot paths bind ResourceColumn once instead.
-func (h *Hypergraph) ResourceOf(v NodeID, name string) int {
-	if col := h.ResourceColumn(name); col != nil {
-		return int(col[v])
-	}
-	return 0
-}
-
 // NodeIDs returns all node IDs in increasing order.
 func (h *Hypergraph) NodeIDs() []NodeID {
 	ids := make([]NodeID, len(h.nodes))

@@ -53,8 +53,6 @@ type Result struct {
 type Config struct {
 	// MaxPasses bounds the FM pass series per improvement call (default 10).
 	MaxPasses int
-	// MaxBlocks caps iterations for termination safety (default 4·M+32).
-	MaxBlocks int
 	// Sink, when non-nil, receives one obs.Event per algorithm step.
 	Sink obs.Sink
 	// Label tags this run's events (obs.Event.Source).
@@ -103,10 +101,7 @@ func PartitionCtx(ctx context.Context, h *hypergraph.Hypergraph, dev device.Devi
 	rem := partition.BlockID(0)
 	res := &Result{Partition: p, M: m}
 	res.Stats.PeakBlocks = p.NumBlocks()
-	maxBlocks := cfg.MaxBlocks
-	if maxBlocks == 0 {
-		maxBlocks = 4*m + 32
-	}
+	maxBlocks := device.BlockCap(m)
 
 	em.Emit(obs.Event{Type: obs.RunStart, M: m})
 	cancelled := func(err error) (*Result, error) {

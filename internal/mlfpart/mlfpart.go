@@ -15,10 +15,8 @@
 // refinement sweeps, which is what makes 10⁵–10⁶-cell netlists tractable.
 //
 // Determinism: coarsening, the coarse peel, pair selection, and every
-// refinement pass are deterministic, and the only parallel step (the
-// boundary-gain precompute) is a pure function of the frozen pre-pass
-// state sharded over workers — results are bit-identical for a fixed seed
-// at any GOMAXPROCS and any core.Budget capacity.
+// refinement pass are deterministic and serial, so results are
+// bit-identical for a fixed input at any GOMAXPROCS.
 package mlfpart
 
 import (
@@ -34,6 +32,10 @@ import (
 	"fpart/internal/obs"
 	"fpart/internal/partition"
 )
+
+// maxClusterFrac caps a coarse node's size as a fraction of the device
+// S_MAX so coarse nodes stay placeable.
+const maxClusterFrac = 0.25
 
 // Config tunes the multilevel engine. The zero value selects defaults.
 type Config struct {
@@ -53,27 +55,6 @@ type Config struct {
 	// at 10⁶ cells on a 20000x5000 part: coarsest 8000 gives 69 devices
 	// in 56s where coarsest 1024 gives 112 in 2m4s).
 	CoarsestNodes int
-	// MaxClusterFrac caps a coarse node's size as a fraction of the
-	// device S_MAX (default 0.25) so coarse nodes stay placeable.
-	MaxClusterFrac float64
-	// MaxLevels caps the hierarchy depth (default 24).
-	MaxLevels int
-	// RefinePasses is the number of greedy boundary passes per level
-	// (default 2; each pass stops early when no cell moves).
-	RefinePasses int
-	// PairFMMaxNodes: levels with at most this many nodes also run
-	// pairwise boundary-restricted Sanchis FM between the most
-	// cut-connected block pairs (default 40000).
-	PairFMMaxNodes int
-	// FlowMaxNodes: levels with at most this many nodes additionally run
-	// corridor flow refinement on the top block pairs (default 4096).
-	FlowMaxNodes int
-	// MaxPairs bounds the block pairs examined per level by pair FM and
-	// flow refinement (default 32; pairs are a greedy matching by cut-net
-	// weight, so each block appears at most once per round).
-	MaxPairs int
-	// DisableFlow turns off corridor flow refinement (ablation switch).
-	DisableFlow bool
 
 	// Sink receives structured events: CoarsenLevel/RefineLevel per
 	// hierarchy level plus the coarse peel's own stream under
@@ -89,24 +70,6 @@ func (c Config) normalize() Config {
 	}
 	if c.FlatThreshold < 0 {
 		c.FlatThreshold = 0
-	}
-	if c.MaxClusterFrac <= 0 || c.MaxClusterFrac > 1 {
-		c.MaxClusterFrac = 0.25
-	}
-	if c.MaxLevels <= 0 {
-		c.MaxLevels = 24
-	}
-	if c.RefinePasses <= 0 {
-		c.RefinePasses = 2
-	}
-	if c.PairFMMaxNodes <= 0 {
-		c.PairFMMaxNodes = 40000
-	}
-	if c.FlowMaxNodes <= 0 {
-		c.FlowMaxNodes = 4096
-	}
-	if c.MaxPairs <= 0 {
-		c.MaxPairs = 32
 	}
 	if c.Label == "" {
 		c.Label = "mlfpart"
@@ -172,8 +135,9 @@ func PartitionCtx(ctx context.Context, h *hypergraph.Hypergraph, dev device.Devi
 	res := &Result{M: m}
 	em.Emit(obs.Event{Type: obs.RunStart, M: m})
 
-	// Coarsen. The per-level size cap keeps every coarse node well under
-	// S_MAX so the coarsest peel can always place them.
+	// Coarsen. The per-level size cap (maxClusterFrac of S_MAX) keeps
+	// every coarse node well under S_MAX so the coarsest peel can always
+	// place them.
 	t0 := time.Now()
 	coarsest := cfg.CoarsestNodes
 	if coarsest <= 0 {
@@ -181,8 +145,7 @@ func PartitionCtx(ctx context.Context, h *hypergraph.Hypergraph, dev device.Devi
 	}
 	hr, err := multilevel.BuildHierarchy(ctx, h, multilevel.HierarchyConfig{
 		CoarsestNodes:  coarsest,
-		MaxClusterSize: max(int(cfg.MaxClusterFrac*float64(dev.SMax())), 1),
-		MaxLevels:      cfg.MaxLevels,
+		MaxClusterSize: max(int(maxClusterFrac*float64(dev.SMax())), 1),
 	})
 	if err != nil {
 		em.Emit(obs.Event{Type: obs.Cancelled})
@@ -221,7 +184,7 @@ func PartitionCtx(ctx context.Context, h *hypergraph.Hypergraph, dev device.Devi
 			return nil, fmt.Errorf("mlfpart: size arena: %w", err)
 		}
 	}
-	ref := newRefiner(cfg)
+	ref := new(refiner)
 	for li := hr.Depth(); li >= 1; li-- {
 		if err := ctx.Err(); err != nil {
 			em.Emit(obs.Event{Type: obs.Cancelled})

@@ -11,18 +11,28 @@ import (
 	"fpart/internal/sanchis"
 )
 
+// Refinement tiers by level size: levels with at most flowMaxNodes nodes
+// run corridor flow refinement on the top block pairs, levels with at most
+// pairFMMaxNodes run pairwise boundary-restricted Sanchis FM between the
+// most cut-connected block pairs, and every level runs up to refinePasses
+// greedy boundary passes (each stops early when no cell moves). maxPairs
+// bounds the block pairs flow and pair FM examine per level.
+const (
+	flowMaxNodes   = 4096
+	pairFMMaxNodes = 40000
+	refinePasses   = 2
+	maxPairs       = 32
+)
+
 // refiner holds the scratch state shared by every uncoarsening level:
 // candidate and gain buffers plus one pooled Sanchis engine that is Reset
 // per level instead of reallocated.
 type refiner struct {
-	cfg   Config
 	eng   *sanchis.Engine
 	cand  []hypergraph.NodeID
 	gains []moveCand
 	seen  []bool
 }
-
-func newRefiner(cfg Config) *refiner { return &refiner{cfg: cfg} }
 
 // refine improves one projected level in three tiers, coarsest-friendly
 // first: corridor flow refinement on the top block pairs (small levels
@@ -31,20 +41,20 @@ func newRefiner(cfg Config) *refiner { return &refiner{cfg: cfg} }
 // It returns the number of kept greedy moves.
 func (r *refiner) refine(ctx context.Context, p *partition.Partition, stats *obs.Stats) (int, error) {
 	n := p.Hypergraph().NumNodes()
-	if !r.cfg.DisableFlow && n <= r.cfg.FlowMaxNodes {
+	if n <= flowMaxNodes {
 		for _, pr := range r.topPairs(p) {
 			if _, err := flow.RefinePairCtx(ctx, p, pr.a, pr.b, 2, 2048); err != nil {
 				return 0, err
 			}
 		}
 	}
-	if n <= r.cfg.PairFMMaxNodes {
+	if n <= pairFMMaxNodes {
 		if err := r.pairFM(ctx, p, stats); err != nil {
 			return 0, err
 		}
 	}
 	moves := 0
-	for pass := 0; pass < r.cfg.RefinePasses; pass++ {
+	for pass := 0; pass < refinePasses; pass++ {
 		moved, err := r.greedyPass(ctx, p, stats)
 		moves += moved
 		if err != nil {
@@ -66,7 +76,7 @@ type blockPair struct {
 
 // topPairs returns a greedy matching of the most cut-connected block
 // pairs: pairs sorted by (weight desc, a asc, b asc), each block used at
-// most once, at most cfg.MaxPairs pairs. Deterministic: the sort key is a
+// most once, at most maxPairs pairs. Deterministic: the sort key is a
 // total order because each (a, b) appears once.
 func (r *refiner) topPairs(p *partition.Partition) []blockPair {
 	h := p.Hypergraph()
@@ -108,7 +118,7 @@ func (r *refiner) topPairs(p *partition.Partition) []blockPair {
 		}
 		used[pr.a], used[pr.b] = true, true
 		out = append(out, pr)
-		if len(out) >= r.cfg.MaxPairs {
+		if len(out) >= maxPairs {
 			break
 		}
 	}

@@ -9,6 +9,9 @@ import (
 	"fpart/internal/partition"
 )
 
+// maxLevels caps the number of coarse levels BuildHierarchy builds.
+const maxLevels = 24
+
 // HierarchyConfig tunes BuildHierarchy.
 type HierarchyConfig struct {
 	// CoarsestNodes stops coarsening once the coarsest graph has at most
@@ -19,8 +22,6 @@ type HierarchyConfig struct {
 	// early levels merge conservatively while deep levels keep making
 	// progress; MaxClusterSize bounds both (default: unbounded).
 	MaxClusterSize int
-	// MaxLevels caps the number of coarse levels (default 24).
-	MaxLevels int
 }
 
 func (c HierarchyConfig) normalize() HierarchyConfig {
@@ -29,9 +30,6 @@ func (c HierarchyConfig) normalize() HierarchyConfig {
 	}
 	if c.MaxClusterSize <= 0 {
 		c.MaxClusterSize = 1 << 30
-	}
-	if c.MaxLevels <= 0 {
-		c.MaxLevels = 24
 	}
 	return c
 }
@@ -84,13 +82,13 @@ func (hr *Hierarchy) Project(i int, coarse []partition.BlockID, dst []partition.
 
 // BuildHierarchy coarsens h through successive heavy-edge matchings until
 // the coarsest graph falls under cfg.CoarsestNodes, matching stalls
-// (reduction below 10%), or cfg.MaxLevels is reached. Cancellation is
+// (reduction below 10%), or maxLevels is reached. Cancellation is
 // polled between levels and inside each matching loop, so even a single
 // million-cell level aborts promptly.
 func BuildHierarchy(ctx context.Context, h *hypergraph.Hypergraph, cfg HierarchyConfig) (*Hierarchy, error) {
 	cfg = cfg.normalize()
 	hr := &Hierarchy{levels: []*level{{h: h}}}
-	for hr.Depth() < cfg.MaxLevels && hr.Coarsest().NumNodes() > cfg.CoarsestNodes {
+	for hr.Depth() < maxLevels && hr.Coarsest().NumNodes() > cfg.CoarsestNodes {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}

@@ -24,30 +24,20 @@ import (
 	"fpart/internal/seed"
 )
 
+// The per-peel V-cycle stops coarsening once the remainder's graph has at
+// most coarsestNodes nodes, and caps a coarse node's size at
+// maxClusterFrac of S_MAX so refinement keeps enough granularity.
+const (
+	coarsestNodes  = 64
+	maxClusterFrac = 0.25
+)
+
 // Config tunes the multilevel driver.
 type Config struct {
-	// CoarsestNodes stops coarsening once the graph is this small
-	// (default 64).
-	CoarsestNodes int
-	// MaxClusterFrac caps a coarse node's size as a fraction of S_MAX so
-	// refinement keeps enough granularity (default 0.25).
-	MaxClusterFrac float64
-	// MaxBlocks caps peeling iterations; zero selects 4·M+32.
-	MaxBlocks int
 	// Sink, when non-nil, receives one obs.Event per peeled block.
 	Sink obs.Sink
 	// Label tags this run's events (obs.Event.Source).
 	Label string
-}
-
-func (c Config) normalize() Config {
-	if c.CoarsestNodes == 0 {
-		c.CoarsestNodes = 64
-	}
-	if c.MaxClusterFrac == 0 {
-		c.MaxClusterFrac = 0.25
-	}
-	return c
 }
 
 // Result mirrors the other drivers' results.
@@ -86,18 +76,18 @@ func coarsen(h *hypergraph.Hypergraph, maxClusterSize int) (*level, bool) {
 // uncoarsen with FM refinement at every level. Returns the chosen fine-level
 // node set and the number of levels used. Cancelling ctx aborts between
 // coarsening levels and mid-refinement, returning ctx's error.
-func vCycleSplit(ctx context.Context, p *partition.Partition, rem partition.BlockID, dev device.Device, cfg Config, st *obs.Stats) ([]hypergraph.NodeID, int, bool, error) {
+func vCycleSplit(ctx context.Context, p *partition.Partition, rem partition.BlockID, dev device.Device, st *obs.Stats) ([]hypergraph.NodeID, int, bool, error) {
 	remNodes := p.NodesIn(rem)
 	if len(remNodes) < 2 {
 		return nil, 0, false, nil
 	}
 	base, back := p.Hypergraph().Induced(remNodes)
 	levels := []*level{{h: base}}
-	maxCluster := int(cfg.MaxClusterFrac * float64(dev.SMax()))
+	maxCluster := int(maxClusterFrac * float64(dev.SMax()))
 	if maxCluster < 2 {
 		maxCluster = 2
 	}
-	for levels[len(levels)-1].h.NumNodes() > cfg.CoarsestNodes {
+	for levels[len(levels)-1].h.NumNodes() > coarsestNodes {
 		if err := ctx.Err(); err != nil {
 			return nil, len(levels), false, err
 		}
@@ -335,7 +325,6 @@ func PartitionCtx(ctx context.Context, h *hypergraph.Hypergraph, dev device.Devi
 				h.Node(id).Name, h.Node(id).Size, dev.SMax())
 		}
 	}
-	cfg = cfg.normalize()
 	em := obs.NewEmitter(cfg.Sink, cfg.Label)
 
 	p := partition.New(h, dev)
@@ -343,10 +332,7 @@ func PartitionCtx(ctx context.Context, h *hypergraph.Hypergraph, dev device.Devi
 	rem := partition.BlockID(0)
 	res := &Result{Partition: p, M: m}
 	res.Stats.PeakBlocks = p.NumBlocks()
-	maxBlocks := cfg.MaxBlocks
-	if maxBlocks == 0 {
-		maxBlocks = 4*m + 32
-	}
+	maxBlocks := device.BlockCap(m)
 
 	em.Emit(obs.Event{Type: obs.RunStart, M: m})
 	for !p.Feasible(rem) {
@@ -361,7 +347,7 @@ func PartitionCtx(ctx context.Context, h *hypergraph.Hypergraph, dev device.Devi
 		res.Stats.Iterations++
 		em.Emit(obs.Event{Type: obs.BipartitionStart, Iteration: res.Iterations})
 		t0 := time.Now()
-		set, lv, ok, err := vCycleSplit(ctx, p, rem, dev, cfg, &res.Stats)
+		set, lv, ok, err := vCycleSplit(ctx, p, rem, dev, &res.Stats)
 		if err != nil {
 			res.Stats.PhaseTime[obs.PhaseSeed] += time.Since(t0)
 			em.Emit(obs.Event{Type: obs.Cancelled})

@@ -105,7 +105,7 @@ func TestVCycleSplitTinyRemainder(t *testing.T) {
 	h := b.MustBuild()
 	dev := device.Device{Name: "d", DatasheetCells: 4, Pins: 4, Fill: 1.0}
 	p := partitionOf(t, h, dev)
-	if _, _, ok, _ := vCycleSplit(context.Background(), p, 0, dev, Config{}.normalize(), new(obs.Stats)); ok {
+	if _, _, ok, _ := vCycleSplit(context.Background(), p, 0, dev, new(obs.Stats)); ok {
 		t.Error("single-node remainder split")
 	}
 }

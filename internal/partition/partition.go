@@ -368,13 +368,6 @@ func (p *Partition) ResDemandOf(v hypergraph.NodeID, r int) int {
 	return 0
 }
 
-// BlockResources appends block b's extra-resource demand totals to dst in
-// device.Resources order and returns it — the shape device.FitsRes wants.
-func (p *Partition) BlockResources(b BlockID, dst []int) []int {
-	row := int(b) * p.nres
-	return append(dst, p.blockRes[row:row+p.nres]...)
-}
-
 // Terminals returns T_i = cut-incident nets + pads of block b.
 func (p *Partition) Terminals(b BlockID) int { return p.blockCutInc[b] + p.blockPads[b] }
 

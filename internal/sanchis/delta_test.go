@@ -54,7 +54,7 @@ func stepPasses(t *testing.T, e *Engine, blocks []partition.BlockID, rem partiti
 		defer func() { e.subset, e.inSubset = nil, nil }()
 	}
 	e.prepare(blocks, rem, m)
-	scratch := make([]int32, 0, e.cfg.TieWidth)
+	scratch := make([]int32, 0, tieWidth)
 	for pass := 0; pass < passes; pass++ {
 		e.initPass()
 		e.journal = e.journal[:0]

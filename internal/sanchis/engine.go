@@ -48,6 +48,10 @@ func DefaultWindows() Windows {
 	return Windows{Upper: 1.05, Lower2: 0.95, LowerMulti: 0.3}
 }
 
+// tieWidth is how many cells per direction's top gain list are examined
+// when breaking ties.
+const tieWidth = 8
+
 // Config tunes the engine. Zero values select reasonable defaults via
 // normalize.
 type Config struct {
@@ -67,9 +71,6 @@ type Config struct {
 	// §3.7 found diminishing returns past level 2 — the ablation bench
 	// confirms it here.
 	GainLevels int
-	// TieWidth is how many cells per direction's top gain list are examined
-	// when breaking ties. Zero selects 8.
-	TieWidth int
 	// DisableWindows turns off all size gating (ablation switch).
 	DisableWindows bool
 	// CutObjective replaces the infeasibility-distance solution key with
@@ -109,9 +110,6 @@ func (c Config) normalize() Config {
 	}
 	if c.MaxPasses <= 0 {
 		c.MaxPasses = 10
-	}
-	if c.TieWidth <= 0 {
-		c.TieWidth = 8
 	}
 	return c
 }
@@ -936,7 +934,7 @@ func (e *Engine) selectBestScan(scratch []int32) (candidate, bool) {
 			// Examine the top gain list first (bounded), then descend
 			// until one admissible cell is found.
 			scratch = scratch[:0]
-			scratch = bk.TopN(e.cfg.TieWidth, scratch)
+			scratch = bk.TopN(tieWidth, scratch)
 			examined := false
 			for _, vi := range scratch {
 				v := hypergraph.NodeID(vi)
@@ -1071,7 +1069,7 @@ func (e *Engine) computeDirCand(d, fi, ti int, scratch []int32) []int32 {
 		return scratch // retired: the direction contributes nothing
 	}
 	scratch = scratch[:0]
-	scratch = bk.TopN(e.cfg.TieWidth, scratch)
+	scratch = bk.TopN(tieWidth, scratch)
 	for _, vi := range scratch {
 		e.st.MovesEvaluated++
 		if !win.admits(int(e.szOf[vi])) || (e.nres > 0 && !e.admitsRes(win, vi)) {
@@ -1436,8 +1434,8 @@ func (e *Engine) runPass(ctx context.Context, collect *stacks) (improved bool, m
 	start := e.key()
 	best := start
 	bestLen := 0
-	if cap(e.topScratch) < e.cfg.TieWidth {
-		e.topScratch = make([]int32, 0, e.cfg.TieWidth)
+	if cap(e.topScratch) < tieWidth {
+		e.topScratch = make([]int32, 0, tieWidth)
 	}
 	scratch := e.topScratch
 

@@ -468,7 +468,7 @@ func TestInsertRankedBoundedAndSorted(t *testing.T) {
 
 func TestConfigNormalize(t *testing.T) {
 	c := Config{}.normalize()
-	if c.Windows != DefaultWindows() || c.StackDepth != 4 || c.MaxPasses != 10 || c.TieWidth != 8 {
+	if c.Windows != DefaultWindows() || c.StackDepth != 4 || c.MaxPasses != 10 {
 		t.Errorf("normalize defaults wrong: %+v", c)
 	}
 	if c.Cost != partition.DefaultCost() {

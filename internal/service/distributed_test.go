@@ -295,6 +295,96 @@ func TestStealLifecycle(t *testing.T) {
 	}
 }
 
+// TestStolenJobKeepsItsMethod: a thief whose own queue is past DegradeAt
+// still runs a stolen job with the method the victim admitted, and the
+// victim refuses an envelope that ran any other method — it would cache
+// and persist that partition under the job's key.
+func TestStolenJobKeepsItsMethod(t *testing.T) {
+	victim := New(Config{Workers: 1, QueueDepth: 4, StealTTL: time.Minute})
+	defer shutdownClean(t, victim)
+	vstarted, vrelease := gateRuns(victim, 4)
+	defer close(vrelease)
+	if _, err := victim.Submit(phgRequest(uniquePHG(1))); err != nil {
+		t.Fatal(err)
+	}
+	<-vstarted
+	queued, err := victim.Submit(Request{Format: "phg", Netlist: tinyPHG, Device: "XC3020", Method: "fpart"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sj, ok := victim.StealOne("thief")
+	if !ok || sj.Spec.Method != "fpart" {
+		t.Fatalf("steal: ok=%v spec=%+v", ok, sj)
+	}
+
+	// Load the thief past its degradation threshold (0.5 * 4 = 2 queued).
+	thief := New(Config{Workers: 1, QueueDepth: 4, DegradeAt: 0.5})
+	defer shutdownClean(t, thief)
+	tstarted, trelease := gateRuns(thief, 8)
+	if _, err := thief.Submit(phgRequest(uniquePHG(2))); err != nil {
+		t.Fatal(err)
+	}
+	<-tstarted
+	for i := 3; i <= 4; i++ {
+		if _, err := thief.Submit(phgRequest(uniquePHG(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	type outcome struct {
+		env []byte
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		env, err := thief.Execute(context.Background(), sj)
+		done <- outcome{env, err}
+	}()
+	// Hold the thief's worker until the stolen job is admitted behind the
+	// two queued ones, so admission sees the full pressure.
+	for deadline := time.Now().Add(5 * time.Second); len(thief.queue) < 3; {
+		if time.Now().After(deadline) {
+			t.Fatal("stolen job never queued on the thief")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(trelease)
+	out := <-done
+	if out.err != nil {
+		t.Fatal(out.err)
+	}
+	if n := thief.m.degraded.Load(); n != 0 {
+		t.Errorf("thief degraded %d jobs; a stolen job must run as given", n)
+	}
+	var sr storedResult
+	if err := json.Unmarshal(out.env, &sr); err != nil {
+		t.Fatal(err)
+	}
+	if sr.Method != "fpart" {
+		t.Fatalf("stolen fpart job ran %q", sr.Method)
+	}
+
+	// An envelope that ran another method is rejected and leaves the job
+	// stolen; the matching envelope then completes it.
+	sr.Method = "kwayx"
+	wrong, err := json.Marshal(sr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := victim.CompleteStolen(sj.ID, wrong); err == nil {
+		t.Fatal("CompleteStolen accepted a kwayx envelope for an fpart job")
+	}
+	if snap := victim.Snapshot(queued); snap.State != StateRunning || !snap.Stolen {
+		t.Fatalf("rejected push changed the job: %+v", snap)
+	}
+	if err := victim.CompleteStolen(sj.ID, out.env); err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, queued)
+	if snap := victim.Snapshot(queued); snap.State != StateDone || snap.Method != "fpart" {
+		t.Fatalf("stolen job: state=%s method=%s", snap.State, snap.Method)
+	}
+}
+
 // TestStealTTLRequeue: when the thief never pushes a result, the victim
 // requeues the job locally and finishes it itself.
 func TestStealTTLRequeue(t *testing.T) {

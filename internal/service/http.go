@@ -278,7 +278,7 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(cluster.PeerHeader, n.Self())
 	}
 
-	job, err := s.submitPrepared(prep)
+	job, err := s.submitPrepared(prep, true)
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		w.Header().Set("Retry-After", "1")

@@ -412,13 +412,13 @@ func (s *Service) Submit(req Request) (*Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.submitPrepared(prep)
+	return s.submitPrepared(prep, true)
 }
 
 // submitPrepared admits a prepared submission: memory cache, in-flight
-// coalescing, disk store, degradation ladder, then the bounded queue —
-// in that order.
-func (s *Service) submitPrepared(prep *prepared) (*Job, error) {
+// coalescing, disk store, degradation ladder (when mayDegrade), then the
+// bounded queue — in that order.
+func (s *Service) submitPrepared(prep *prepared, mayDegrade bool) (*Job, error) {
 	method, key := prep.method, prep.key
 
 	s.mu.Lock()
@@ -474,7 +474,7 @@ func (s *Service) submitPrepared(prep *prepared) (*Job, error) {
 		// queue is near capacity and the method has a cheaper registered
 		// engine, degrade once and retry the lookups under the new key —
 		// a degraded request can still be a cache hit.
-		if attempt == 0 && s.shouldDegradeLocked() {
+		if mayDegrade && attempt == 0 && s.shouldDegradeLocked() {
 			if alt, ok := s.cheaperEngineLocked(method); ok {
 				job.degradedFrom = method
 				method = alt
@@ -914,7 +914,8 @@ func (s *Service) requeueStolen(j *Job) {
 
 // CompleteStolen finishes a stolen job from the thief's pushed result
 // envelope (the storedResult codec). Late pushes — after cancellation,
-// the requeue TTL, or shutdown — are dropped without error.
+// the requeue TTL, or shutdown — are dropped without error; an envelope
+// for another device or method than the job's is rejected.
 func (s *Service) CompleteStolen(id string, payload []byte) error {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
@@ -937,6 +938,9 @@ func (s *Service) CompleteStolen(id string, payload []byte) error {
 	}
 	if res.Partition.Device().Name != j.device.Name {
 		return fmt.Errorf("stolen result for %s targets %s, want %s", id, res.Partition.Device().Name, j.device.Name)
+	}
+	if sr.Method != j.method {
+		return fmt.Errorf("stolen result for %s ran %s, want %s", id, sr.Method, j.method)
 	}
 	report := quality.Analyze(res.Partition, res.M)
 	if s.cfg.Store != nil {
@@ -968,9 +972,10 @@ func (s *Service) CompleteStolen(id string, payload []byte) error {
 
 // Execute runs a job stolen from a peer through this service's own
 // pipeline — budget, cache, and store included — and returns the result
-// envelope to push back (cluster.Source).
+// envelope to push back (cluster.Source). The victim's admission already
+// chose the method, so the thief runs it as given and never degrades it.
 func (s *Service) Execute(ctx context.Context, job *cluster.StolenJob) ([]byte, error) {
-	j, err := s.Submit(Request{
+	prep, err := s.prepare(Request{
 		Circuit:   job.Spec.Circuit,
 		Format:    job.Spec.Format,
 		Netlist:   job.Spec.Netlist,
@@ -982,6 +987,10 @@ func (s *Service) Execute(ctx context.Context, job *cluster.StolenJob) ([]byte, 
 		Method:    job.Spec.Method,
 		Timeout:   time.Duration(job.Spec.TimeoutMS) * time.Millisecond,
 	})
+	if err != nil {
+		return nil, err
+	}
+	j, err := s.submitPrepared(prep, false)
 	if err != nil {
 		return nil, err
 	}

@@ -28,15 +28,6 @@ import (
 	"fpart/internal/seed"
 )
 
-// Config tunes the baseline.
-type Config struct {
-	// Seeds is the number of candidate-generation start points; zero
-	// derives ~2·M+8 from the instance.
-	Seeds int
-	// MaxBlocks caps the result for termination safety (default 4·M+32).
-	MaxBlocks int
-}
-
 // Result mirrors the other drivers' results.
 type Result struct {
 	Partition  *partition.Partition
@@ -48,7 +39,7 @@ type Result struct {
 }
 
 // Partition runs candidate generation + greedy set cover.
-func Partition(h *hypergraph.Hypergraph, dev device.Device, cfg Config) (*Result, error) {
+func Partition(h *hypergraph.Hypergraph, dev device.Device) (*Result, error) {
 	start := time.Now()
 	if err := dev.Validate(); err != nil {
 		return nil, err
@@ -64,19 +55,13 @@ func Partition(h *hypergraph.Hypergraph, dev device.Device, cfg Config) (*Result
 	}
 	m := device.LowerBound(h, dev)
 	res := &Result{M: m}
-	maxBlocks := cfg.MaxBlocks
-	if maxBlocks == 0 {
-		maxBlocks = 4*m + 32
-	}
-	nSeeds := cfg.Seeds
-	if nSeeds == 0 {
-		nSeeds = 2*m + 8
-	}
+	maxBlocks := device.BlockCap(m)
 
 	// Candidate generation over a scratch partition (everything in block
-	// 0, so seed.Grow sees the whole circuit as the remainder).
+	// 0, so seed.Grow sees the whole circuit as the remainder), from
+	// 2·M+8 start points spread across the circuit.
 	scratch := partition.New(h, dev)
-	seeds := spreadSeeds(h, nSeeds)
+	seeds := spreadSeeds(h, 2*m+8)
 	candidates := make([][]hypergraph.NodeID, 0, len(seeds))
 	for _, s := range seeds {
 		c := seed.Grow(scratch, 0, dev, []hypergraph.NodeID{s})

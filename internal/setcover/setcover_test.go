@@ -38,7 +38,7 @@ func ring(t testing.TB, c, n, pads int) *hypergraph.Hypergraph {
 func TestSetCoverFindsFeasible(t *testing.T) {
 	h := ring(t, 4, 10, 4)
 	dev := device.Device{Name: "d", DatasheetCells: 13, Pins: 30, Fill: 1.0}
-	r, err := Partition(h, dev, Config{})
+	r, err := Partition(h, dev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestSetCoverFindsFeasible(t *testing.T) {
 func TestSetCoverTrivial(t *testing.T) {
 	h := ring(t, 2, 4, 2)
 	dev := device.Device{Name: "big", DatasheetCells: 50, Pins: 50, Fill: 1.0}
-	r, err := Partition(h, dev, Config{})
+	r, err := Partition(h, dev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestSetCoverTrivial(t *testing.T) {
 func TestSetCoverOnBenchmark(t *testing.T) {
 	spec, _ := gen.ByName("s9234")
 	h := gen.Generate(spec, device.XC3000)
-	r, err := Partition(h, device.XC3042, Config{})
+	r, err := Partition(h, device.XC3042)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,17 +85,17 @@ func TestSetCoverOnBenchmark(t *testing.T) {
 
 func TestSetCoverErrors(t *testing.T) {
 	var b hypergraph.Builder
-	if _, err := Partition(b.MustBuild(), device.XC3020, Config{}); err == nil {
+	if _, err := Partition(b.MustBuild(), device.XC3020); err == nil {
 		t.Error("empty circuit accepted")
 	}
 	var b2 hypergraph.Builder
 	v := b2.AddInterior("huge", 999)
 	w := b2.AddInterior("w", 1)
 	b2.AddNet("n", v, w)
-	if _, err := Partition(b2.MustBuild(), device.XC3020, Config{}); err == nil {
+	if _, err := Partition(b2.MustBuild(), device.XC3020); err == nil {
 		t.Error("oversized node accepted")
 	}
-	if _, err := Partition(ring(t, 2, 3, 0), device.Device{Name: "bad"}, Config{}); err == nil {
+	if _, err := Partition(ring(t, 2, 3, 0), device.Device{Name: "bad"}); err == nil {
 		t.Error("bad device accepted")
 	}
 }
@@ -146,7 +146,7 @@ func TestQuickSetCoverValid(t *testing.T) {
 		}
 		h := b.MustBuild()
 		dev := device.Device{Name: "d", DatasheetCells: 6 + r.Intn(20), Pins: 8 + r.Intn(25), Fill: 1.0}
-		res, err := Partition(h, dev, Config{})
+		res, err := Partition(h, dev)
 		if err != nil {
 			return true
 		}
@@ -165,7 +165,7 @@ func BenchmarkSetCoverS9234(b *testing.B) {
 	h := gen.Generate(spec, device.XC3000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Partition(h, device.XC3020, Config{}); err != nil {
+		if _, err := Partition(h, device.XC3020); err != nil {
 			b.Fatal(err)
 		}
 	}

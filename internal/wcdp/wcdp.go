@@ -44,9 +44,6 @@ type Result struct {
 
 // Config tunes the baseline. The zero value is canonical.
 type Config struct {
-	// MaxSegmentNodes bounds DP segment length in nodes; zero derives it
-	// from the device size (S_MAX + pad slack).
-	MaxSegmentNodes int
 	// MaxAdjacencyOrder switches the linear arrangement from the default
 	// clustering order (DFS of a coarsening hierarchy, the "C" in WCDP)
 	// to a plain max-adjacency sweep — an ablation that demonstrates how
@@ -77,12 +74,10 @@ func Partition(h *hypergraph.Hypergraph, dev device.Device, cfg Config) (*Result
 	} else {
 		order = multilevel.ClusterOrder(h)
 	}
-	maxSeg := cfg.MaxSegmentNodes
-	if maxSeg == 0 {
-		// Unit-size interiors dominate; allow the segment to hold a full
-		// device of logic plus its share of pads.
-		maxSeg = dev.SMax() + dev.TMax() + 8
-	}
+	// The DP's segment length bound in nodes: unit-size interiors
+	// dominate, so a segment may hold a full device of logic plus its
+	// share of pads.
+	maxSeg := dev.SMax() + dev.TMax() + 8
 
 	parent, ok := segmentDP(h, dev, order, maxSeg)
 	res := &Result{M: device.LowerBound(h, dev), Order: order}

@@ -2,8 +2,9 @@
 # Scale smoke test: stream a 10^5-cell Rent's-rule synthetic netlist from
 # gencircuit -cells and partition it end-to-end with the mlfpart engine,
 # asserting a feasible result. This is the CI-sized version of the
-# BENCH_PR9.json scale grid; it pins that the V-cycle path stays tractable
-# and correct on every push. Exits non-zero on any failure.
+# BENCH_PR9.json scale grid and of perfbench's rent-100k workload; it pins
+# that the V-cycle path stays tractable and correct on every push. Exits
+# non-zero on any failure.
 #
 #   CELLS=10000 scripts/smoke_scale.sh   # quicker local run
 set -eu

@@ -2,7 +2,8 @@
 # The repository's verify gate (see ROADMAP.md):
 # build + vet + gofmt + full tests + a repeated racer-determinism test +
 # race run of the concurrency tests +
-# a short-mode pass over every benchmark so the harness cannot silently rot.
+# a short-mode pass over every benchmark so the harness cannot silently rot +
+# the scale, daemon and cluster smoke tests over the real binaries.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -22,4 +23,6 @@ go test -count=5 -run TestRegistryDispatchMatchesDirectCalls ./internal/driver
 go test -race ./internal/obs ./internal/core ./internal/sanchis ./internal/service ./internal/store ./internal/cluster ./internal/driver ./internal/engine ./internal/kwayx ./internal/flow ./internal/multilevel ./internal/mlfpart
 go test -short -run '^$' -bench . -benchtime 1x . ./internal/sanchis
 ./scripts/smoke_scale.sh
+./scripts/smoke_service.sh
+./scripts/smoke_cluster.sh
 echo "verify: all green"
