@@ -64,13 +64,9 @@ type Config struct {
 	// MaxPasses bounds each pass series. Zero selects 10.
 	MaxPasses int
 	// UseLevel2 enables 2-level Krishnamurthy gains for tie-breaking.
+	// Without it every level-2 gain reads as zero, so ties on the
+	// first-level gain fall straight to size balance.
 	UseLevel2 bool
-	// GainLevels selects deeper Krishnamurthy look-ahead for tie-breaking
-	// (3 or more levels, compared lexicographically). Zero or below 3
-	// defers to UseLevel2. Krishnamurthy [8] and the study [7] cited in
-	// §3.7 found diminishing returns past level 2 — the ablation bench
-	// confirms it here.
-	GainLevels int
 	// DisableWindows turns off all size gating (ablation switch).
 	DisableWindows bool
 	// CutObjective replaces the infeasibility-distance solution key with
@@ -194,8 +190,8 @@ type Engine struct {
 	// netLock[net*nb + bi] counts the locked pins of net in active block
 	// blocks[bi]. Maintained by applyMove (a cell locks in its destination
 	// block and never moves again within the pass) and zeroed by initPass,
-	// it makes the binding-number lock tests of gain2 and gainLevels O(1)
-	// per net instead of a scan over the net's pins.
+	// it makes the binding-number lock tests of gain2 O(1) per net instead
+	// of a scan over the net's pins.
 	netLock []int32
 
 	journal []moveRec
@@ -209,16 +205,14 @@ type Engine struct {
 	touched []int32
 	netBuf  []partition.NetDelta
 
-	// tie-breaking scratch: Krishnamurthy level vectors for the candidate
-	// and incumbent in selectBest, and the bounded top-gain-list scan
-	// buffer. Reused across passes to avoid per-comparison allocation.
-	lvCand, lvBest []int
-	topScratch     []int32
+	// topScratch is the bounded top-gain-list buffer of computeDirCand,
+	// reused across passes.
+	topScratch []int32
 
 	// dirCand caches, per direction, the local winner the direction would
 	// contribute to best-move selection; applyMove dirties the directions
 	// whose source or destination is a move endpoint and initPass resets
-	// all. See selectBestCached.
+	// all. See selectBest.
 	dirCand []dirCand
 
 	// level-2 gain memo: one entry per (cell, outgoing-direction slot),
@@ -386,43 +380,6 @@ func (e *Engine) gainPin(v hypergraph.NodeID, f, t partition.BlockID) int {
 	return g
 }
 
-// gainLevels computes Krishnamurthy gains λ_2..λ_L for moving v from F to
-// T, restricted to nets with no pins outside {F, T}. λ_i counts nets whose
-// F-side binding number is i minus nets whose T-side binding number is
-// i−1; locked pins poison a side (binding number ∞, read from the O(1)
-// netLock counters). The result is built in out (a reusable scratch
-// buffer) and aliases it.
-func (e *Engine) gainLevels(v hypergraph.NodeID, f, t partition.BlockID, maxLevel int, out []int) []int {
-	out = out[:0]
-	for lvl := 2; lvl <= maxLevel; lvl++ { // levels 2..maxLevel
-		out = append(out, 0)
-	}
-	nb := e.nb()
-	fi, ti := e.blkIdx[f], e.blkIdx[t]
-	for _, net := range e.h.NodeNets(v) {
-		if e.p.Span(net) > 2 {
-			continue // pins in a third block, cheap O(1) pre-filter
-		}
-		pf := e.p.PinCount(net, f)
-		pt := e.p.PinCount(net, t)
-		if pf+pt != e.h.NetDegree(net) {
-			continue
-		}
-		base := int(net) * nb
-		freeF := e.netLock[base+fi] == 0
-		freeT := e.netLock[base+ti] == 0
-		for lvl := 2; lvl <= maxLevel; lvl++ {
-			if freeF && pf == lvl {
-				out[lvl-2]++
-			}
-			if freeT && pt == lvl-1 {
-				out[lvl-2]--
-			}
-		}
-	}
-	return out
-}
-
 // cellGain returns the bucket (first-level) gain under the configured gain
 // model.
 func (e *Engine) cellGain(v hypergraph.NodeID, f, t partition.BlockID) int {
@@ -501,8 +458,9 @@ type dirWindow struct {
 
 // dirWindowFor freezes the §3.5 bounds for moves from F to T, reduced to
 // the largest admissible cell size. The integer limits winUpInt/winLowInt
-// (prepare) are exact equivalents of the float comparisons sizeAdmissible
-// has always used: float64(sizeT+sz) > upLim rejects iff sizeT+sz > ⌊upLim⌋,
+// (prepare) are exact equivalents of the float comparisons against
+// upLim = Upper·S_MAX and lowLim = lower·S_MAX:
+// float64(sizeT+sz) > upLim rejects iff sizeT+sz > ⌊upLim⌋,
 // and float64(sizeF−sz) < lowLim rejects iff sizeF−sz < ⌈lowLim⌉ — integer
 // block sizes are exactly representable, so the reduction cannot flip a
 // borderline decision.
@@ -552,24 +510,12 @@ func (w dirWindow) admits(sz int) bool { return sz <= w.szMax }
 // cell is rejected upstream as unsplittable).
 const packScale = 1 << 20
 
-// admitsCell applies the full move region to cell v: the scalar size
-// window first (the only test scalar devices ever run), then the packed
-// dominant-resource bound, falling back to the exact componentwise check
-// on a packed reject so the packing never changes an outcome.
-//
-// The selection loops inline this by hand as
-// win.admits(int(e.szOf[vi])) && (e.nres == 0 || e.admitsRes(win, vi))
-// — as one function the inlined resAdmits fallback pushes it past the
-// inlining budget, and the scalar hot path cannot afford a call per
-// scanned candidate. admitsCell stays as the one-line spelling for the
-// cold call sites and as documentation of the contract.
-func (e *Engine) admitsCell(win dirWindow, vi int32) bool {
-	return win.admits(int(e.szOf[vi])) && (e.nres == 0 || e.admitsRes(win, vi))
-}
-
-// admitsRes is the resource-vector half of admitsCell: the packed
+// admitsRes is the resource-vector half of the move region: the packed
 // dominant-resource accept, then the exact componentwise fallback. Only
-// meaningful (and only called) when e.nres > 0.
+// meaningful (and only called) when e.nres > 0. The selection loop spells
+// the full test as
+// win.admits(int(e.szOf[vi])) && (e.nres == 0 || e.admitsRes(win, vi))
+// so the scalar hot path never pays a call per scanned candidate.
 func (e *Engine) admitsRes(win dirWindow, vi int32) bool {
 	if e.resPack[vi] <= win.packHead {
 		return true
@@ -649,15 +595,6 @@ func (e *Engine) prepareRes() {
 		}
 		e.resPack[v] = int32(pack)
 	}
-}
-
-// sizeAdmissible applies the feasible move region of §3.5 to moving a cell
-// of the given size from F to T. Off the hot path (selectBest goes through
-// dirWindowFor directly), it re-derives the limits from the engine's
-// current fields rather than trusting the prepare-time cache.
-func (e *Engine) sizeAdmissible(sz int, f, t partition.BlockID) bool {
-	e.winUpInt, e.winLowInt = e.windowLimits()
-	return e.dirWindowFor(f, t).admits(sz)
 }
 
 // initPass fills the direction buckets with every unlocked cell of every
@@ -829,14 +766,12 @@ func (e *Engine) initPass() {
 
 // candidate is a tentative best move.
 type candidate struct {
-	v     hypergraph.NodeID
-	from  partition.BlockID
-	to    partition.BlockID
-	g1    int
-	g2    int
-	hasG2 bool
-	lv    []int // levels 2..GainLevels, computed lazily
-	bal   int   // S_FROM - S_TO at selection time
+	v    hypergraph.NodeID
+	from partition.BlockID
+	to   partition.BlockID
+	g1   int
+	g2   int
+	bal  int // S_FROM - S_TO at selection time
 }
 
 // dirCand is the cached local winner of one direction: the candidate the
@@ -855,142 +790,16 @@ type dirCand struct {
 	g1, g2, bal int32
 }
 
-// selectBest returns the best admissible move under the ordering (g1, g2,
-// S_FROM−S_TO), or deeper Krishnamurthy levels in place of g2 when
-// GainLevels ≥ 3. Returns ok=false when no admissible move exists. The
-// published (g1, g2, bal) order goes through the per-direction candidate
-// cache; every other order takes the full scan.
+// selectBest returns the best admissible move under the §3.7 ordering
+// (g1, g2, S_FROM−S_TO), or ok=false when no admissible move exists. It is
+// backed by the per-direction candidate cache: clean directions contribute
+// their cached local winner in a few loads, dirty directions are
+// re-evaluated once. Directions are visited in a fixed (source,
+// destination) order and a strict key improvement is required to take the
+// lead, so the selected move is the one a full scan of every direction
+// under the same comparator selects — the differential test drives a
+// test-side scan against it to prove it.
 func (e *Engine) selectBest(scratch []int32) (candidate, bool) {
-	if e.cfg.UseLevel2 && e.cfg.GainLevels < 3 {
-		return e.selectBestCached(scratch)
-	}
-	return e.selectBestScan(scratch)
-}
-
-// selectBestScan scans all directions for the best admissible move under
-// the configured comparator.
-func (e *Engine) selectBestScan(scratch []int32) (candidate, bool) {
-	var best candidate
-	found := false
-	better := func(c candidate) bool {
-		if !found {
-			return true
-		}
-		if c.g1 != best.g1 {
-			return c.g1 > best.g1
-		}
-		if e.cfg.GainLevels >= 3 {
-			// c is always a fresh candidate (lv nil on entry) and best.lv
-			// is only ever written here, so the two engine scratch buffers
-			// never alias: lvCand backs c.lv, lvBest backs best.lv.
-			if c.lv == nil {
-				e.lvCand = e.gainLevels(c.v, c.from, c.to, e.cfg.GainLevels, e.lvCand)
-				c.lv = e.lvCand
-			}
-			if best.lv == nil {
-				e.lvBest = e.gainLevels(best.v, best.from, best.to, e.cfg.GainLevels, e.lvBest)
-				best.lv = e.lvBest
-			}
-			for i := range c.lv {
-				if c.lv[i] != best.lv[i] {
-					return c.lv[i] > best.lv[i]
-				}
-			}
-		} else if e.cfg.UseLevel2 {
-			if !c.hasG2 {
-				c.g2 = e.gain2Of(c.v, c.from, c.to)
-				c.hasG2 = true
-			}
-			if !best.hasG2 {
-				best.g2 = e.gain2Of(best.v, best.from, best.to)
-				best.hasG2 = true
-			}
-			if c.g2 != best.g2 {
-				return c.g2 > best.g2
-			}
-		}
-		return c.bal > best.bal
-	}
-	for fi := range e.blocks {
-		for ti := range e.blocks {
-			if ti == fi {
-				continue
-			}
-			d := e.dirIndex(fi, ti)
-			bk := e.buckets[d]
-			topG, ok := bk.MaxGain()
-			if !ok {
-				continue
-			}
-			if found && topG < best.g1 {
-				continue // cannot beat the current best on g1
-			}
-			f, t := e.blocks[fi], e.blocks[ti]
-			bal := e.p.Size(f) - e.p.Size(t)
-			win := e.dirWindowFor(f, t)
-			if win.closed {
-				continue // retired: a resource window closed for every candidate
-			}
-			// Examine the top gain list first (bounded), then descend
-			// until one admissible cell is found.
-			scratch = scratch[:0]
-			scratch = bk.TopN(tieWidth, scratch)
-			examined := false
-			for _, vi := range scratch {
-				v := hypergraph.NodeID(vi)
-				e.st.MovesEvaluated++
-				if !win.admits(int(e.szOf[vi])) || (e.nres > 0 && !e.admitsRes(win, vi)) {
-					e.st.MovesGated++
-					continue
-				}
-				examined = true
-				c := candidate{v: v, from: f, to: t, g1: topG, bal: bal}
-				if better(c) {
-					if !c.hasG2 && e.cfg.UseLevel2 {
-						c.g2 = e.gain2Of(c.v, c.from, c.to)
-						c.hasG2 = true
-					}
-					best, found = c, true
-				}
-			}
-			if !examined {
-				// Whole top list inadmissible: descend in gain order for
-				// the first admissible cell (bounded scan).
-				limit := 64
-				bk.ScanFrom(func(vi int32, g int) bool {
-					limit--
-					if limit < 0 {
-						return false
-					}
-					if found && g < best.g1 {
-						return false
-					}
-					v := hypergraph.NodeID(vi)
-					e.st.MovesEvaluated++
-					if !win.admits(int(e.szOf[vi])) || (e.nres > 0 && !e.admitsRes(win, vi)) {
-						e.st.MovesGated++
-						return true
-					}
-					c := candidate{v: v, from: f, to: t, g1: g, bal: bal}
-					if better(c) {
-						best, found = c, true
-					}
-					return false // direction contributes its best admissible only
-				})
-			}
-		}
-	}
-	return best, found
-}
-
-// selectBestCached is selectBest for the published (g1, g2, bal) selection
-// order, backed by the per-direction candidate cache: clean directions
-// contribute their cached local winner in a few loads, dirty directions are
-// re-evaluated once. Directions are visited in the same fixed (source,
-// destination) order as the full scan and a strict key improvement is
-// required to take the lead, so the selected move is identical — the
-// differential test drives both paths over random instances to prove it.
-func (e *Engine) selectBestCached(scratch []int32) (candidate, bool) {
 	var bv, bg1, bg2, bbal int32
 	bfi, bti := 0, 0
 	found := false
@@ -1043,17 +852,18 @@ func (e *Engine) selectBestCached(scratch []int32) (candidate, bool) {
 		return candidate{}, false
 	}
 	return candidate{v: hypergraph.NodeID(bv), from: e.blocks[bfi], to: e.blocks[bti],
-		g1: int(bg1), g2: int(bg2), hasG2: true, bal: int(bbal)}, true
+		g1: int(bg1), g2: int(bg2), bal: int(bbal)}, true
 }
 
 // computeDirCand evaluates direction d (blocks[fi] → blocks[ti]) in
 // isolation and caches its local winner: the admissible top-list cell with
 // the highest level-2 gain (earliest on ties — g1 and balance are direction
-// constants), or, when the whole top list is gated, the first admissible
-// cell within a bounded descent of the gain list. The computation never
-// reads the incumbent best of the surrounding scan, so the entry is exactly
-// the contribution a full scan would extract from this direction, for any
-// incumbent, as long as the direction stays clean.
+// constants, and without UseLevel2 every g2 is zero, so the winner is the
+// first admissible cell), or, when the whole top list is gated, the first
+// admissible cell within a bounded descent of the gain list. The
+// computation never reads the incumbent best of the surrounding scan, so
+// the entry is exactly the contribution a full scan would extract from
+// this direction, for any incumbent, as long as the direction stays clean.
 func (e *Engine) computeDirCand(d, fi, ti int, scratch []int32) []int32 {
 	c := &e.dirCand[d]
 	*c = dirCand{valid: true}
@@ -1068,6 +878,7 @@ func (e *Engine) computeDirCand(d, fi, ti int, scratch []int32) []int32 {
 	if win.closed {
 		return scratch // retired: the direction contributes nothing
 	}
+	lv2 := e.cfg.UseLevel2
 	scratch = scratch[:0]
 	scratch = bk.TopN(tieWidth, scratch)
 	for _, vi := range scratch {
@@ -1076,7 +887,10 @@ func (e *Engine) computeDirCand(d, fi, ti int, scratch []int32) []int32 {
 			e.st.MovesGated++
 			continue
 		}
-		g2 := int32(e.gain2Of(hypergraph.NodeID(vi), f, t))
+		var g2 int32
+		if lv2 {
+			g2 = int32(e.gain2Of(hypergraph.NodeID(vi), f, t))
+		}
 		if !c.has || g2 > c.g2 {
 			c.has = true
 			c.v = vi
@@ -1089,9 +903,8 @@ func (e *Engine) computeDirCand(d, fi, ti int, scratch []int32) []int32 {
 		return scratch
 	}
 	// Whole top list inadmissible: descend in gain order for the first
-	// admissible cell (bounded scan, same 64-entry window the full scan
-	// uses — the bucket is unchanged while the direction is clean, so the
-	// window covers the same cells).
+	// admissible cell (bounded to 64 entries — the bucket is unchanged while
+	// the direction is clean, so the window covers the same cells).
 	limit := 64
 	bk.ScanFrom(func(vi int32, g int) bool {
 		limit--
@@ -1106,7 +919,9 @@ func (e *Engine) computeDirCand(d, fi, ti int, scratch []int32) []int32 {
 		c.has = true
 		c.v = vi
 		c.g1 = int32(g)
-		c.g2 = int32(e.gain2Of(hypergraph.NodeID(vi), f, t))
+		if lv2 {
+			c.g2 = int32(e.gain2Of(hypergraph.NodeID(vi), f, t))
+		}
 		c.bal = bal
 		return false // direction contributes its first admissible only
 	})

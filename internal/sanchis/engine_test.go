@@ -100,7 +100,7 @@ func TestGain1MatchesBruteForce(t *testing.T) {
 
 // bindDirs wires the direction-dependent engine state (active blocks, block
 // index, locked-pin counters) that prepare would normally build, for
-// white-box tests that call gain2/gainLevels without running a pass.
+// white-box tests that call gain2 without running a pass.
 func bindDirs(e *Engine, blocks ...partition.BlockID) {
 	e.blocks = blocks
 	e.blkIdx = make([]int, e.p.NumBlocks())
@@ -348,6 +348,15 @@ func TestMoveRegionFigure3TwoBlockStricter(t *testing.T) {
 	if !e.sizeAdmissible(100, 0, 1) {
 		t.Error("DisableWindows should admit everything")
 	}
+}
+
+// sizeAdmissible applies the feasible move region of §3.5 to moving a cell
+// of the given size from F to T. It re-derives the window limits from the
+// engine's current fields rather than trusting the prepare-time cache, so a
+// test can change the block set or allowOver between calls.
+func (e *Engine) sizeAdmissible(sz int, f, t partition.BlockID) bool {
+	e.winUpInt, e.winLowInt = e.windowLimits()
+	return e.dirWindowFor(f, t).admits(sz)
 }
 
 func TestImproveAllBlocksReducesCut(t *testing.T) {
