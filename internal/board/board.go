@@ -17,6 +17,7 @@ package board
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -371,6 +372,9 @@ func ParseSpec(spec string) (Board, error) {
 		rows, err2 := strconv.Atoi(rs)
 		if err1 != nil || err2 != nil || cols < 1 || rows < 1 {
 			return Board{}, fmt.Errorf("board: mesh size %q must be positive COLSxROWS", parts[1])
+		}
+		if rows > math.MaxInt/cols {
+			return Board{}, fmt.Errorf("board: mesh size %q in spec %q overflows the slot count", parts[1], spec)
 		}
 		b.Cols = cols
 		b.Slots = cols * rows

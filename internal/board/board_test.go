@@ -1,6 +1,8 @@
 package board
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"fpart/internal/core"
@@ -248,6 +250,30 @@ func TestParseSpec(t *testing.T) {
 		if _, err := ParseSpec(spec); err == nil {
 			t.Errorf("ParseSpec(%q) accepted", spec)
 		}
+	}
+}
+
+// TestParseSpecRejectsOverflowingMesh: COLS·ROWS past MaxInt must be an
+// error, not a wrapped product that parses as a tiny board.
+func TestParseSpecRejectsOverflowingMesh(t *testing.T) {
+	for _, spec := range []string{
+		"mesh:3x6148914691236517206",         // 3·R wraps to 2
+		"mesh:2x4611686018427387904",         // 2·R wraps to MinInt
+		"mesh:4294967296x4294967296:wires=8", // 2^64 wraps to 0
+		"mesh:9223372036854775807x2",         // cols at MaxInt
+	} {
+		b, err := ParseSpec(spec)
+		if err == nil {
+			t.Errorf("ParseSpec(%q) = %+v, want an overflow error", spec, b)
+			continue
+		}
+		if !strings.Contains(err.Error(), spec) {
+			t.Errorf("ParseSpec(%q) error %q does not name the spec", spec, err)
+		}
+	}
+	// The largest product that fits is still a board.
+	if b, err := ParseSpec("mesh:1x9223372036854775807"); err != nil || b.Slots != math.MaxInt {
+		t.Errorf("ParseSpec(mesh:1xMaxInt) = %+v, %v", b, err)
 	}
 }
 
