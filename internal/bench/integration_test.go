@@ -65,9 +65,9 @@ func TestBlifToPartitionPipeline(t *testing.T) {
 		if err := r.Partition.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		// Aux (flip-flops) must have propagated through the mapper.
-		if h.TotalAux() != 48 {
-			t.Errorf("%s: mapped circuit carries %d FFs, want 48", arch.Name, h.TotalAux())
+		// Flip-flops must have propagated through the mapper as the FF column.
+		if h.TotalResource("FF") != 48 {
+			t.Errorf("%s: mapped circuit carries %d FFs, want 48", arch.Name, h.TotalResource("FF"))
 		}
 	}
 }
@@ -86,7 +86,8 @@ func TestBlifFFCapConstrainsPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Size/pins generous; 8 FFs per device force >= 4 devices.
-	dev := device.Device{Name: "ffbound", Family: device.XC3000, DatasheetCells: 500, Pins: 200, Fill: 1.0, AuxCap: 8}
+	dev := device.Device{Name: "ffbound", Family: device.XC3000, DatasheetCells: 500, Pins: 200, Fill: 1.0,
+		Resources: []device.Resource{{Name: "FF", Cap: 8}}}
 	r, err := core.Partition(h, dev, core.Default())
 	if err != nil {
 		t.Fatal(err)
@@ -99,8 +100,8 @@ func TestBlifFFCapConstrainsPipeline(t *testing.T) {
 	}
 	for b := 0; b < r.Partition.NumBlocks(); b++ {
 		id := partition.BlockID(b)
-		if r.Partition.Nodes(id) > 0 && r.Partition.Aux(id) > 8 {
-			t.Errorf("block %d holds %d FFs > cap", b, r.Partition.Aux(id))
+		if r.Partition.Nodes(id) > 0 && r.Partition.Res(id, 0) > 8 {
+			t.Errorf("block %d holds %d FFs > cap", b, r.Partition.Res(id, 0))
 		}
 	}
 }

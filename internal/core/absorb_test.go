@@ -136,14 +136,15 @@ func TestRepairShedsAuxViolations(t *testing.T) {
 	var ids []hypergraph.NodeID
 	for i := 0; i < 6; i++ {
 		id := b.AddInterior("ff", 1)
-		b.SetAux(id, 1)
+		b.SetResource(id, "FF", 1)
 		ids = append(ids, id)
 	}
 	for i := 0; i+1 < 6; i++ {
 		b.AddNet("n", ids[i], ids[i+1])
 	}
 	h := b.MustBuild()
-	dev := device.Device{Name: "d", DatasheetCells: 50, Pins: 50, Fill: 1.0, AuxCap: 2}
+	dev := device.Device{Name: "d", DatasheetCells: 50, Pins: 50, Fill: 1.0,
+		Resources: []device.Resource{{Name: "FF", Cap: 2}}}
 	p := partition.New(h, dev)
 	blk := p.AddBlock()
 	for _, v := range ids[:5] {
@@ -152,7 +153,7 @@ func TestRepairShedsAuxViolations(t *testing.T) {
 	var st Stats
 	repairNonRemainder(p, 0, &st, nil)
 	if !p.Feasible(blk) {
-		t.Errorf("repair left block aux-infeasible: aux=%d", p.Aux(blk))
+		t.Errorf("repair left block FF-infeasible: FF=%d", p.Res(blk, 0))
 	}
 }
 

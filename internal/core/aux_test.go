@@ -1,7 +1,8 @@
 package core
 
 // End-to-end tests of the secondary-resource (flip-flop) constraint from
-// §2 of the paper, driven through the full FPART flow.
+// §2 of the paper, driven through the full FPART flow. Flip-flops are the
+// "FF" resource column, capped by the device's FF axis.
 
 import (
 	"errors"
@@ -12,6 +13,12 @@ import (
 	"fpart/internal/partition"
 )
 
+// ffCapped is a 100-cell, 100-pin XC3000-family part capping FF at ffCap.
+func ffCapped(name string, ffCap int) device.Device {
+	return device.Device{Name: name, Family: device.XC3000, DatasheetCells: 100, Pins: 100, Fill: 1.0,
+		Resources: []device.Resource{{Name: "FF", Cap: ffCap}}}
+}
+
 // ffChain builds n unit cells in a chain, each carrying one flip-flop.
 func ffChain(t *testing.T, n int) *hypergraph.Hypergraph {
 	t.Helper()
@@ -19,7 +26,7 @@ func ffChain(t *testing.T, n int) *hypergraph.Hypergraph {
 	prev := hypergraph.NodeID(-1)
 	for i := 0; i < n; i++ {
 		id := b.AddInterior("ff", 1)
-		b.SetAux(id, 1)
+		b.SetResource(id, "FF", 1)
 		if prev >= 0 {
 			b.AddNet("n", prev, id)
 		}
@@ -31,7 +38,7 @@ func ffChain(t *testing.T, n int) *hypergraph.Hypergraph {
 func TestAuxConstraintForcesMoreDevices(t *testing.T) {
 	h := ffChain(t, 24)
 	// Size and pins would allow one device; 8 FFs per device force >= 3.
-	dev := device.Device{Name: "ffcap", Family: device.XC3000, DatasheetCells: 100, Pins: 100, Fill: 1.0, AuxCap: 8}
+	dev := ffCapped("ffcap", 8)
 	r, err := Partition(h, dev, Default())
 	if err != nil {
 		t.Fatal(err)
@@ -40,16 +47,16 @@ func TestAuxConstraintForcesMoreDevices(t *testing.T) {
 		t.Fatalf("infeasible: K=%d M=%d", r.K, r.M)
 	}
 	if r.M != 3 {
-		t.Fatalf("M = %d, want 3 (aux-dominated)", r.M)
+		t.Fatalf("M = %d, want 3 (FF-dominated)", r.M)
 	}
 	if r.K < 3 {
-		t.Errorf("K = %d below the aux bound", r.K)
+		t.Errorf("K = %d below the FF bound", r.K)
 	}
 	p := r.Partition
 	for b := 0; b < p.NumBlocks(); b++ {
 		id := partition.BlockID(b)
-		if p.Nodes(id) > 0 && p.Aux(id) > dev.AuxCap {
-			t.Errorf("block %d exceeds aux cap: %d > %d", b, p.Aux(id), dev.AuxCap)
+		if p.Nodes(id) > 0 && p.Res(id, 0) > 8 {
+			t.Errorf("block %d exceeds FF cap: %d > 8", b, p.Res(id, 0))
 		}
 	}
 }
@@ -57,14 +64,13 @@ func TestAuxConstraintForcesMoreDevices(t *testing.T) {
 func TestAuxUnsplittableNode(t *testing.T) {
 	var b hypergraph.Builder
 	v := b.AddInterior("megaff", 1)
-	b.SetAux(v, 10)
+	b.SetResource(v, "FF", 10)
 	w := b.AddInterior("w", 1)
 	b.AddNet("n", v, w)
 	h := b.MustBuild()
-	dev := device.Device{Name: "d", Family: device.XC3000, DatasheetCells: 100, Pins: 100, Fill: 1.0, AuxCap: 4}
-	_, err := Partition(h, dev, Default())
+	_, err := Partition(h, ffCapped("d", 4), Default())
 	if !errors.Is(err, ErrUnsplittable) {
-		t.Errorf("err = %v, want ErrUnsplittable for aux-oversized node", err)
+		t.Errorf("err = %v, want ErrUnsplittable for FF-oversized node", err)
 	}
 }
 
@@ -76,6 +82,6 @@ func TestAuxUncappedDeviceIgnoresAux(t *testing.T) {
 		t.Fatal(err)
 	}
 	if r.K != 1 {
-		t.Errorf("K = %d, want 1 when aux is unconstrained", r.K)
+		t.Errorf("K = %d, want 1 when FF is unconstrained", r.K)
 	}
 }

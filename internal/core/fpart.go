@@ -163,10 +163,6 @@ func Run(ctx context.Context, h *hypergraph.Hypergraph, dev device.Device, cfg C
 			return nil, fmt.Errorf("%w: node %q has size %d > S_MAX %d",
 				ErrUnsplittable, h.Node(id).Name, h.SizeOf(id), smax)
 		}
-		if dev.AuxCap > 0 && h.AuxOf(id) > dev.AuxCap {
-			return nil, fmt.Errorf("%w: node %q needs %d secondary resources > cap %d",
-				ErrUnsplittable, h.Node(id).Name, h.AuxOf(id), dev.AuxCap)
-		}
 		for ri, r := range dev.Resources {
 			if resCols[ri] != nil && int(resCols[ri][id]) > r.Cap {
 				return nil, fmt.Errorf("%w: node %q needs %d %s > cap %d",
@@ -677,7 +673,6 @@ func worstCell(p *partition.Partition, b partition.BlockID) hypergraph.NodeID {
 	h := p.Hypergraph()
 	dev := p.Device()
 	sizeViolated := p.Size(b) > dev.SMax()
-	auxViolated := dev.AuxCap > 0 && p.Aux(b) > dev.AuxCap
 	// For R>1 devices, prefer shedding cells that demand an overflowing
 	// resource axis — moving DSP-free cells out of a DSP-overfull block
 	// can never repair it.
@@ -702,9 +697,6 @@ func worstCell(p *partition.Partition, b partition.BlockID) hypergraph.NodeID {
 		score := -internal
 		if sizeViolated {
 			score += h.Node(v).Size * 8
-		}
-		if auxViolated {
-			score += h.Node(v).Aux * 8
 		}
 		for r := range resViolated {
 			if resViolated[r] {

@@ -61,10 +61,8 @@ type Device struct {
 	Pins int
 	// Fill is δ, the desired filling ratio applied to DatasheetCells.
 	Fill float64
-	// AuxCap bounds the device's secondary resource (flip-flops on the
-	// Xilinx parts; §2 notes such constraints are handled like the size
-	// constraint). Zero means unconstrained — the paper's experiments
-	// never hit these limits.
+	// Deprecated: ignored. Flip-flops are the "FF" entry of Resources;
+	// the field stays only for the benchmark harness's checker.
 	AuxCap int
 	// Resources lists the extra capacity axes beyond the primary size axis.
 	// Empty for scalar parts: every scalar device is the R=1 special case
@@ -126,19 +124,10 @@ func (d Device) Validate() error {
 }
 
 // Fits reports whether a block with the given size and terminal count meets
-// the device constraints (the relation P ⊨ D of §2), ignoring the secondary
-// resource.
+// the device constraints (the relation P ⊨ D of §2), ignoring the extra
+// resource axes (see FitsRes).
 func (d Device) Fits(size, terminals int) bool {
 	return size <= d.SMax() && terminals <= d.TMax()
-}
-
-// FitsFull additionally checks the secondary-resource demand against
-// AuxCap (unconstrained when AuxCap is zero).
-func (d Device) FitsFull(size, terminals, aux int) bool {
-	if !d.Fits(size, terminals) {
-		return false
-	}
-	return d.AuxCap == 0 || aux <= d.AuxCap
 }
 
 // FitsRes checks a vector of extra-resource demands against Resources,
@@ -333,11 +322,6 @@ func LowerBound(h *hypergraph.Hypergraph, d Device) int {
 	m := int(ceil(float64(h.TotalSize()) / cap))
 	if io := ceilDiv(h.NumPads(), d.TMax()); io > m {
 		m = io
-	}
-	if d.AuxCap > 0 {
-		if aux := ceilDiv(h.TotalAux(), d.AuxCap); aux > m {
-			m = aux
-		}
 	}
 	// Each extra resource axis bounds M the same way the size axis does:
 	// a circuit demanding 40 DSPs on a 12-DSP part needs ≥ ⌈40/12⌉ devices.

@@ -109,8 +109,8 @@ func Partition(h *hypergraph.Hypergraph, menu []Priced, cfg core.Config) (*Resul
 }
 
 // Rightsize assigns each non-empty block of p the cheapest device of the
-// menu that fits it. A candidate fits when the block's size, terminal, and
-// aux totals meet the scalar datasheet constraints AND every resource axis
+// menu that fits it. A candidate fits when the block's size and terminal
+// totals meet the scalar datasheet constraints AND every resource axis
 // the candidate declares a cap for (vector-priced menus: a block that fits
 // device A's LUT budget but exceeds its DSP cap must not rightsize into
 // A). Resources a candidate does not declare are unconstrained on it,
@@ -158,7 +158,7 @@ func Rightsize(p *partition.Partition, anchor Priced, byPrice []Priced) *Result 
 		res.K++
 		assigned := false
 		for _, d := range byPrice {
-			if d.FitsFull(p.Size(id), p.Terminals(id), p.Aux(id)) && resFits(d, id) {
+			if d.Fits(p.Size(id), p.Terminals(id)) && resFits(d, id) {
 				res.Blocks = append(res.Blocks, BlockAssignment{
 					Block: id, Device: d, Size: p.Size(id), Terminals: p.Terminals(id),
 				})

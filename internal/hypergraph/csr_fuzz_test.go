@@ -15,7 +15,7 @@ import (
 // construction plus the shadow input lists it was built from. Duplicate
 // pins are pre-collapsed the same way AddNet collapses them, so the shadow
 // pin lists are exactly what Build receives.
-func decodeCircuit(data []byte) (b *Builder, kinds []NodeKind, sizes, auxs []int, netPins [][]NodeID) {
+func decodeCircuit(data []byte) (b *Builder, kinds []NodeKind, sizes, ffs []int, netPins [][]NodeID) {
 	if len(data) < 2 {
 		return nil, nil, nil, nil, nil
 	}
@@ -30,16 +30,16 @@ func decodeCircuit(data []byte) (b *Builder, kinds []NodeKind, sizes, auxs []int
 		if spec&1 == 0 {
 			sz := int(spec>>1)%7 + 1
 			id := b.AddInterior("v", sz)
-			aux := int(spec >> 4 & 3)
-			b.SetAux(id, aux)
+			ff := int(spec >> 4 & 3)
+			b.SetResource(id, "FF", ff)
 			kinds = append(kinds, Interior)
 			sizes = append(sizes, sz)
-			auxs = append(auxs, aux)
+			ffs = append(ffs, ff)
 		} else {
 			b.AddPad("p")
 			kinds = append(kinds, Pad)
 			sizes = append(sizes, 0)
-			auxs = append(auxs, 0)
+			ffs = append(ffs, 0)
 		}
 	}
 	if n < len(data) {
@@ -70,7 +70,7 @@ func decodeCircuit(data []byte) (b *Builder, kinds []NodeKind, sizes, auxs []int
 		b.AddNet("e", pins...)
 		netPins = append(netPins, pins)
 	}
-	return b, kinds, sizes, auxs, netPins
+	return b, kinds, sizes, ffs, netPins
 }
 
 func FuzzBuilderCSRRoundTrip(f *testing.F) {
@@ -79,7 +79,7 @@ func FuzzBuilderCSRRoundTrip(f *testing.F) {
 	f.Add([]byte{48, 255, 254})
 	f.Add([]byte{1, 0, 5, 0, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		b, kinds, sizes, auxs, netPins := decodeCircuit(data)
+		b, kinds, sizes, ffs, netPins := decodeCircuit(data)
 		if b == nil {
 			return
 		}
@@ -101,15 +101,24 @@ func FuzzBuilderCSRRoundTrip(f *testing.F) {
 			t.Fatalf("dims: got %d nodes %d nets, want %d, %d", h.NumNodes(), h.NumNets(), n, len(netPins))
 		}
 
-		totalPins, maxDeg, totalSize, totalAux, pads := 0, 0, 0, 0, 0
+		// The FF column exists iff some node demands a flip-flop; absent
+		// reads as zero everywhere.
+		ffCol := h.ResourceColumn("FF")
+		ffOf := func(v int) int {
+			if ffCol == nil {
+				return 0
+			}
+			return int(ffCol[v])
+		}
+		totalPins, maxDeg, totalSize, totalFF, pads := 0, 0, 0, 0, 0
 		for v := 0; v < n; v++ {
 			id := NodeID(v)
-			if h.KindOf(id) != kinds[v] || h.SizeOf(id) != sizes[v] || h.AuxOf(id) != auxs[v] {
-				t.Fatalf("node %d attrs: kind=%v size=%d aux=%d, want %v/%d/%d",
-					v, h.KindOf(id), h.SizeOf(id), h.AuxOf(id), kinds[v], sizes[v], auxs[v])
+			if h.KindOf(id) != kinds[v] || h.SizeOf(id) != sizes[v] || ffOf(v) != ffs[v] {
+				t.Fatalf("node %d attrs: kind=%v size=%d FF=%d, want %v/%d/%d",
+					v, h.KindOf(id), h.SizeOf(id), ffOf(v), kinds[v], sizes[v], ffs[v])
 			}
 			nd := h.Node(id)
-			if nd.Kind != kinds[v] || nd.Size != sizes[v] || nd.Aux != auxs[v] {
+			if nd.Kind != kinds[v] || nd.Size != sizes[v] {
 				t.Fatalf("node %d struct attrs diverge from packed arrays", v)
 			}
 			got := h.NodeNets(id)
@@ -131,7 +140,7 @@ func FuzzBuilderCSRRoundTrip(f *testing.F) {
 			} else {
 				pads++
 			}
-			totalAux += auxs[v]
+			totalFF += ffs[v]
 		}
 		for ei, pins := range netPins {
 			id := NetID(ei)
@@ -152,9 +161,12 @@ func FuzzBuilderCSRRoundTrip(f *testing.F) {
 		if h.MaxDegree() != maxDeg {
 			t.Fatalf("MaxDegree %d, shadow %d", h.MaxDegree(), maxDeg)
 		}
-		if h.TotalSize() != totalSize || h.TotalAux() != totalAux || h.NumPads() != pads {
-			t.Fatalf("aggregates: size %d aux %d pads %d, shadow %d/%d/%d",
-				h.TotalSize(), h.TotalAux(), h.NumPads(), totalSize, totalAux, pads)
+		if (ffCol == nil) != (totalFF == 0) {
+			t.Fatalf("FF column present=%v, shadow total %d", ffCol != nil, totalFF)
+		}
+		if h.TotalSize() != totalSize || h.TotalResource("FF") != totalFF || h.NumPads() != pads {
+			t.Fatalf("aggregates: size %d FF %d pads %d, shadow %d/%d/%d",
+				h.TotalSize(), h.TotalResource("FF"), h.NumPads(), totalSize, totalFF, pads)
 		}
 	})
 }

@@ -50,11 +50,6 @@ type Node struct {
 	// Size is the number of technology cells (CLBs) the node occupies.
 	// It is zero for pads and at least one for interior nodes.
 	Size int
-	// Aux is the node's demand on the device's secondary resource —
-	// flip-flops on Xilinx parts, tristate lines, etc. (§2 of the paper:
-	// "handled in a similar way as the size constraint"). Zero for nodes
-	// without such demand.
-	Aux int
 }
 
 // Net is a hyperedge connecting two or more nodes.
@@ -83,25 +78,25 @@ type Hypergraph struct {
 	netOfNode []NetID
 	nodeOff   []int32 // len nodes+1; node v's nets are netOfNode[nodeOff[v]:nodeOff[v+1]]
 
-	// Packed per-node attribute arrays: the hot paths read sizes, kinds,
-	// and aux demands through these instead of pulling whole Node structs
-	// (whose Name headers would waste cache lines) into the working set.
+	// Packed per-node attribute arrays: the hot paths read sizes and kinds
+	// through these instead of pulling whole Node structs (whose Name
+	// headers would waste cache lines) into the working set.
 	nodeSize []int32
-	nodeAux  []int32
 	nodeKind []NodeKind
 
-	// Named resource-demand columns (LUT/FF/DSP/...): resCols[i] is a
-	// packed per-node demand array for the resource named resNames[i],
-	// laid out like nodeSize. Columns exist only when the netlist declares
-	// demands; circuits without them (every paper benchmark) carry none,
-	// so the scalar R=1 paths never touch this memory. Names are sorted,
-	// so column order is deterministic regardless of insertion order.
+	// Named resource-demand columns (LUT/FF/DSP/...; §2's secondary
+	// constraints, "handled in a similar way as the size constraint"):
+	// resCols[i] is a packed per-node demand array for the resource named
+	// resNames[i], laid out like nodeSize. Columns exist only when the
+	// netlist declares demands; circuits without them (every paper
+	// benchmark) carry none, so the scalar R=1 paths never touch this
+	// memory. Names are sorted, so column order is deterministic
+	// regardless of insertion order.
 	resNames  []string
 	resCols   [][]int32
 	resTotals []int
 
 	totalSize int
-	totalAux  int
 	numPads   int
 	maxDegree int
 }
@@ -120,9 +115,6 @@ func (h *Hypergraph) NumInterior() int { return len(h.nodes) - h.numPads }
 
 // TotalSize returns S0 = sum of interior node sizes.
 func (h *Hypergraph) TotalSize() int { return h.totalSize }
-
-// TotalAux returns the sum of secondary-resource demands over all nodes.
-func (h *Hypergraph) TotalAux() int { return h.totalAux }
 
 // MaxDegree returns the largest number of nets incident to any node.
 func (h *Hypergraph) MaxDegree() int { return h.maxDegree }
@@ -159,9 +151,11 @@ func (h *Hypergraph) NumPins() int { return len(h.pinOfNet) }
 // the hot-path equivalent of Node(v).Size.
 func (h *Hypergraph) SizeOf(v NodeID) int { return int(h.nodeSize[v]) }
 
-// AuxOf returns the secondary-resource demand of node v from the packed
-// attribute array. It is the hot-path equivalent of Node(v).Aux.
-func (h *Hypergraph) AuxOf(v NodeID) int { return int(h.nodeAux[v]) }
+// AuxOf returns 0.
+//
+// Deprecated: the scalar aux axis is gone; flip-flops are the "FF"
+// resource column. Kept only for the benchmark harness's checker.
+func (h *Hypergraph) AuxOf(v NodeID) int { return 0 }
 
 // KindOf returns the kind of node v from the packed attribute array. It is
 // the hot-path equivalent of Node(v).Kind.
@@ -272,17 +266,8 @@ func (b *Builder) AddPad(name string) NodeID {
 	return b.AddNode(name, Pad, 0)
 }
 
-// SetAux records a secondary-resource demand (e.g., flip-flops) on a node
-// previously added to the builder. Negative demands are clamped to zero.
-func (b *Builder) SetAux(id NodeID, aux int) {
-	if aux < 0 {
-		aux = 0
-	}
-	b.nodes[id].Aux = aux
-}
-
-// SetResource records node id's demand for a named resource axis (DSP,
-// BRAM, ...). Non-positive demands are dropped — absent means zero. The
+// SetResource records node id's demand for a named resource axis (FF,
+// DSP, BRAM, ...). Non-positive demands are dropped — absent means zero. The
 // column comes into existence with its first positive demand.
 func (b *Builder) SetResource(id NodeID, name string, demand int) {
 	if demand <= 0 || name == "" {
@@ -389,19 +374,16 @@ func (b *Builder) Build() (*Hypergraph, error) {
 
 	// Packed attribute arrays + aggregate stats.
 	h.nodeSize = make([]int32, n)
-	h.nodeAux = make([]int32, n)
 	h.nodeKind = make([]NodeKind, n)
 	for i := range h.nodes {
 		nd := &h.nodes[i]
 		h.nodeSize[i] = int32(nd.Size)
-		h.nodeAux[i] = int32(nd.Aux)
 		h.nodeKind[i] = nd.Kind
 		if nd.Kind == Interior {
 			h.totalSize += nd.Size
 		} else {
 			h.numPads++
 		}
-		h.totalAux += nd.Aux
 		if d := h.Degree(NodeID(i)); d > h.maxDegree {
 			h.maxDegree = d
 		}
@@ -563,7 +545,6 @@ func (h *Hypergraph) Induced(nodes []NodeID) (*Hypergraph, []NodeID) {
 	for _, v := range nodes {
 		n := &h.nodes[v]
 		id := b.AddNode(n.Name, n.Kind, n.Size)
-		b.SetAux(id, n.Aux)
 		for ri, name := range h.resNames {
 			if d := h.resCols[ri][v]; d > 0 {
 				b.SetResource(id, name, int(d))

@@ -192,7 +192,7 @@ func coarsenCtx(ctx context.Context, h *hypergraph.Hypergraph, maxClusterSize in
 	// Build the coarse hypergraph. Coarse nodes are anonymous: names carry
 	// no algorithmic weight and a million-node level would otherwise spend
 	// most of its build time populating the builder's name index.
-	// Every demand column is summed like size and aux, so a coarse node
+	// Every demand column is summed like size, so a coarse node
 	// demands exactly what its members do on every resource axis.
 	var b hypergraph.Builder
 	resNames := h.ResourceNames()
@@ -206,12 +206,11 @@ func coarsenCtx(ctx context.Context, h *hypergraph.Hypergraph, maxClusterSize in
 			continue
 		}
 		m := match[v]
-		size, aux := h.SizeOf(v), h.AuxOf(v)
+		size := h.SizeOf(v)
 		if m != -1 {
-			size, aux = size+h.SizeOf(m), aux+h.AuxOf(m)
+			size += h.SizeOf(m)
 		}
 		id := b.AddNode("", h.KindOf(v), size)
-		b.SetAux(id, aux)
 		for _, name := range resNames {
 			col := h.ResourceColumn(name)
 			d := col[v]

@@ -21,7 +21,7 @@ import (
 )
 
 // checkHierarchy verifies the structural invariants between every pair of
-// adjacent levels: size/aux/resource-column conservation per cluster, pad kinds
+// adjacent levels: size/resource-column conservation per cluster, pad kinds
 // preserved, every fine node mapped, and no surviving net losing a pin's
 // cluster.
 func checkHierarchy(t *testing.T, hr *Hierarchy) {
@@ -33,7 +33,6 @@ func checkHierarchy(t *testing.T, hr *Hierarchy) {
 			t.Fatalf("level %d: map covers %d of %d fine nodes", li, len(f2c), fh.NumNodes())
 		}
 		size := make([]int, ch.NumNodes())
-		aux := make([]int, ch.NumNodes())
 		for v := range f2c {
 			c := f2c[v]
 			if c < 0 || int(c) >= ch.NumNodes() {
@@ -41,16 +40,15 @@ func checkHierarchy(t *testing.T, hr *Hierarchy) {
 			}
 			id := hypergraph.NodeID(v)
 			size[c] += fh.SizeOf(id)
-			aux[c] += fh.AuxOf(id)
 			if fh.KindOf(id) == hypergraph.Pad && ch.KindOf(c) != hypergraph.Pad {
 				t.Fatalf("level %d: pad %d merged into interior cluster %d", li, v, c)
 			}
 		}
 		for c := 0; c < ch.NumNodes(); c++ {
 			id := hypergraph.NodeID(c)
-			if size[c] != ch.SizeOf(id) || aux[c] != ch.AuxOf(id) {
-				t.Fatalf("level %d: cluster %d has size/aux %d/%d, members sum to %d/%d",
-					li, c, ch.SizeOf(id), ch.AuxOf(id), size[c], aux[c])
+			if size[c] != ch.SizeOf(id) {
+				t.Fatalf("level %d: cluster %d has size %d, members sum to %d",
+					li, c, ch.SizeOf(id), size[c])
 			}
 		}
 		for _, name := range fh.ResourceNames() {

@@ -397,19 +397,18 @@ func PartitionCtx(ctx context.Context, h *hypergraph.Hypergraph, dev device.Devi
 // meets every device constraint: it regrows from the candidate's highest
 // connectivity core using the pin-aware greedy growth.
 func trimToFeasible(p *partition.Partition, rem partition.BlockID, dev device.Device, set []hypergraph.NodeID) []hypergraph.NodeID {
-	// Check the set as-is first: size, aux, and every resource axis summed
+	// Check the set as-is first: size and every resource axis summed
 	// over the whole set.
 	h := p.Hypergraph()
-	size, aux := 0, 0
+	size := 0
 	res := make([]int, p.NumRes())
 	for _, v := range set {
 		size += h.SizeOf(v)
-		aux += h.AuxOf(v)
 		for r := range res {
 			res[r] += p.ResDemandOf(v, r)
 		}
 	}
-	if size <= dev.SMax() && (dev.AuxCap == 0 || aux <= dev.AuxCap) && dev.FitsRes(res) {
+	if size <= dev.SMax() && dev.FitsRes(res) {
 		if term := probeTerminals(p, rem, set); term <= dev.TMax() {
 			return seed.Grow(p, rem, dev, set)
 		}

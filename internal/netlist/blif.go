@@ -195,7 +195,7 @@ func (c *BlifCircuit) Hypergraph() (*hypergraph.Hypergraph, error) {
 	}
 	for _, l := range c.Latches {
 		id := b.AddInterior("ff:"+l.Output, 1)
-		b.SetAux(id, 1) // one flip-flop of the device's secondary resource
+		b.SetResource(id, "FF", 1) // one flip-flop, capped by the device's FF axis
 		add(l.Output, id)
 		add(l.Input, id)
 	}

@@ -31,7 +31,7 @@ func ExampleReadBLIF() {
 	}
 	fmt.Printf("model=%s gates=%d latches=%d\n", c.Name, len(c.Gates), len(c.Latches))
 	fmt.Printf("hypergraph: %d interior, %d pads, %d flip-flops\n",
-		h.NumInterior(), h.NumPads(), h.TotalAux())
+		h.NumInterior(), h.NumPads(), h.TotalResource("FF"))
 	// Output:
 	// model=toggle gates=1 latches=1
 	// hypergraph: 2 interior, 3 pads, 1 flip-flops

@@ -23,8 +23,8 @@ func moveBuilt(h *hypergraph.Hypergraph, dev device.Device, blocks []BlockID, k 
 	return p
 }
 
-// loadGraph draws a random netlist of n nodes with pads, aux demands, FF
-// and DSP resource columns, and nets of 1–6 pins.
+// loadGraph draws a random netlist of n nodes with pads, FF and DSP
+// resource columns, and nets of 1–6 pins.
 func loadGraph(r *rand.Rand, n int) *hypergraph.Hypergraph {
 	var b hypergraph.Builder
 	for i := 0; i < n; i++ {
@@ -33,9 +33,6 @@ func loadGraph(r *rand.Rand, n int) *hypergraph.Hypergraph {
 			continue
 		}
 		id := b.AddInterior("v", 1+r.Intn(3))
-		if r.Intn(2) == 0 {
-			b.SetAux(id, 1+r.Intn(2))
-		}
 		if r.Intn(2) == 0 {
 			b.SetResource(id, "FF", 1+r.Intn(3))
 		}
@@ -107,11 +104,11 @@ func samePartition(a, b *Partition) error {
 	}
 	for blk := 0; blk < k; blk++ {
 		id := BlockID(blk)
-		if a.Size(id) != b.Size(id) || a.Aux(id) != b.Aux(id) || a.Terminals(id) != b.Terminals(id) ||
+		if a.Size(id) != b.Size(id) || a.Terminals(id) != b.Terminals(id) ||
 			a.Pads(id) != b.Pads(id) || a.Nodes(id) != b.Nodes(id) || a.Feasible(id) != b.Feasible(id) {
-			return fmt.Errorf("block %d: S/aux/T/pads/nodes/feasible %d/%d/%d/%d/%d/%v vs %d/%d/%d/%d/%d/%v", blk,
-				a.Size(id), a.Aux(id), a.Terminals(id), a.Pads(id), a.Nodes(id), a.Feasible(id),
-				b.Size(id), b.Aux(id), b.Terminals(id), b.Pads(id), b.Nodes(id), b.Feasible(id))
+			return fmt.Errorf("block %d: S/T/pads/nodes/feasible %d/%d/%d/%d/%v vs %d/%d/%d/%d/%v", blk,
+				a.Size(id), a.Terminals(id), a.Pads(id), a.Nodes(id), a.Feasible(id),
+				b.Size(id), b.Terminals(id), b.Pads(id), b.Nodes(id), b.Feasible(id))
 		}
 		for r := 0; r < a.NumRes(); r++ {
 			if a.Res(id, r) != b.Res(id, r) {
@@ -123,7 +120,7 @@ func samePartition(a, b *Partition) error {
 }
 
 // TestLoadMatchesMoveBuilt is the differential guard for Load: on random
-// netlists with pads, across scalar, aux-capped and R>1 devices (binding
+// netlists with pads, across scalar, FF-capped and R>1 devices (binding
 // and non-binding caps) and block counts that straddle bitset word
 // boundaries, one reused arena loaded from larger graphs and k down to
 // smaller ones must equal the Move-built partition in every observable,
@@ -133,7 +130,7 @@ func TestLoadMatchesMoveBuilt(t *testing.T) {
 	devs := []device.Device{
 		{Name: "tight", DatasheetCells: 6, Pins: 8, Fill: 1.0},
 		{Name: "loose", DatasheetCells: 1000, Pins: 1000, Fill: 1.0},
-		{Name: "aux", DatasheetCells: 1000, Pins: 1000, Fill: 1.0, AuxCap: 3},
+		{Name: "ff", DatasheetCells: 1000, Pins: 1000, Fill: 1.0, Resources: []device.Resource{{Name: "FF", Cap: 3}}},
 		{Name: "vector", DatasheetCells: 1000, Pins: 1000, Fill: 1.0, Resources: []device.Resource{
 			{Name: "FF", Cap: 4}, {Name: "DSP", Cap: 1000}, {Name: "BRAM", Cap: 2}}},
 	}

@@ -39,7 +39,6 @@ type Partition struct {
 	k      int
 
 	blockSize   []int // Σ sizes of interior nodes per block
-	blockAux    []int // Σ secondary-resource demands per block
 	blockCutInc []int // nets cut and incident, per block
 	blockPads   []int // pad nodes per block (T_i^E)
 	blockNodes  []int // node count per block (interior + pads)
@@ -75,7 +74,7 @@ type Partition struct {
 	// Device capacities cached at construction (the device is immutable for
 	// the partition's lifetime): SMax() redoes float arithmetic on every
 	// call, too slow for the per-move aggregate update.
-	smax, tmax, auxCap int
+	smax, tmax int
 
 	// Resource-vector state, active only when the device declares extra
 	// resource axes (nres > 0). Scalar devices keep nres == 0 and every
@@ -144,13 +143,12 @@ func (p *Partition) Load(h *hypergraph.Hypergraph, dev device.Device, blocks []B
 	}
 	p.h, p.dev = h, dev
 	p.k = k
-	p.smax, p.tmax, p.auxCap = dev.SMax(), dev.TMax(), dev.AuxCap
+	p.smax, p.tmax = dev.SMax(), dev.TMax()
 	p.assign = append(p.assign[:0], blocks...)
 	p.bindResources(h, dev)
 
 	// Per-block totals: one pass over the nodes.
 	p.blockSize = growZeroed(p.blockSize, k)
-	p.blockAux = growZeroed(p.blockAux, k)
 	p.blockCutInc = growZeroed(p.blockCutInc, k)
 	p.blockPads = growZeroed(p.blockPads, k)
 	p.blockNodes = growZeroed(p.blockNodes, k)
@@ -158,7 +156,6 @@ func (p *Partition) Load(h *hypergraph.Hypergraph, dev device.Device, blocks []B
 	for v, b := range blocks {
 		id := hypergraph.NodeID(v)
 		p.blockSize[b] += h.SizeOf(id)
-		p.blockAux[b] += h.AuxOf(id)
 		p.blockNodes[b]++
 		if h.KindOf(id) == hypergraph.Pad {
 			p.blockPads[b]++
@@ -233,7 +230,7 @@ func New(h *hypergraph.Hypergraph, dev device.Device) *Partition {
 func (p *Partition) Reset(h *hypergraph.Hypergraph, dev device.Device) {
 	p.h, p.dev = h, dev
 	p.k = 1
-	p.smax, p.tmax, p.auxCap = dev.SMax(), dev.TMax(), dev.AuxCap
+	p.smax, p.tmax = dev.SMax(), dev.TMax()
 	n := h.NumNodes()
 	if cap(p.assign) < n {
 		p.assign = make([]BlockID, n)
@@ -244,7 +241,6 @@ func (p *Partition) Reset(h *hypergraph.Hypergraph, dev device.Device) {
 		}
 	}
 	p.blockSize = append(p.blockSize[:0], h.TotalSize())
-	p.blockAux = append(p.blockAux[:0], h.TotalAux())
 	p.blockCutInc = append(p.blockCutInc[:0], 0)
 	p.blockPads = append(p.blockPads[:0], h.NumPads())
 	p.blockNodes = append(p.blockNodes[:0], n)
@@ -315,7 +311,6 @@ func (p *Partition) AddBlock() BlockID {
 		p.restride()
 	}
 	p.blockSize = append(p.blockSize, 0)
-	p.blockAux = append(p.blockAux, 0)
 	p.blockCutInc = append(p.blockCutInc, 0)
 	p.blockPads = append(p.blockPads, 0)
 	p.blockNodes = append(p.blockNodes, 0)
@@ -346,9 +341,6 @@ func (p *Partition) Assignment(dst []BlockID) []BlockID {
 
 // Size returns S_i, the total interior size of block b.
 func (p *Partition) Size(b BlockID) int { return p.blockSize[b] }
-
-// Aux returns the secondary-resource demand of block b.
-func (p *Partition) Aux(b BlockID) int { return p.blockAux[b] }
 
 // NumRes returns the number of extra resource axes (beyond the primary
 // size axis) the bound device declares; zero for scalar parts.
@@ -489,14 +481,12 @@ func (p *Partition) MoveTrace(v hypergraph.NodeID, to BlockID, buf []NetDelta) [
 	}
 	p.moves++
 	p.assign[v] = to
-	size, aux := p.h.SizeOf(v), p.h.AuxOf(v)
-	oldFromS, oldFromT, oldFromAux := p.blockSize[from], p.Terminals(from), p.blockAux[from]
-	oldToS, oldToT, oldToAux := p.blockSize[to], p.Terminals(to), p.blockAux[to]
+	size := p.h.SizeOf(v)
+	oldFromS, oldFromT := p.blockSize[from], p.Terminals(from)
+	oldToS, oldToT := p.blockSize[to], p.Terminals(to)
 	oldFromResOK, oldToResOK := true, true
 	p.blockSize[from] -= size
 	p.blockSize[to] += size
-	p.blockAux[from] -= aux
-	p.blockAux[to] += aux
 	p.blockNodes[from]--
 	p.blockNodes[to]++
 	if p.nres > 0 {
@@ -577,24 +567,24 @@ func (p *Partition) MoveTrace(v hypergraph.NodeID, to BlockID, buf []NetDelta) [
 		}
 	}
 
-	p.aggUpdate(from, oldFromS, oldFromT, oldFromAux, oldFromResOK)
-	p.aggUpdate(to, oldToS, oldToT, oldToAux, oldToResOK)
+	p.aggUpdate(from, oldFromS, oldFromT, oldFromResOK)
+	p.aggUpdate(to, oldToS, oldToT, oldToResOK)
 	return buf
 }
 
 // aggUpdate folds one block's state change into the incremental cost
-// aggregates, given its pre-move size, terminals, aux demand, and (for
-// R>1 devices) whether its resource vector fit before the move. Scalar
-// devices always pass oldResOK=true and resOK() is a constant-true test,
-// so the R=1 behavior is unchanged.
-func (p *Partition) aggUpdate(b BlockID, oldS, oldT, oldAux int, oldResOK bool) {
-	newS, newT, newAux := p.blockSize[b], p.Terminals(b), p.blockAux[b]
+// aggregates, given its pre-move size, terminals, and (for R>1 devices)
+// whether its resource vector fit before the move. Scalar devices always
+// pass oldResOK=true and resOK() is a constant-true test, so the R=1
+// behavior is unchanged.
+func (p *Partition) aggUpdate(b BlockID, oldS, oldT int, oldResOK bool) {
+	newS, newT := p.blockSize[b], p.Terminals(b)
 	smax, tmax := p.smax, p.tmax
 	p.sizeOver += max0(newS-smax) - max0(oldS-smax)
 	p.termOver += max0(newT-tmax) - max0(oldT-tmax)
 	p.termSum += newT - oldT
-	wasFeas := oldResOK && p.fitsFull(oldS, oldT, oldAux)
-	isFeas := p.resOK(b) && p.fitsFull(newS, newT, newAux)
+	wasFeas := oldResOK && oldS <= smax && oldT <= tmax
+	isFeas := p.resOK(b) && newS <= smax && newT <= tmax
 	if wasFeas != isFeas {
 		if isFeas {
 			p.feasCount++
@@ -651,10 +641,9 @@ func (p *Partition) Restore(s Snapshot) {
 }
 
 // Feasible reports whether block b meets the device constraints (P ⊨ D),
-// including the secondary-resource bound when the device declares one and
-// every extra resource axis for R>1 devices.
+// including every extra resource axis for R>1 devices.
 func (p *Partition) Feasible(b BlockID) bool {
-	return p.resOK(b) && p.fitsFull(p.blockSize[b], p.Terminals(b), p.blockAux[b])
+	return p.resOK(b) && p.blockSize[b] <= p.smax && p.Terminals(b) <= p.tmax
 }
 
 // resOK reports whether block b's extra-resource totals fit the device's
@@ -670,12 +659,6 @@ func (p *Partition) resOK(b BlockID) bool {
 		}
 	}
 	return true
-}
-
-// fitsFull is device.FitsFull against the cached capacities.
-func (p *Partition) fitsFull(size, terminals, aux int) bool {
-	return size <= p.smax && terminals <= p.tmax &&
-		(p.auxCap == 0 || aux <= p.auxCap)
 }
 
 // CountFeasible returns the number of blocks meeting the device constraints.
@@ -879,7 +862,6 @@ func (p *Partition) Key(cp CostParams, remainder BlockID, m int) Key {
 // tests and debugging.
 func (p *Partition) Validate() error {
 	size := make([]int, p.k)
-	aux := make([]int, p.k)
 	pads := make([]int, p.k)
 	nodes := make([]int, p.k)
 	cutInc := make([]int, p.k)
@@ -890,7 +872,6 @@ func (p *Partition) Validate() error {
 		}
 		n := p.h.Node(hypergraph.NodeID(v))
 		nodes[b]++
-		aux[b] += n.Aux
 		if n.Kind == hypergraph.Pad {
 			pads[b]++
 		} else {
@@ -921,9 +902,6 @@ func (p *Partition) Validate() error {
 	for b := 0; b < p.k; b++ {
 		if size[b] != p.blockSize[b] {
 			return fmt.Errorf("block %d: size %d, recomputed %d", b, p.blockSize[b], size[b])
-		}
-		if aux[b] != p.blockAux[b] {
-			return fmt.Errorf("block %d: aux %d, recomputed %d", b, p.blockAux[b], aux[b])
 		}
 		if pads[b] != p.blockPads[b] {
 			return fmt.Errorf("block %d: pads %d, recomputed %d", b, p.blockPads[b], pads[b])

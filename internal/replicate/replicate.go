@@ -76,9 +76,10 @@ type engine struct {
 	replicated map[partition.BlockID]map[hypergraph.NodeID]bool
 	// replicaNeeds[b] is the set of signals consumed by replicas in b.
 	replicaNeeds map[partition.BlockID]map[int]bool
-	// extraSize/extraAux accumulate replica overhead per block.
+	// extraSize/extraRes accumulate replica overhead per block: size, and
+	// demand per resource axis of the partition's device (p.NumRes() long).
 	extraSize map[partition.BlockID]int
-	extraAux  map[partition.BlockID]int
+	extraRes  map[partition.BlockID][]int
 }
 
 // Reduce runs the replication pass. The partition must be over the exact
@@ -96,7 +97,7 @@ func Reduce(m *techmap.Mapped, h *hypergraph.Hypergraph, p *partition.Partition,
 		replicated:   map[partition.BlockID]map[hypergraph.NodeID]bool{},
 		replicaNeeds: map[partition.BlockID]map[int]bool{},
 		extraSize:    map[partition.BlockID]int{},
-		extraAux:     map[partition.BlockID]int{},
+		extraRes:     map[partition.BlockID][]int{},
 	}
 	for si, s := range e.signals {
 		if s.driver >= 0 && h.Node(s.driver).Kind == hypergraph.Interior {
@@ -135,8 +136,7 @@ func Reduce(m *techmap.Mapped, h *hypergraph.Hypergraph, p *partition.Partition,
 		after := e.blockTerminals(b)
 		res.TerminalsAfter[b] = after
 		size := p.Size(b) + e.extraSize[b]
-		aux := p.Aux(b) + e.extraAux[b]
-		if !dev.FitsFull(size, after, aux) {
+		if !dev.Fits(size, after) || !e.resFits(b, -1) {
 			res.Feasible = false
 		}
 	}
@@ -154,7 +154,7 @@ func (e *engine) reduceBlock(b partition.BlockID, res *Result) {
 			if e.p.Size(b)+e.extraSize[b]+e.h.Node(cand).Size > e.dev.SMax() {
 				continue
 			}
-			if e.dev.AuxCap > 0 && e.p.Aux(b)+e.extraAux[b]+e.h.Node(cand).Aux > e.dev.AuxCap {
+			if !e.resFits(b, cand) {
 				continue
 			}
 			after := e.terminalsWith(b, cand)
@@ -176,10 +176,36 @@ func (e *engine) reduceBlock(b partition.BlockID, res *Result) {
 			e.replicaNeeds[b][si] = true
 		}
 		e.extraSize[b] += e.h.Node(best).Size
-		e.extraAux[b] += e.h.Node(best).Aux
+		if nr := e.p.NumRes(); nr > 0 {
+			if e.extraRes[b] == nil {
+				e.extraRes[b] = make([]int, nr)
+			}
+			for r := range e.extraRes[b] {
+				e.extraRes[b][r] += e.p.ResDemandOf(best, r)
+			}
+		}
 		res.Replicas[b] = append(res.Replicas[b], best)
 		res.CopiesAdded++
 	}
+}
+
+// resFits reports whether block b, with its replicas and one more replica
+// of cand (none when cand < 0), stays within every resource axis cap.
+func (e *engine) resFits(b partition.BlockID, cand hypergraph.NodeID) bool {
+	extra := e.extraRes[b]
+	for r := 0; r < e.p.NumRes(); r++ {
+		d := e.p.Res(b, r)
+		if extra != nil {
+			d += extra[r]
+		}
+		if cand >= 0 {
+			d += e.p.ResDemandOf(cand, r)
+		}
+		if d > e.p.ResCap(r) {
+			return false
+		}
+	}
+	return true
 }
 
 // candidates lists CLBs outside b that drive at least one signal b

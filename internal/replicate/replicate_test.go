@@ -66,7 +66,7 @@ func TestDirectedTerminalsMatchPartitionWithoutReplicas(t *testing.T) {
 	}
 	e := &engine{h: h, p: p, dev: dev, signals: sigs,
 		replicated: map[partition.BlockID]map[hypergraph.NodeID]bool{},
-		extraSize:  map[partition.BlockID]int{}, extraAux: map[partition.BlockID]int{},
+		extraSize:  map[partition.BlockID]int{}, extraRes: map[partition.BlockID][]int{},
 		drives: map[hypergraph.NodeID][]int{}, inputsOf: map[hypergraph.NodeID][]int{}}
 	for b := 0; b < p.NumBlocks(); b++ {
 		id := partition.BlockID(b)
@@ -121,6 +121,82 @@ func TestReduceBroadcastDriver(t *testing.T) {
 	}
 	if !res.Feasible {
 		t.Error("replication broke feasibility")
+	}
+}
+
+// ffBroadcast is broadcast with a registered driver: s comes out of a
+// latch, and z3 is registered too, so both the driver CLB and the
+// consumer side carry flip-flops.
+const ffBroadcast = `
+.model ffbc
+.inputs a b clk
+.outputs z0 z1 z2 z3
+.names a b s0
+11 1
+.latch s0 s re clk 0
+.names s a z0
+11 1
+.names s b z1
+11 1
+.names s a z2
+10 1
+.names s b t
+01 1
+.latch t z3 re clk 0
+.end
+`
+
+// TestReduceRespectsFFHeadroom: a replica that would push the consumer
+// block past its FF cap is refused, and the same pass with one more FF of
+// headroom takes it.
+func TestReduceRespectsFFHeadroom(t *testing.T) {
+	m, h := mapBlif(t, ffBroadcast)
+	driverCLB := -1
+	for ci, cells := range m.CellsPerCLB() {
+		for _, c := range cells {
+			if c.Output == "s" {
+				driverCLB = ci
+			}
+		}
+	}
+	if driverCLB < 0 {
+		t.Fatal("driver CLB not found")
+	}
+	driverFF := int(h.ResourceColumn("FF")[driverCLB])
+	consumerFF := h.TotalResource("FF") - driverFF
+	if driverFF < 1 || consumerFF < 1 {
+		t.Fatalf("setup: driver FF %d, consumer FF %d; want both >= 1", driverFF, consumerFF)
+	}
+	run := func(ffCap int) *Result {
+		t.Helper()
+		dev := device.Device{Name: "ff", Family: device.XC3000, DatasheetCells: 10, Pins: 20, Fill: 1.0,
+			Resources: []device.Resource{{Name: "FF", Cap: ffCap}}}
+		p := partition.New(h, dev)
+		b1 := p.AddBlock()
+		for v := 0; v < h.NumNodes(); v++ {
+			id := hypergraph.NodeID(v)
+			if (v < m.NumCLBs() && v != driverCLB) || strings.HasPrefix(h.Node(id).Name, "po:") {
+				p.Move(id, b1)
+			}
+		}
+		if !p.Feasible(0) || !p.Feasible(b1) {
+			t.Fatalf("FF cap %d: setup blocks infeasible", ffCap)
+		}
+		res, err := Reduce(m, h, p, dev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Feasible {
+			t.Errorf("FF cap %d: replication broke feasibility", ffCap)
+		}
+		return res
+	}
+	atCap := max(driverFF, consumerFF)
+	if res := run(atCap); len(res.Replicas[1]) != 0 {
+		t.Errorf("FF cap %d: replicated %v into a block holding %d FFs", atCap, res.Replicas[1], consumerFF)
+	}
+	if res := run(consumerFF + driverFF); len(res.Replicas[1]) == 0 {
+		t.Errorf("FF cap %d: the driver replica was refused despite FF headroom", consumerFF+driverFF)
 	}
 }
 

@@ -81,30 +81,31 @@ func TestBestSingleNodeRemainder(t *testing.T) {
 }
 
 func TestGreedyConeMergeAuxBound(t *testing.T) {
-	// FF-heavy cells with AuxCap 2: the grown block respects the cap.
+	// FF-heavy cells with an FF cap of 2: the grown block respects the cap.
 	var b hypergraph.Builder
 	var ids []hypergraph.NodeID
 	for i := 0; i < 8; i++ {
 		id := b.AddInterior("ff", 1)
-		b.SetAux(id, 1)
+		b.SetResource(id, "FF", 1)
 		ids = append(ids, id)
 	}
 	for i := 0; i+1 < 8; i++ {
 		b.AddNet("n", ids[i], ids[i+1])
 	}
 	h := b.MustBuild()
-	dev := device.Device{Name: "d", DatasheetCells: 10, Pins: 10, Fill: 1.0, AuxCap: 2}
+	dev := device.Device{Name: "d", DatasheetCells: 10, Pins: 10, Fill: 1.0,
+		Resources: []device.Resource{{Name: "FF", Cap: 2}}}
 	p := partition.New(h, dev)
 	set, ok := GreedyConeMerge(p, 0, dev)
 	if !ok {
 		t.Fatal("merge failed")
 	}
-	aux := 0
+	ff, col := 0, h.ResourceColumn("FF")
 	for _, v := range set {
-		aux += h.Node(v).Aux
+		ff += int(col[v])
 	}
-	if aux > 2 {
-		t.Errorf("grown block carries %d aux > cap 2", aux)
+	if ff > 2 {
+		t.Errorf("grown block carries %d FFs > cap 2", ff)
 	}
 }
 

@@ -46,7 +46,6 @@ type tracker struct {
 	pinsIn []int32 // cluster pins per net
 	remPin []int32 // remainder pins per net (memoized; -1 unknown)
 	size   int
-	aux    int
 	term   int
 	pads   int
 	nodes  int
@@ -69,7 +68,7 @@ func (t *tracker) reset(p *partition.Partition, rem partition.BlockID) {
 	t.inC = resizeBools(t.inC, h.NumNodes())
 	t.pinsIn = resizeInt32s(t.pinsIn, h.NumNets(), 0)
 	t.remPin = resizeInt32s(t.remPin, h.NumNets(), -1)
-	t.size, t.aux, t.term, t.pads, t.nodes, t.intCut = 0, 0, 0, 0, 0, 0
+	t.size, t.term, t.pads, t.nodes, t.intCut = 0, 0, 0, 0, 0
 	if nr := p.NumRes(); cap(t.res) < nr {
 		t.res = make([]int, nr)
 	} else {
@@ -159,7 +158,6 @@ func (t *tracker) Add(v hypergraph.NodeID) {
 	_, term := t.Probe(v)
 	n := t.h.Node(v)
 	t.size += n.Size
-	t.aux += n.Aux
 	for r := range t.res {
 		t.res[r] += t.p.ResDemandOf(v, r)
 	}
@@ -186,7 +184,7 @@ func (t *tracker) Add(v hypergraph.NodeID) {
 
 // resFits reports whether adding v keeps every extra resource axis of the
 // bound device within its cap; trivially true for scalar devices, whose
-// trackers carry no res totals. Mirrors the size/aux saturation tests of
+// trackers carry no res totals. Mirrors the size saturation tests of
 // the §3.2 growth loops.
 func (t *tracker) resFits(v hypergraph.NodeID) bool {
 	for r := range t.res {
@@ -336,9 +334,6 @@ func GreedyConeMerge(p *partition.Partition, rem partition.BlockID, dev device.D
 		consider := func(v hypergraph.NodeID) {
 			s, t := g.t.Probe(v)
 			if s > smax || t > tmax {
-				return
-			}
-			if dev.AuxCap > 0 && g.t.aux+h.Node(v).Aux > dev.AuxCap {
 				return
 			}
 			if !g.t.resFits(v) {
@@ -674,9 +669,6 @@ func Grow(p *partition.Partition, rem partition.BlockID, dev device.Device, init
 		consider := func(v hypergraph.NodeID) {
 			s, t := g.t.Probe(v)
 			if s > smax || t > tmax {
-				return
-			}
-			if dev.AuxCap > 0 && g.t.aux+h.Node(v).Aux > dev.AuxCap {
 				return
 			}
 			if !g.t.resFits(v) {

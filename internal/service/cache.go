@@ -16,7 +16,7 @@ import (
 
 // Fingerprint computes the content-addressed cache key of one query: a
 // SHA-256 over the canonicalized hypergraph structure (node kinds, sizes,
-// aux demands, per-resource demand columns; net pin lists in declaration
+// per-resource demand columns such as BLIF's FF; net pin lists in declaration
 // order), the resolved device parameters including its resource caps, the
 // method, and the board spec the result is gated on ("" for none). Node
 // and net *names* are deliberately excluded — two uploads of the same
@@ -49,7 +49,6 @@ func Fingerprint(h *hypergraph.Hypergraph, dev device.Device, method, boardSpec 
 		n := h.Node(hypergraph.NodeID(i))
 		putInt(int(n.Kind))
 		putInt(n.Size)
-		putInt(n.Aux)
 	}
 	for e := 0; e < h.NumNets(); e++ {
 		pins := h.NetPins(hypergraph.NetID(e))

@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -201,5 +202,78 @@ net n1 0 1
 	}
 	if Fingerprint(load(base), dev, "fpart", "") != ref {
 		t.Error("fingerprint is not deterministic")
+	}
+}
+
+// pipelineBLIF is an n-stage inverter pipeline whose first `latches`
+// stages register their output in a latch and whose rest pass it through
+// a buffer gate. Techmap packs a latch or a buffer alike beside its
+// inverter, so variants with the same n differ only in their FF column.
+func pipelineBLIF(n, latches int) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, ".model pipe\n.inputs x0 clk\n.outputs x%d\n", n)
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&sb, ".names x%d y%d\n0 1\n", i, i)
+		if i < latches {
+			fmt.Fprintf(&sb, ".latch y%d x%d re clk 0\n", i, i+1)
+		} else {
+			fmt.Fprintf(&sb, ".names y%d x%d\n1 1\n", i, i+1)
+		}
+	}
+	sb.WriteString(".end\n")
+	return sb.String()
+}
+
+// TestServiceBlifFFCap is the fpartd half of the BLIF flip-flop cap: a
+// 32-latch pipeline uploaded as {"format":"blif","resources":"FF:8"} binds
+// on its FF column, so the job reports M = 4 and a feasible K >= 4.
+func TestServiceBlifFFCap(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer shutdownClean(t, s)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	resp, body := postJSON(t, ts, "/v1/partition", apiRequest{
+		Format: "blif", Netlist: pipelineBLIF(32, 32), Device: "CLB:500/200", Resources: "FF:8",
+	})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: want 202, got %d: %s", resp.StatusCode, body)
+	}
+	var v JobView
+	if err := json.Unmarshal(body, &v); err != nil {
+		t.Fatal(err)
+	}
+	final := pollDone(t, ts, v.ID)
+	if final.State != StateDone || final.M != 4 || !final.Feasible || final.K < 4 {
+		t.Fatalf("job ended %s K=%d M=%d feasible=%v (%s): want M = 4 and K >= 4 feasible",
+			final.State, final.K, final.M, final.Feasible, final.Error)
+	}
+}
+
+// TestFingerprintBlifLatchCount pins that flip-flops reach the cache key:
+// two BLIF pipelines of the same shape that differ only in how many stages
+// are latched map to the same nodes and nets but different FF columns, and
+// must not share a fingerprint.
+func TestFingerprintBlifLatchCount(t *testing.T) {
+	dev, err := device.ParseSpec("CLB:500,FF:8/200")
+	if err != nil {
+		t.Fatal(err)
+	}
+	load := func(latches int) *hypergraph.Hypergraph {
+		c, err := driver.Load(driver.Source{Reader: strings.NewReader(pipelineBLIF(16, latches)), Format: "blif"}, dev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c.Hypergraph
+	}
+	a, b := load(16), load(15)
+	if a.NumNodes() != b.NumNodes() || a.NumNets() != b.NumNets() || a.TotalSize() != b.TotalSize() {
+		t.Fatalf("variants differ in shape: %v vs %v", a, b)
+	}
+	if a.TotalResource("FF") != 16 || b.TotalResource("FF") != 15 {
+		t.Fatalf("FF totals %d/%d, want 16/15", a.TotalResource("FF"), b.TotalResource("FF"))
+	}
+	if Fingerprint(a, dev, "fpart", "") == Fingerprint(b, dev, "fpart", "") {
+		t.Error("BLIFs differing only in latch count share a fingerprint")
 	}
 }

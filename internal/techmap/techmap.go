@@ -254,7 +254,7 @@ func (m *Mapped) Hypergraph() (*hypergraph.Hypergraph, error) {
 				ffs++
 			}
 		}
-		b.SetAux(clbNode[i], ffs)
+		b.SetResource(clbNode[i], "FF", ffs)
 	}
 	attach := map[string][]hypergraph.NodeID{}
 	var order []string

@@ -10,7 +10,7 @@
 //     of the circuit into a contiguous run of the ordering.
 //  2. A dynamic program that cuts the ordering into the minimum number of
 //     consecutive segments, each of which meets the device constraints
-//     (size, terminals, and the secondary resource). Segment terminal
+//     (size, terminals, and every extra resource axis). Segment terminal
 //     counts follow the same model as the partition bookkeeping: a net
 //     costs a pin wherever it crosses the segment boundary, and each pad
 //     costs its IOB.
@@ -201,13 +201,20 @@ func segmentDP(h *hypergraph.Hypergraph, dev device.Device, order []hypergraph.N
 	}
 
 	// For each segment end i, extend the segment leftward maintaining
-	// size, aux, and terminal counts incrementally.
+	// size, resource, and terminal counts incrementally. cols[r] is the
+	// demand column of dev.Resources[r], nil when the netlist has none.
+	cols := make([][]int32, len(dev.Resources))
+	for r, rs := range dev.Resources {
+		cols[r] = h.ResourceColumn(rs.Name)
+	}
+	res := make([]int, len(cols))
 	pinsIn := make(map[hypergraph.NetID]int)
 	for i := 1; i <= n; i++ {
 		for k := range pinsIn {
 			delete(pinsIn, k)
 		}
-		size, aux, pads, term := 0, 0, 0, 0
+		clear(res)
+		size, pads, term := 0, 0, 0
 		lo := i - maxSeg
 		if lo < 0 {
 			lo = 0
@@ -217,7 +224,11 @@ func segmentDP(h *hypergraph.Hypergraph, dev device.Device, order []hypergraph.N
 			v := order[j]
 			nd := h.Node(v)
 			size += nd.Size
-			aux += nd.Aux
+			for r, col := range cols {
+				if col != nil {
+					res[r] += int(col[v])
+				}
+			}
 			if nd.Kind == hypergraph.Pad {
 				pads++
 			}
@@ -248,8 +259,8 @@ func segmentDP(h *hypergraph.Hypergraph, dev device.Device, order []hypergraph.N
 			if size > dev.SMax() {
 				break // growing further only increases size
 			}
-			if dev.AuxCap > 0 && aux > dev.AuxCap {
-				break
+			if !dev.FitsRes(res) {
+				break // resource totals, like size, only grow
 			}
 			if term+pads <= dev.TMax() && f[j] != inf && f[j]+1 < f[i] {
 				f[i] = f[j] + 1

@@ -132,13 +132,14 @@ func TestAuxInDP(t *testing.T) {
 	var b hypergraph.Builder
 	for i := 0; i < 12; i++ {
 		id := b.AddInterior("ff", 1)
-		b.SetAux(id, 1)
+		b.SetResource(id, "FF", 1)
 		if i > 0 {
 			b.AddNet("n", hypergraph.NodeID(i-1), hypergraph.NodeID(i))
 		}
 	}
 	h := b.MustBuild()
-	dev := device.Device{Name: "d", DatasheetCells: 50, Pins: 50, Fill: 1.0, AuxCap: 4}
+	dev := device.Device{Name: "d", DatasheetCells: 50, Pins: 50, Fill: 1.0,
+		Resources: []device.Resource{{Name: "FF", Cap: 4}}}
 	r, err := Partition(h, dev, Config{})
 	if err != nil {
 		t.Fatal(err)
