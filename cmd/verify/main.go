@@ -7,6 +7,11 @@
 //	fpart -device XC3020 -circuit s9234 -saveassign run.assign
 //	verify -device XC3020 -circuit s9234 run.assign
 //	verify -device XC3042 -format phg design.phg design.assign
+//	verify -device 'CLB:500,FF:8/200' -format blif counter.blif run.assign
+//
+// The circuit is loaded as fpart loads it (BLIF inputs are mapped for the
+// device's CLB family, with latches as the FF resource column), and
+// -device takes the same specs as fpart's, resource vectors included.
 //
 // Exit status 0 means every block meets the device constraints.
 package main
@@ -17,55 +22,35 @@ import (
 	"os"
 
 	"fpart/internal/device"
-	"fpart/internal/gen"
-	"fpart/internal/hypergraph"
+	"fpart/internal/driver"
 	"fpart/internal/netlist"
 	"fpart/internal/partition"
 	"fpart/internal/quality"
 )
 
 func main() {
-	devName := flag.String("device", "XC3020", "target device")
-	format := flag.String("format", "phg", "circuit format when reading from file: phg or hgr")
+	devName := flag.String("device", "XC3020", "target device: a catalog name, CELLSxPINS, or a resource vector like 'LUT:1500,FF:3000/200'")
+	format := flag.String("format", "phg", "circuit format when reading from file: phg, hgr, blif")
 	circuit := flag.String("circuit", "", "built-in benchmark instead of a circuit file")
 	flag.Parse()
 
-	dev, ok := device.ByName(*devName)
-	if !ok {
-		fail("unknown device %q", *devName)
+	dev, err := device.ParseSpec(*devName)
+	if err != nil {
+		fail("%v", err)
 	}
-
-	var h *hypergraph.Hypergraph
-	var assignPath string
-	if *circuit != "" {
-		spec, ok := gen.ByName(*circuit)
-		if !ok {
-			fail("unknown circuit %q", *circuit)
-		}
-		h = gen.Generate(spec, dev.Family)
-		assignPath = flag.Arg(0)
-	} else {
+	src := driver.Source{Builtin: *circuit, Format: *format}
+	assignPath := flag.Arg(0)
+	if *circuit == "" {
 		if flag.NArg() < 2 {
-			fail("usage: verify [-device D] <circuit file> <assignment file>")
+			fail("usage: verify [-device D] [-format F] <circuit file> <assignment file>")
 		}
-		f, err := os.Open(flag.Arg(0))
-		if err != nil {
-			fail("%v", err)
-		}
-		switch *format {
-		case "phg":
-			h, err = netlist.ReadPHG(f)
-		case "hgr":
-			h, err = netlist.ReadHgr(f)
-		default:
-			err = fmt.Errorf("unknown format %q", *format)
-		}
-		f.Close()
-		if err != nil {
-			fail("%v", err)
-		}
-		assignPath = flag.Arg(1)
+		src.Path, assignPath = flag.Arg(0), flag.Arg(1)
 	}
+	c, err := driver.Load(src, dev)
+	if err != nil {
+		fail("%v", err)
+	}
+	h := c.Hypergraph
 	if assignPath == "" {
 		fail("no assignment file given")
 	}
