@@ -7,6 +7,8 @@ package netlist
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -20,6 +22,16 @@ func FuzzReadPHG(f *testing.F) {
 	f.Add("phg\nnode a 1\nnet n 0 0 0\n")
 	f.Add("phg\nnode a 1\nnet n " + strings.Repeat("0 ", 64) + "\n") // wide net
 	f.Add("phg\n# " + strings.Repeat("y", 1<<12) + "\n")             // long line
+	// NAME:DEMAND resource tokens: FF, several axes, zero, repeated,
+	// malformed, and demands at and past the int32 column width.
+	f.Add("phg\nnode a 1 FF:2\nnode b 3 FF:1 DSP:4\npad p\nnet n 0 1 2\n")
+	f.Add("phg\nnode a 1 FF:0 BRAM:7\nnode b 1 BRAM:1 FF:3\nnet n 0 1\n")
+	f.Add("phg\nnode a 1 FF:1 FF:5\n")
+	f.Add("phg\nnode a 1 FF:\n")
+	f.Add("phg\nnode a 1 :3\n")
+	f.Add("phg\nnode a 1 FF:-1\n")
+	f.Add("phg\nnode a 1 FF:2147483647\nnode b 1 FF:2147483648\nnet n 0 1\n")
+	f.Add("phg\nnode a 2147483648\nnode b 1\nnet n 0 1\n")
 	f.Fuzz(func(t *testing.T, in string) {
 		h, err := ReadPHG(strings.NewReader(in))
 		if err != nil {
@@ -33,10 +45,55 @@ func FuzzReadPHG(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-read of own output: %v", err)
 		}
-		if h2.NumNodes() != h.NumNodes() || h2.NumNets() != h.NumNets() {
-			t.Fatalf("round trip drifted: %v vs %v", h2, h)
+		if err := samePHG(h, h2); err != nil {
+			t.Fatalf("round trip drifted: %v", err)
 		}
 	})
+}
+
+// samePHG compares everything PHG carries except names, which the writer
+// sanitizes: node kinds and sizes, resource names, columns and totals, and
+// net pin lists. It also checks that a's totals match its packed columns,
+// which fails if a parsed value wrapped on packing.
+func samePHG(a, b *hypergraph.Hypergraph) error {
+	if a.NumNodes() != b.NumNodes() || a.NumNets() != b.NumNets() {
+		return fmt.Errorf("shape %v vs %v", a, b)
+	}
+	size := 0
+	for v := 0; v < a.NumNodes(); v++ {
+		id := hypergraph.NodeID(v)
+		if a.KindOf(id) != b.KindOf(id) || a.SizeOf(id) != b.SizeOf(id) {
+			return fmt.Errorf("node %d: %v/%d vs %v/%d", v, a.KindOf(id), a.SizeOf(id), b.KindOf(id), b.SizeOf(id))
+		}
+		if a.KindOf(id) == hypergraph.Interior {
+			size += a.SizeOf(id)
+		}
+	}
+	if size != a.TotalSize() {
+		return fmt.Errorf("total size %d, packed sizes sum to %d", a.TotalSize(), size)
+	}
+	an, bn := a.ResourceNames(), b.ResourceNames()
+	if !slices.Equal(an, bn) {
+		return fmt.Errorf("resource names %q vs %q", an, bn)
+	}
+	for _, name := range an {
+		if !slices.Equal(a.ResourceColumn(name), b.ResourceColumn(name)) {
+			return fmt.Errorf("resource %s column differs", name)
+		}
+		sum := 0
+		for _, d := range a.ResourceColumn(name) {
+			sum += int(d)
+		}
+		if sum != a.TotalResource(name) || a.TotalResource(name) != b.TotalResource(name) {
+			return fmt.Errorf("resource %s total %d vs %d, column sum %d", name, a.TotalResource(name), b.TotalResource(name), sum)
+		}
+	}
+	for e := 0; e < a.NumNets(); e++ {
+		if !slices.Equal(a.NetPins(hypergraph.NetID(e)), b.NetPins(hypergraph.NetID(e))) {
+			return fmt.Errorf("net %d pins differ", e)
+		}
+	}
+	return nil
 }
 
 func FuzzReadHgr(f *testing.F) {
@@ -63,6 +120,7 @@ func FuzzReadHgr(f *testing.F) {
 func FuzzReadBLIF(f *testing.F) {
 	f.Add(".model m\n.inputs a\n.outputs z\n.names a z\n1 1\n.end\n")
 	f.Add(".model m\n.latch a b re c 0\n.end\n")
+	f.Add(".model m\n.inputs a\n.outputs z\n.latch a q\n.latch q z\n.end\n")
 	f.Add(".model m\n.names \\\na z\n.end\n")
 	f.Add(".model m\n.inputs " + strings.Repeat("i ", 256) + "\n.end\n")
 	f.Add(".model m\n.names " + strings.Repeat("\\\nx ", 32) + "z\n.end\n")
@@ -72,13 +130,13 @@ func FuzzReadBLIF(f *testing.F) {
 			return
 		}
 		// Lowering a parsed circuit must not panic and must produce a
-		// structurally valid hypergraph.
+		// structurally valid hypergraph with one FF per latch.
 		h, err := c.Hypergraph()
 		if err != nil {
 			return // duplicate drivers etc. are legitimate rejections
 		}
-		if h.NumNodes() < 0 {
-			t.Fatal("impossible")
+		if got := h.TotalResource("FF"); got != len(c.Latches) {
+			t.Fatalf("FF total %d, want one per latch (%d)", got, len(c.Latches))
 		}
 	})
 }

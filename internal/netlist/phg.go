@@ -109,25 +109,27 @@ func ReadPHGLimits(r io.Reader, lim Limits) (*hypergraph.Hypergraph, error) {
 			if len(fields) < 3 {
 				return nil, fmt.Errorf("phg line %d: node wants 2 args", lineNo)
 			}
-			size, err := strconv.Atoi(fields[2])
+			// Sizes and demands are packed into int32 columns: wider
+			// values are rejected rather than wrapped.
+			size, err := strconv.ParseInt(fields[2], 10, 32)
 			if err != nil || size < 1 {
 				return nil, fmt.Errorf("phg line %d: bad size %q", lineNo, fields[2])
 			}
 			if b.NumNodes() >= lim.MaxNodes {
 				return nil, &LimitError{Format: "phg", Quantity: "nodes", Limit: lim.MaxNodes}
 			}
-			id := b.AddInterior(fields[1], size)
+			id := b.AddInterior(fields[1], int(size))
 			// Optional trailing NAME:DEMAND resource tokens.
 			for _, tok := range fields[3:] {
 				name, demStr, ok := strings.Cut(tok, ":")
 				if !ok || name == "" {
 					return nil, fmt.Errorf("phg line %d: bad resource token %q (want NAME:DEMAND)", lineNo, tok)
 				}
-				dem, err := strconv.Atoi(demStr)
+				dem, err := strconv.ParseInt(demStr, 10, 32)
 				if err != nil || dem < 0 {
 					return nil, fmt.Errorf("phg line %d: bad resource demand %q", lineNo, tok)
 				}
-				b.SetResource(id, name, dem)
+				b.SetResource(id, name, int(dem))
 			}
 		case "pad":
 			if len(fields) != 2 {
