@@ -15,6 +15,16 @@ if [ -n "$unformatted" ]; then
     echo "$unformatted" >&2
     exit 1
 fi
+# Hypergraph.AuxOf, Device.AuxCap and the two SpecWidth fields are
+# deprecated stubs kept only for perfbench/: no other Go code may use them.
+# Comments and the declaring lines themselves are allowed.
+stale=$(grep -rnwE --include='*.go' --exclude-dir=perfbench 'AuxOf|AuxCap|SpecWidth' . |
+    grep -vE '^[^:]+:[0-9]+:[[:space:]]*(//|(AuxCap|SpecWidth)[[:space:]]+int$|func \(h \*Hypergraph\) AuxOf\()' || true)
+if [ -n "$stale" ]; then
+    echo "deprecated stub used outside perfbench/:" >&2
+    echo "$stale" >&2
+    exit 1
+fi
 go test ./...
 # The racer (core.Portfolio, fanned out by core.Budget.Fan) must pick the
 # same winner at any goroutine schedule; repeat the registry differential so
