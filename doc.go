@@ -18,10 +18,10 @@
 //	internal/seed         constructive initial bipartitions (§3.2)
 //	internal/sanchis      the guided multi-way improvement engine (§3.3–§3.7)
 //	internal/core         FPART itself — Algorithm 1 (§3.1), cancellation,
-//	                      strategy portfolio
+//	                      strategy portfolio; the one peel driver, and the
+//	                      k-way.x recursive-FM baseline [9] as KWayX
 //	internal/obs          observability: structured events, sinks, effort
 //	                      counters, per-phase timings
-//	internal/kwayx        k-way.x recursive-FM baseline [9]
 //	internal/flow         Dinic max-flow + FBB-MW-style baseline [16]
 //	internal/netlist      PHG / hMETIS .hgr / BLIF readers and writers
 //	internal/techmap      gate-to-CLB technology mapping (XC2000 vs XC3000)

@@ -1,7 +1,8 @@
-// Baselines: compare FPART against the two baselines implemented here —
-// the k-way.x-style recursive FM peeling and the flow-based FBB-MW-style
-// method — on one benchmark, reporting block counts, fill quality, and
-// runtime. This is one cell of Tables 2-5 expanded into detail.
+// Baselines: compare FPART against two baselines implemented here — the
+// k-way.x-style recursive FM peeling (core.KWayX, FPART's own peel with
+// its guidance switched off) and the flow-based FBB-MW-style method — on
+// one benchmark, reporting block counts, fill quality, and runtime. This
+// is one cell of Tables 2-5 expanded into detail.
 //
 //	go run ./examples/baselines                      # s13207 on XC3020
 //	go run ./examples/baselines -circuit s38584 -device XC3042
@@ -17,7 +18,6 @@ import (
 	"fpart/internal/device"
 	"fpart/internal/flow"
 	"fpart/internal/gen"
-	"fpart/internal/kwayx"
 	"fpart/internal/partition"
 )
 
@@ -56,7 +56,7 @@ func main() {
 	outs = append(outs, outcome{"FPART", fr.Partition, fr.K, fr.Feasible, time.Since(start)})
 
 	start = time.Now()
-	kr, err := kwayx.Partition(gen.Generate(spec, dev.Family), dev, kwayx.Config{})
+	kr, err := core.Partition(gen.Generate(spec, dev.Family), dev, core.KWayX())
 	if err != nil {
 		log.Fatal(err)
 	}

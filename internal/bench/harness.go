@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"runtime"
@@ -10,11 +11,9 @@ import (
 
 	"fpart/internal/core"
 	"fpart/internal/device"
-	"fpart/internal/flow"
+	"fpart/internal/engine"
 	"fpart/internal/gen"
 	"fpart/internal/hypergraph"
-	"fpart/internal/kwayx"
-	"fpart/internal/multilevel"
 	"fpart/internal/setcover"
 	"fpart/internal/wcdp"
 )
@@ -25,7 +24,7 @@ type Method uint8
 const (
 	// FPART is the paper's algorithm (internal/core).
 	FPART Method = iota
-	// KwayX is the recursive-FM baseline (internal/kwayx).
+	// KwayX is the recursive-FM baseline (core.KWayX).
 	KwayX
 	// FlowMW is the flow-based baseline (internal/flow).
 	FlowMW
@@ -70,8 +69,8 @@ type Outcome struct {
 	M        int
 	Feasible bool
 	Elapsed  time.Duration
-	// Stats carries the effort counters of the run. Only FPART reports
-	// them; the baselines leave the zero value.
+	// Stats carries the effort counters of the run. Every registry engine
+	// reports them; WCDP and SC leave the zero value.
 	Stats core.Stats
 }
 
@@ -86,35 +85,20 @@ func Run(circuit string, dev device.Device, m Method) (Outcome, error) {
 	return RunOn(h, circuit, dev, m)
 }
 
+// engineNames maps the methods behind the engine registry to their
+// registered names; WCDP and SC are not registered engines.
+var engineNames = map[Method]string{
+	FPART:      "fpart",
+	KwayX:      "kwayx",
+	FlowMW:     "flow",
+	Multilevel: "multilevel",
+}
+
 // RunOn partitions an already-generated hypergraph.
 func RunOn(h *hypergraph.Hypergraph, name string, dev device.Device, m Method) (Outcome, error) {
 	out := Outcome{Circuit: name, Device: dev, Method: m, M: device.LowerBound(h, dev)}
 	start := time.Now()
 	switch m {
-	case FPART:
-		r, err := core.Partition(h, dev, core.Default())
-		if err != nil {
-			return out, err
-		}
-		out.K, out.Feasible, out.Stats = r.K, r.Feasible, r.Stats
-	case KwayX:
-		r, err := kwayx.Partition(h, dev, kwayx.Config{})
-		if err != nil {
-			return out, err
-		}
-		out.K, out.Feasible = r.K, r.Feasible
-	case FlowMW:
-		r, err := flow.Partition(h, dev, flow.Config{})
-		if err != nil {
-			return out, err
-		}
-		out.K, out.Feasible = r.K, r.Feasible
-	case Multilevel:
-		r, err := multilevel.Partition(h, dev, multilevel.Config{})
-		if err != nil {
-			return out, err
-		}
-		out.K, out.Feasible = r.K, r.Feasible
 	case WCDP:
 		r, err := wcdp.Partition(h, dev, wcdp.Config{})
 		if err != nil {
@@ -128,7 +112,15 @@ func RunOn(h *hypergraph.Hypergraph, name string, dev device.Device, m Method) (
 		}
 		out.K, out.Feasible = r.K, r.Feasible
 	default:
-		return out, fmt.Errorf("bench: unknown method %v", m)
+		method, ok := engineNames[m]
+		if !ok {
+			return out, fmt.Errorf("bench: unknown method %v", m)
+		}
+		r, err := engine.Run(context.Background(), method, h, dev, engine.Options{})
+		if err != nil {
+			return out, err
+		}
+		out.K, out.Feasible, out.Stats = r.K, r.Feasible, *r.Stats
 	}
 	out.Elapsed = time.Since(start)
 	return out, nil

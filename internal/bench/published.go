@@ -1,6 +1,6 @@
 // Package bench regenerates the FPART paper's experimental tables
 // (Tables 1–6). For every method implemented in this repository — FPART
-// (internal/core), the k-way.x baseline (internal/kwayx), and the
+// (internal/core), the k-way.x baseline (core.KWayX), and the
 // flow-based baseline (internal/flow) — the harness measures fresh results
 // on the synthetic benchmark suite; the remaining competitor columns
 // (r+p.0, PROP, SC, WCDP) are reproduced from the paper as published

@@ -17,7 +17,6 @@ package board
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -341,12 +340,19 @@ func Route(p *partition.Partition, b Board) (*Placement, Report, error) {
 	return pl, pl.Evaluate(p), nil
 }
 
+// MaxSlots bounds the slot count ParseSpec accepts. Place allocates and
+// scans one entry per slot for every block, so an unbounded spec such as
+// "chain:1000000000000" would let one request exhaust memory and CPU; the
+// bound is far above any real multi-FPGA board.
+const MaxSlots = 4096
+
 // ParseSpec parses a board description of the form
 //
 //	crossbar:N | chain:N[:wires=W] | mesh:CxR[:wires=W]
 //
 // e.g. "mesh:4x4:wires=64" is a 16-slot 4-wide mesh with 64 wires per
 // adjacent link. A wires clause of 0 (or its absence) means unlimited.
+// Boards of more than MaxSlots slots are rejected.
 func ParseSpec(spec string) (Board, error) {
 	parts := strings.Split(spec, ":")
 	if len(parts) < 2 {
@@ -373,8 +379,8 @@ func ParseSpec(spec string) (Board, error) {
 		if err1 != nil || err2 != nil || cols < 1 || rows < 1 {
 			return Board{}, fmt.Errorf("board: mesh size %q must be positive COLSxROWS", parts[1])
 		}
-		if rows > math.MaxInt/cols {
-			return Board{}, fmt.Errorf("board: mesh size %q in spec %q overflows the slot count", parts[1], spec)
+		if rows > MaxSlots/cols {
+			return Board{}, fmt.Errorf("board: mesh size %q in spec %q exceeds %d slots", parts[1], spec, MaxSlots)
 		}
 		b.Cols = cols
 		b.Slots = cols * rows
@@ -382,6 +388,9 @@ func ParseSpec(spec string) (Board, error) {
 		n, err := strconv.Atoi(parts[1])
 		if err != nil || n < 1 {
 			return Board{}, fmt.Errorf("board: slot count %q must be a positive integer", parts[1])
+		}
+		if n > MaxSlots {
+			return Board{}, fmt.Errorf("board: slot count %d in spec %q exceeds %d slots", n, spec, MaxSlots)
 		}
 		b.Slots = n
 	}

@@ -1,7 +1,7 @@
 package board
 
 import (
-	"math"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -272,8 +272,39 @@ func TestParseSpecRejectsOverflowingMesh(t *testing.T) {
 		}
 	}
 	// The largest product that fits is still a board.
-	if b, err := ParseSpec("mesh:1x9223372036854775807"); err != nil || b.Slots != math.MaxInt {
-		t.Errorf("ParseSpec(mesh:1xMaxInt) = %+v, %v", b, err)
+	if b, err := ParseSpec(fmt.Sprintf("mesh:1x%d", MaxSlots)); err != nil || b.Slots != MaxSlots {
+		t.Errorf("ParseSpec(mesh:1xMaxSlots) = %+v, %v", b, err)
+	}
+}
+
+// TestParseSpecBoundsSlots: every topology rejects a slot count past
+// MaxSlots, naming the spec, and accepts one at the bound.
+func TestParseSpecBoundsSlots(t *testing.T) {
+	for _, spec := range []string{
+		"chain:1000000000000",
+		fmt.Sprintf("chain:%d:wires=8", MaxSlots+1),
+		fmt.Sprintf("crossbar:%d", MaxSlots+1),
+		"crossbar:9223372036854775807",
+		fmt.Sprintf("mesh:%dx2", MaxSlots/2+1),
+		"mesh:1x9223372036854775807",
+	} {
+		b, err := ParseSpec(spec)
+		if err == nil {
+			t.Errorf("ParseSpec(%q) = %+v, want a slot-bound error", spec, b)
+			continue
+		}
+		if !strings.Contains(err.Error(), spec) {
+			t.Errorf("ParseSpec(%q) error %q does not name the spec", spec, err)
+		}
+	}
+	for _, spec := range []string{
+		fmt.Sprintf("chain:%d", MaxSlots),
+		fmt.Sprintf("crossbar:%d", MaxSlots),
+		fmt.Sprintf("mesh:%dx2", MaxSlots/2),
+	} {
+		if b, err := ParseSpec(spec); err != nil || b.Slots != MaxSlots {
+			t.Errorf("ParseSpec(%q) = %+v, %v; want %d slots", spec, b, err, MaxSlots)
+		}
 	}
 }
 

@@ -15,6 +15,7 @@ func FuzzBoardParseSpec(f *testing.F) {
 	f.Add("mesh:3x6148914691236517206") // COLS·ROWS wraps to 2
 	f.Add("mesh:4294967296x4294967296") // wraps to 0
 	f.Add("mesh:1x9223372036854775807")
+	f.Add("chain:1000000000000")
 	f.Add("crossbar:4:wires=2")
 	f.Add("torus:9")
 	f.Add("XC3020")
@@ -27,6 +28,9 @@ func FuzzBoardParseSpec(f *testing.F) {
 		}
 		if err := b.Validate(); err != nil {
 			t.Fatalf("ParseSpec(%q) accepted a board that fails Validate: %v", spec, err)
+		}
+		if b.Slots > MaxSlots {
+			t.Fatalf("ParseSpec(%q) = %d slots, past MaxSlots %d", spec, b.Slots, MaxSlots)
 		}
 		if b.Topology == Mesh && (b.Slots < b.Cols || b.Slots%b.Cols != 0) {
 			t.Fatalf("ParseSpec(%q) = %+v: mesh slots must be a positive multiple of Cols", spec, b)

@@ -56,8 +56,7 @@ type Config struct {
 	// NSmall separates the small-k and big-k improvement strategies (§3.1).
 	NSmall int
 	// DisableSchedule reduces the improvement schedule to the single
-	// newest-pair pass (ablation switch; approximates the k-way.x baseline
-	// strategy).
+	// newest-pair pass, the k-way.x strategy (see KWayX).
 	DisableSchedule bool
 	// MaxBlocks caps the iteration count for termination safety; zero
 	// selects device.BlockCap(M).
@@ -97,11 +96,37 @@ func (c Config) normalize() Config {
 // Default returns the published configuration.
 func Default() Config { return Config{}.normalize() }
 
+// KWayX returns the recursive-bipartitioning baseline of Kuznar, Brglez &
+// Kozminski (DAC 1993, "cost minimization of partitions into multiple
+// devices"), the method the FPART paper calls k-way.x or (p,p), as a
+// configuration of the same peel.
+//
+// The baseline shares the peeling skeleton of Algorithm 1 but omits every
+// piece of FPART's guidance, matching §3's description of its weaknesses:
+//
+//   - improvement runs only between the remainder and the block produced at
+//     the last step — blocks carved earlier are never revisited, so the
+//     algorithm is greedy and I/O saturates at the later iterations;
+//   - the cost function considers only the net number (cut size), not the
+//     infeasibility distance, terminal totals, or external I/O balance;
+//   - no solution stacks and no second-level gains;
+//   - no endgame absorption.
+//
+// Comparing KWayX to Default on the same circuits reproduces the k-way.x
+// column of Tables 2–5.
+func KWayX() Config {
+	return Config{
+		Engine:          sanchis.Config{StackDepth: -1, CutObjective: true},
+		DisableSchedule: true,
+		DisableAbsorb:   true,
+	}.normalize()
+}
+
 // Stats aggregates algorithm effort counters; it is an alias for obs.Stats
 // (see that package for the field catalogue).
 type Stats = obs.Stats
 
-// Result is the outcome of a Run call.
+// Result is the outcome of a Run, Peel or Portfolio call.
 type Result struct {
 	// Partition holds the final assignment. When Feasible is true every
 	// block meets the device constraints.
@@ -127,10 +152,6 @@ func (r *Result) Blocks() [][]hypergraph.NodeID {
 	return out
 }
 
-// ErrUnsplittable is returned when the circuit contains a node that can
-// never fit the device on its own.
-var ErrUnsplittable = errors.New("core: circuit contains a node larger than the device capacity")
-
 // Partition runs FPART on circuit h targeting device dev. It is Run with a
 // background context.
 func Partition(h *hypergraph.Hypergraph, dev device.Device, cfg Config) (*Result, error) {
@@ -141,127 +162,53 @@ func Partition(h *hypergraph.Hypergraph, dev device.Device, cfg Config) (*Result
 // cancelled or its deadline passes, Run aborts promptly — mid-pass, via the
 // engine's cancellation polling — and returns ctx's error; the partial
 // solution is discarded. Structured events flow to cfg.Sink and effort
-// counters land in Result.Stats.
+// counters land in Result.Stats. Input failing CheckInput is rejected
+// before any work.
 func Run(ctx context.Context, h *hypergraph.Hypergraph, dev device.Device, cfg Config) (*Result, error) {
-	start := time.Now()
-	if err := dev.Validate(); err != nil {
+	cfg = cfg.normalize()
+	pl, err := startPeel(ctx, h, dev, cfg.Sink, cfg.Label)
+	if err != nil {
 		return nil, err
 	}
-	if h.NumNodes() == 0 {
-		return nil, errors.New("core: empty circuit")
-	}
-	resCols := make([][]int32, len(dev.Resources))
-	for ri, r := range dev.Resources {
-		resCols[ri] = h.ResourceColumn(r.Name)
-	}
-	// Columnar accessors, not h.Node(id): the full Node is only needed on
-	// the (cold) error paths, and materializing the 64-byte struct per
-	// cell makes this scan the dominant cost of trivially-feasible runs.
-	smax := dev.SMax()
-	for _, id := range h.InteriorIDs() {
-		if h.SizeOf(id) > smax {
-			return nil, fmt.Errorf("%w: node %q has size %d > S_MAX %d",
-				ErrUnsplittable, h.Node(id).Name, h.SizeOf(id), smax)
-		}
-		for ri, r := range dev.Resources {
-			if resCols[ri] != nil && int(resCols[ri][id]) > r.Cap {
-				return nil, fmt.Errorf("%w: node %q needs %d %s > cap %d",
-					ErrUnsplittable, h.Node(id).Name, resCols[ri][id], r.Name, r.Cap)
-			}
-		}
-	}
-	cfg = cfg.normalize()
-	em := obs.NewEmitter(cfg.Sink, cfg.Label)
-
-	p := partition.New(h, dev)
-	m := device.LowerBound(h, dev)
 	ecfg := cfg.Engine
-	ecfg.Obs = em
-	eng := getEngine(p, ecfg)
+	ecfg.Obs = pl.em
+	eng := getEngine(pl.p, ecfg)
 	defer putEngine(eng)
 	cost := cfg.Engine.Cost
 	if cost == (partition.CostParams{}) {
 		cost = partition.DefaultCost()
 	}
-	rem := partition.BlockID(0)
-	res := &Result{Partition: p, M: m}
-	res.Stats.PeakBlocks = p.NumBlocks()
 	maxBlocks := cfg.MaxBlocks
 	if maxBlocks == 0 {
-		maxBlocks = device.BlockCap(m)
+		maxBlocks = device.BlockCap(pl.m)
+	}
+	r := &runState{peel: pl, cfg: cfg, dev: dev, eng: eng, cost: cost}
+	if err := pl.loop(maxBlocks, r.bipartition, r.schedule); err != nil {
+		return pl.cancelled(err)
 	}
 
-	em.Emit(obs.Event{Type: obs.RunStart, M: m})
-	cancelled := func(err error) (*Result, error) {
-		em.Emit(obs.Event{Type: obs.Cancelled})
-		return nil, err
-	}
-
-	r := &runState{
-		ctx: ctx, cfg: cfg, dev: dev,
-		p: p, eng: eng, cost: cost, rem: rem, m: m,
-		st: &res.Stats, em: em,
-	}
-
-	for !p.Feasible(rem) {
-		if err := ctx.Err(); err != nil {
-			return cancelled(err)
-		}
-		if p.NumBlocks() >= maxBlocks {
-			break // bail out; Feasible stays false
-		}
-		out, err := r.peelStep()
-		if err != nil {
-			return cancelled(err)
-		}
-		if out != peelProgress {
-			break
-		}
-	}
-
-	res.Feasible = p.Classify() == partition.FeasibleSolution
-	if res.Feasible && !cfg.DisableAbsorb {
+	p := pl.p
+	if !cfg.DisableAbsorb && p.Classify() == partition.FeasibleSolution {
 		t0 := time.Now()
 		var snapBuf partition.Snapshot
-		for ctx.Err() == nil && absorbSmallest(p, &snapBuf, &res.Stats, em) {
+		for ctx.Err() == nil && absorbSmallest(p, &snapBuf, r.st, pl.em) {
 		}
-		res.Stats.PhaseTime[obs.PhaseAbsorb] += time.Since(t0)
+		r.st.PhaseTime[obs.PhaseAbsorb] += time.Since(t0)
 		if err := ctx.Err(); err != nil {
-			return cancelled(err)
+			return pl.cancelled(err)
 		}
 	}
-	res.K = nonEmptyBlocks(p)
-	res.Elapsed = time.Since(start)
-	em.Emit(obs.Event{Type: obs.RunEnd, K: res.K, M: m, Feasible: res.Feasible})
-	return res, nil
+	return pl.finish(), nil
 }
 
-// peelOutcome reports how one Algorithm 1 step left the trajectory.
-type peelOutcome uint8
-
-const (
-	// peelProgress: a block was carved and improved; keep peeling.
-	peelProgress peelOutcome = iota
-	// peelStuck: seeding found no bipartition; the loop must stop.
-	peelStuck
-	// peelDone: the remainder emptied out entirely; the partition is final.
-	peelDone
-)
-
-// runState bundles one peeling trajectory: the partition being grown, the
-// engine improving it, and the stats/event stream describing it.
+// runState extends one peeling trajectory with FPART's Algorithm 1 step:
+// the engine improving the partition and the configuration scheduling it.
 type runState struct {
-	ctx  context.Context
+	*peel
 	cfg  Config
 	dev  device.Device
-	p    *partition.Partition
 	eng  *sanchis.Engine
 	cost partition.CostParams
-	rem  partition.BlockID
-	m    int
-	iter int // Algorithm 1 iteration counter for event labelling
-	st   *Stats
-	em   *obs.Emitter
 }
 
 // improve runs one schedule step and folds the engine counters into the
@@ -271,15 +218,10 @@ func (r *runState) improve(label string, blocks ...partition.BlockID) error {
 	st, err := r.eng.ImproveCtx(r.ctx, blocks, r.rem, r.m)
 	r.st.PhaseTime[obs.PhaseImprove] += time.Since(t0)
 	r.st.ImproveCalls++
-	r.st.Passes += st.Passes
-	r.st.MovesEvaluated += st.MovesEvaluated
-	r.st.MovesApplied += st.MovesApplied
-	r.st.MovesGated += st.MovesGated
-	r.st.BucketOps += st.BucketOps
-	r.st.Restarts += st.Restarts
+	st.FoldInto(r.st)
 	if r.em.Enabled() {
 		r.em.Emit(obs.Event{
-			Type: obs.ImprovePass, Iteration: r.iter,
+			Type: obs.ImprovePass, Iteration: r.st.Iterations,
 			Label: label, Blocks: blockInts(blocks),
 			Passes: st.Passes, Moves: st.MovesApplied, Improved: st.Improved,
 		})
@@ -287,35 +229,28 @@ func (r *runState) improve(label string, blocks ...partition.BlockID) error {
 	return err
 }
 
-// peelStep executes one full Algorithm 1 iteration — seed a bipartition,
-// run the improvement schedule, repair semi-feasibility — and reports how
-// it left the trajectory. An error is the context's, already folded into
-// the partial step.
-func (r *runState) peelStep() (peelOutcome, error) {
-	r.iter++
-	r.st.Iterations++
-	r.em.Emit(obs.Event{Type: obs.BipartitionStart, Iteration: r.iter})
-	t0 := time.Now()
+// bipartition is Algorithm 1's constructive seeding (§3.2):
+// {R_k, P_k} = Bipartition(R_{k-1}). It returns P_k, or NoBlock when
+// seeding finds no bipartition.
+func (r *runState) bipartition() (partition.BlockID, error) {
 	pk, ok := seed.Best(r.p, r.rem, r.dev, r.cost, r.m)
-	r.st.PhaseTime[obs.PhaseSeed] += time.Since(t0)
 	if !ok {
-		return peelStuck, nil
+		return partition.NoBlock, nil
 	}
-	if r.p.NumBlocks() > r.st.PeakBlocks {
-		r.st.PeakBlocks = r.p.NumBlocks()
-	}
-	r.em.Emit(obs.Event{
-		Type: obs.BipartitionEnd, Iteration: r.iter,
-		Block: int(pk), Size: r.p.Size(pk), Terminals: r.p.Terminals(pk),
-	})
+	return pk, nil
+}
 
+// schedule runs the improvement schedule of §3.1 after the block pk was
+// seeded, then repairs semi-feasibility. An error is the context's,
+// already folded into the partial step.
+func (r *runState) schedule(pk partition.BlockID) error {
 	if err := r.improve("pair(R,Pk)", r.rem, pk); err != nil {
-		return peelProgress, err
+		return err
 	}
 	if !r.cfg.DisableSchedule {
 		if r.m <= r.cfg.NSmall {
 			if err := r.improve("all", allBlocks(r.p)...); err != nil {
-				return peelProgress, err
+				return err
 			}
 		}
 		schedule := []struct {
@@ -333,7 +268,7 @@ func (r *runState) peelStep() (peelOutcome, error) {
 				continue
 			}
 			if err := r.improve(s.label, b, r.rem); err != nil {
-				return peelProgress, err
+				return err
 			}
 			prev = b
 		}
@@ -341,21 +276,17 @@ func (r *runState) peelStep() (peelOutcome, error) {
 			for b := 0; b < r.p.NumBlocks(); b++ {
 				if partition.BlockID(b) != r.rem {
 					if err := r.improve("final-pair", partition.BlockID(b), r.rem); err != nil {
-						return peelProgress, err
+						return err
 					}
 				}
 			}
 		}
 	}
 
-	t0 = time.Now()
+	t0 := time.Now()
 	repairNonRemainder(r.p, r.rem, r.st, r.em)
 	r.st.PhaseTime[obs.PhaseRepair] += time.Since(t0)
-
-	if r.p.Nodes(r.rem) == 0 {
-		return peelDone, nil
-	}
-	return peelProgress, nil
+	return nil
 }
 
 // blockInts converts block IDs for an event payload.

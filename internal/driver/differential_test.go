@@ -13,7 +13,6 @@ import (
 	"fpart/internal/flow"
 	"fpart/internal/gen"
 	"fpart/internal/hypergraph"
-	"fpart/internal/kwayx"
 	"fpart/internal/mlfpart"
 	"fpart/internal/multilevel"
 	"fpart/internal/partition"
@@ -60,7 +59,7 @@ func TestRegistryDispatchMatchesDirectCalls(t *testing.T) {
 			return r.Partition, nil
 		}},
 		{"kwayx", func() (*partition.Partition, error) {
-			r, err := kwayx.Partition(h, dev, kwayx.Config{})
+			r, err := core.Run(ctx, h, dev, core.KWayX())
 			if err != nil {
 				return nil, err
 			}

@@ -3,14 +3,14 @@ package engine
 import (
 	"context"
 
+	"fpart/internal/core"
 	"fpart/internal/device"
 	"fpart/internal/flow"
 	"fpart/internal/hypergraph"
-	"fpart/internal/kwayx"
 	"fpart/internal/multilevel"
 )
 
-// kwayxEngine wraps kwayx.PartitionCtx, the k-way.x recursive
+// kwayxEngine runs core.Run under core.KWayX, the k-way.x recursive
 // bipartitioning baseline of §3 / Tables 2–5.
 type kwayxEngine struct{}
 
@@ -26,11 +26,10 @@ func (kwayxEngine) Caps() Capabilities {
 }
 
 func (kwayxEngine) Run(ctx context.Context, h *hypergraph.Hypergraph, dev device.Device, opts Options) (*Result, error) {
-	r, err := kwayx.PartitionCtx(ctx, h, dev, kwayx.Config{Sink: opts.Sink, Label: opts.Label})
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Partition: r.Partition, K: r.K, M: r.M, Feasible: r.Feasible, Stats: &r.Stats, Elapsed: r.Elapsed}, nil
+	cfg := core.KWayX()
+	cfg.Sink = opts.Sink
+	cfg.Label = opts.Label
+	return fromCore(core.Run(ctx, h, dev, cfg))
 }
 
 // flowEngine wraps flow.PartitionCtx, the FBB-MW flow-based baseline.
@@ -48,11 +47,7 @@ func (flowEngine) Caps() Capabilities {
 }
 
 func (flowEngine) Run(ctx context.Context, h *hypergraph.Hypergraph, dev device.Device, opts Options) (*Result, error) {
-	r, err := flow.PartitionCtx(ctx, h, dev, flow.Config{Sink: opts.Sink, Label: opts.Label})
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Partition: r.Partition, K: r.K, M: r.M, Feasible: r.Feasible, Stats: &r.Stats, Elapsed: r.Elapsed}, nil
+	return fromCore(flow.PartitionCtx(ctx, h, dev, flow.Config{Sink: opts.Sink, Label: opts.Label}))
 }
 
 // multilevelEngine wraps multilevel.PartitionCtx, the hMETIS-style
@@ -71,9 +66,5 @@ func (multilevelEngine) Caps() Capabilities {
 }
 
 func (multilevelEngine) Run(ctx context.Context, h *hypergraph.Hypergraph, dev device.Device, opts Options) (*Result, error) {
-	r, err := multilevel.PartitionCtx(ctx, h, dev, multilevel.Config{Sink: opts.Sink, Label: opts.Label})
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Partition: r.Partition, K: r.K, M: r.M, Feasible: r.Feasible, Stats: &r.Stats, Elapsed: r.Elapsed}, nil
+	return fromCore(multilevel.PartitionCtx(ctx, h, dev, multilevel.Config{Sink: opts.Sink, Label: opts.Label}))
 }

@@ -12,7 +12,7 @@ import (
 // enginePackages are the algorithm packages behind the registry, relative
 // to this package's directory.
 var enginePackages = []string{
-	"core", "sanchis", "mlfpart", "multilevel", "flow", "kwayx",
+	"core", "sanchis", "mlfpart", "multilevel", "flow",
 	"seed", "partition", "gain", "wcdp", "setcover",
 }
 

@@ -26,11 +26,7 @@ func (fpartEngine) Run(ctx context.Context, h *hypergraph.Hypergraph, dev device
 	cfg := core.Default()
 	cfg.Sink = opts.Sink
 	cfg.Label = opts.Label
-	r, err := core.Run(ctx, h, dev, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Partition: r.Partition, K: r.K, M: r.M, Feasible: r.Feasible, Stats: &r.Stats, Elapsed: r.Elapsed}, nil
+	return fromCore(core.Run(ctx, h, dev, cfg))
 }
 
 // portfolioEngine wraps core.Portfolio over the DefaultPortfolio
@@ -55,7 +51,11 @@ func (portfolioEngine) Run(ctx context.Context, h *hypergraph.Hypergraph, dev de
 		cfgs[i].Sink = opts.Sink
 		cfgs[i].Budget = opts.Budget
 	}
-	r, err := core.Portfolio(ctx, h, dev, cfgs)
+	return fromCore(core.Portfolio(ctx, h, dev, cfgs))
+}
+
+// fromCore converts the outcome of a core-driven engine to a Result.
+func fromCore(r *core.Result, err error) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}

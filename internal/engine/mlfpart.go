@@ -28,5 +28,5 @@ func (mlfpartEngine) Run(ctx context.Context, h *hypergraph.Hypergraph, dev devi
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Partition: r.Partition, K: r.K, M: r.M, Feasible: r.Feasible, Stats: &r.Stats, Elapsed: r.Elapsed}, nil
+	return fromCore(&r.Result, nil)
 }

@@ -21,7 +21,6 @@ package mlfpart
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
@@ -77,18 +76,12 @@ func (c Config) normalize() Config {
 	return c
 }
 
-// Result is the outcome of a PartitionCtx call.
+// Result is the outcome of a PartitionCtx call: core's outcome fields for
+// the partition of the input graph, plus the hierarchy depth.
 type Result struct {
-	// Partition holds the final assignment on the input graph.
-	Partition *partition.Partition
-	// K is the number of non-empty blocks; M the device lower bound.
-	K, M int
-	// Feasible reports whether every block meets the device constraints.
-	Feasible bool
+	core.Result
 	// Levels is the hierarchy depth used (0 when the flat path ran).
-	Levels  int
-	Stats   obs.Stats
-	Elapsed time.Duration
+	Levels int
 }
 
 // Partition runs the multilevel engine with a background context.
@@ -102,20 +95,8 @@ func Partition(h *hypergraph.Hypergraph, dev device.Device, cfg Config) (*Result
 // coarse peel, and per refinement batch.
 func PartitionCtx(ctx context.Context, h *hypergraph.Hypergraph, dev device.Device, cfg Config) (*Result, error) {
 	start := time.Now()
-	if err := dev.Validate(); err != nil {
+	if err := core.CheckInput(ctx, h, dev); err != nil {
 		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if h.NumNodes() == 0 {
-		return nil, errors.New("mlfpart: empty circuit")
-	}
-	for _, id := range h.InteriorIDs() {
-		if h.Node(id).Size > dev.SMax() {
-			return nil, fmt.Errorf("mlfpart: node %q larger than device (%d > %d)",
-				h.Node(id).Name, h.Node(id).Size, dev.SMax())
-		}
 	}
 	cfg = cfg.normalize()
 	m := device.LowerBound(h, dev)
@@ -125,14 +106,12 @@ func PartitionCtx(ctx context.Context, h *hypergraph.Hypergraph, dev device.Devi
 		if err != nil {
 			return nil, err
 		}
-		return &Result{
-			Partition: r.Partition, K: r.K, M: r.M, Feasible: r.Feasible,
-			Stats: r.Stats, Elapsed: time.Since(start),
-		}, nil
+		r.Elapsed = time.Since(start)
+		return &Result{Result: *r}, nil
 	}
 
 	em := obs.NewEmitter(cfg.Sink, cfg.Label)
-	res := &Result{M: m}
+	res := &Result{Result: core.Result{M: m}}
 	em.Emit(obs.Event{Type: obs.RunStart, M: m})
 
 	// Coarsen. The per-level size cap (maxClusterFrac of S_MAX) keeps

@@ -43,11 +43,7 @@ func (r *refiner) pairFM(ctx context.Context, p *partition.Partition, stats *obs
 		if err != nil {
 			return err
 		}
-		stats.Passes += st.Passes
-		stats.MovesEvaluated += st.MovesEvaluated
-		stats.MovesApplied += st.MovesApplied
-		stats.MovesGated += st.MovesGated
-		stats.BucketOps += st.BucketOps
+		st.FoldInto(stats)
 	}
 	return nil
 }

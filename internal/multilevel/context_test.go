@@ -61,8 +61,8 @@ func TestPartitionMatchesPartitionCtx(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.K != b.K || a.Feasible != b.Feasible || a.Iterations != b.Iterations {
+	if a.K != b.K || a.Feasible != b.Feasible || a.Stats.Iterations != b.Stats.Iterations {
 		t.Errorf("wrapper diverged: K %d/%d feasible %v/%v iters %d/%d",
-			a.K, b.K, a.Feasible, b.Feasible, a.Iterations, b.Iterations)
+			a.K, b.K, a.Feasible, b.Feasible, a.Stats.Iterations, b.Stats.Iterations)
 	}
 }

@@ -11,11 +11,9 @@ package multilevel
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"sort"
-	"time"
 
+	"fpart/internal/core"
 	"fpart/internal/device"
 	"fpart/internal/hypergraph"
 	"fpart/internal/obs"
@@ -34,25 +32,11 @@ const (
 
 // Config tunes the multilevel driver.
 type Config struct {
-	// Sink, when non-nil, receives one obs.Event per peeled block.
+	// Sink, when non-nil, receives the run's events: RunStart, one
+	// BipartitionStart/BipartitionEnd pair per peeled block, RunEnd.
 	Sink obs.Sink
 	// Label tags this run's events (obs.Event.Source).
 	Label string
-}
-
-// Result mirrors the other drivers' results.
-type Result struct {
-	Partition  *partition.Partition
-	K          int
-	M          int
-	Feasible   bool
-	Iterations int
-	Levels     int // coarsening levels used by the last peel
-	// Stats carries the effort counters of the run: the V-cycle split
-	// (coarsen + refine) is accounted as the seed phase, its per-level FM
-	// refinement counters fold into the move/pass totals.
-	Stats   obs.Stats
-	Elapsed time.Duration
 }
 
 // level is one rung of the coarsening hierarchy.
@@ -126,11 +110,7 @@ func vCycleSplit(ctx context.Context, p *partition.Partition, rem partition.Bloc
 		})
 		est, err := eng.ImproveCtx(ctx, []partition.BlockID{0, blkA}, 0, device.LowerBound(lh, dev))
 		st.ImproveCalls++
-		st.Passes += est.Passes
-		st.MovesEvaluated += est.MovesEvaluated
-		st.MovesApplied += est.MovesApplied
-		st.MovesGated += est.MovesGated
-		st.BucketOps += est.BucketOps
+		est.FoldInto(st)
 		if err != nil {
 			return nil, len(levels), false, err
 		}
@@ -298,99 +278,38 @@ func ClusterOrder(h *hypergraph.Hypergraph) []hypergraph.NodeID {
 
 // Partition runs the multilevel peeling driver. It is PartitionCtx with a
 // background context.
-func Partition(h *hypergraph.Hypergraph, dev device.Device, cfg Config) (*Result, error) {
+func Partition(h *hypergraph.Hypergraph, dev device.Device, cfg Config) (*core.Result, error) {
 	return PartitionCtx(context.Background(), h, dev, cfg)
 }
 
-// PartitionCtx runs the multilevel peeling driver under ctx. Cancellation
-// is polled at every peel iteration, between coarsening levels, and inside
-// each level's FM refinement, so even one V-cycle on a large circuit
-// aborts promptly; the partial solution is discarded and ctx's error is
-// returned. Structured events flow to cfg.Sink and effort counters land in
-// Result.Stats.
-func PartitionCtx(ctx context.Context, h *hypergraph.Hypergraph, dev device.Device, cfg Config) (*Result, error) {
-	start := time.Now()
-	if err := ctx.Err(); err != nil {
+// PartitionCtx runs the multilevel peeling driver under ctx: the V-cycle
+// carve inside core.Peel. Cancellation is polled at every peel iteration,
+// between coarsening levels, and inside each level's FM refinement, so
+// even one V-cycle on a large circuit aborts promptly; the partial
+// solution is discarded and ctx's error is returned. The V-cycle (coarsen
+// + refine) is accounted as the seed phase, and its per-level FM
+// refinement counters fold into the move/pass totals of Result.Stats.
+func PartitionCtx(ctx context.Context, h *hypergraph.Hypergraph, dev device.Device, cfg Config) (*core.Result, error) {
+	return core.Peel(ctx, h, dev, carve, cfg.Sink, cfg.Label)
+}
+
+// carve is the multilevel peel step: the V-cycle's min-cut side saturated
+// under every device constraint, exactly as the flow baseline does with
+// its nucleus, or a pin-aware greedy block from the biggest node when the
+// V-cycle finds no split.
+func carve(ctx context.Context, p *partition.Partition, rem partition.BlockID, st *core.Stats) ([]hypergraph.NodeID, error) {
+	dev := p.Device()
+	set, _, ok, err := vCycleSplit(ctx, p, rem, dev, st)
+	if err != nil {
 		return nil, err
 	}
-	if err := dev.Validate(); err != nil {
-		return nil, err
+	if ok {
+		set = trimToFeasible(p, rem, dev, set)
 	}
-	if h.NumNodes() == 0 {
-		return nil, errors.New("multilevel: empty circuit")
+	if !ok || len(set) == 0 {
+		set = seed.Grow(p, rem, dev, biggestSeed(p, rem))
 	}
-	for _, id := range h.InteriorIDs() {
-		if h.Node(id).Size > dev.SMax() {
-			return nil, fmt.Errorf("multilevel: node %q larger than device (%d > %d)",
-				h.Node(id).Name, h.Node(id).Size, dev.SMax())
-		}
-	}
-	em := obs.NewEmitter(cfg.Sink, cfg.Label)
-
-	p := partition.New(h, dev)
-	m := device.LowerBound(h, dev)
-	rem := partition.BlockID(0)
-	res := &Result{Partition: p, M: m}
-	res.Stats.PeakBlocks = p.NumBlocks()
-	maxBlocks := device.BlockCap(m)
-
-	em.Emit(obs.Event{Type: obs.RunStart, M: m})
-	for !p.Feasible(rem) {
-		if err := ctx.Err(); err != nil {
-			em.Emit(obs.Event{Type: obs.Cancelled})
-			return nil, err
-		}
-		if p.NumBlocks() >= maxBlocks {
-			break
-		}
-		res.Iterations++
-		res.Stats.Iterations++
-		em.Emit(obs.Event{Type: obs.BipartitionStart, Iteration: res.Iterations})
-		t0 := time.Now()
-		set, lv, ok, err := vCycleSplit(ctx, p, rem, dev, &res.Stats)
-		if err != nil {
-			res.Stats.PhaseTime[obs.PhaseSeed] += time.Since(t0)
-			em.Emit(obs.Event{Type: obs.Cancelled})
-			return nil, err
-		}
-		res.Levels = lv
-		if ok {
-			// Saturate the min-cut side under both constraints, exactly as
-			// the flow baseline does with its nucleus.
-			set = trimToFeasible(p, rem, dev, set)
-		}
-		if !ok || len(set) == 0 {
-			set = seed.Grow(p, rem, dev, biggestSeed(p, rem))
-		}
-		res.Stats.PhaseTime[obs.PhaseSeed] += time.Since(t0)
-		if len(set) == 0 {
-			break
-		}
-		nb := p.AddBlock()
-		for _, v := range set {
-			p.Move(v, nb)
-			res.Stats.MovesApplied++
-		}
-		if p.NumBlocks() > res.Stats.PeakBlocks {
-			res.Stats.PeakBlocks = p.NumBlocks()
-		}
-		em.Emit(obs.Event{
-			Type: obs.BipartitionEnd, Iteration: res.Iterations,
-			Block: int(nb), Size: p.Size(nb), Terminals: p.Terminals(nb),
-		})
-		if p.Nodes(rem) == 0 {
-			break
-		}
-	}
-	res.Feasible = p.Classify() == partition.FeasibleSolution
-	for b := 0; b < p.NumBlocks(); b++ {
-		if p.Nodes(partition.BlockID(b)) > 0 {
-			res.K++
-		}
-	}
-	res.Elapsed = time.Since(start)
-	em.Emit(obs.Event{Type: obs.RunEnd, K: res.K, M: m, Feasible: res.Feasible})
-	return res, nil
+	return set, nil
 }
 
 // trimToFeasible shrinks/saturates a candidate set so the carved block

@@ -1,10 +1,12 @@
 package multilevel
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"fpart/internal/core"
 	"fpart/internal/device"
 	"fpart/internal/gen"
 	"fpart/internal/hypergraph"
@@ -134,7 +136,15 @@ func TestMultilevelOnBenchmark(t *testing.T) {
 	if r.K > r.M+2 {
 		t.Errorf("K = %d far above M = %d", r.K, r.M)
 	}
-	if r.Levels == 0 {
+	// The first peel's V-cycle coarsens the whole circuit: the hierarchy
+	// holds the input level plus at least one coarser one.
+	var st core.Stats
+	p := partition.New(h, device.XC3042)
+	_, levels, _, err := vCycleSplit(context.Background(), p, 0, device.XC3042, &st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if levels < 2 {
 		t.Error("no coarsening levels used on a 454-cell circuit")
 	}
 }

@@ -45,17 +45,17 @@ func FuzzReadPHG(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-read of own output: %v", err)
 		}
-		if err := samePHG(h, h2); err != nil {
+		if err := sameGraph(h, h2); err != nil {
 			t.Fatalf("round trip drifted: %v", err)
 		}
 	})
 }
 
-// samePHG compares everything PHG carries except names, which the writer
-// sanitizes: node kinds and sizes, resource names, columns and totals, and
+// sameGraph compares everything PHG and hMETIS carry except names, which
+// the writers sanitize or drop: node kinds and sizes, resource names, columns and totals, and
 // net pin lists. It also checks that a's totals match its packed columns,
 // which fails if a parsed value wrapped on packing.
-func samePHG(a, b *hypergraph.Hypergraph) error {
+func sameGraph(a, b *hypergraph.Hypergraph) error {
 	if a.NumNodes() != b.NumNodes() || a.NumNets() != b.NumNets() {
 		return fmt.Errorf("shape %v vs %v", a, b)
 	}
@@ -102,6 +102,7 @@ func FuzzReadHgr(f *testing.F) {
 	f.Add("% comment\n1 1\n1\n")
 	f.Add("999999999 999999999 10\n") // hostile header: huge declared counts
 	f.Add("1 2\n1 " + strings.Repeat("2 ", 128) + "\n")
+	f.Add("1 2 10\n1 2\n2147483648\n1\n") // weight one past int32
 	f.Fuzz(func(t *testing.T, in string) {
 		h, err := ReadHgr(strings.NewReader(in))
 		if err != nil {
@@ -111,8 +112,12 @@ func FuzzReadHgr(f *testing.F) {
 		if err := WriteHgr(&buf, h); err != nil {
 			t.Fatalf("write after successful read: %v", err)
 		}
-		if _, err := ReadHgr(&buf); err != nil {
+		back, err := ReadHgr(&buf)
+		if err != nil {
 			t.Fatalf("re-read of own output: %v", err)
+		}
+		if err := sameGraph(h, back); err != nil {
+			t.Fatalf("round trip: %v", err)
 		}
 	})
 }

@@ -278,11 +278,13 @@ func ReadHgrLimits(r io.Reader, lim Limits) (*hypergraph.Hypergraph, error) {
 			if err != nil {
 				return nil, fmt.Errorf("hgr: weight %d: %w", i+1, err)
 			}
-			wgt, err := strconv.Atoi(fields[0])
+			// Weights become int32 node sizes: wider values are
+			// rejected rather than wrapped.
+			wgt, err := strconv.ParseInt(fields[0], 10, 32)
 			if err != nil || wgt < 0 {
 				return nil, fmt.Errorf("hgr: weight %d: bad value %q", i+1, fields[0])
 			}
-			weights[i] = wgt
+			weights[i] = int(wgt)
 		}
 	}
 	var b hypergraph.Builder

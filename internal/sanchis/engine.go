@@ -127,6 +127,17 @@ type Stats struct {
 	Improved       bool
 }
 
+// FoldInto adds the pass, move, bucket and restart counters to a run's
+// obs.Stats. Counting the call itself (ImproveCalls) is the caller's.
+func (s Stats) FoldInto(st *obs.Stats) {
+	st.Passes += s.Passes
+	st.MovesEvaluated += s.MovesEvaluated
+	st.MovesApplied += s.MovesApplied
+	st.MovesGated += s.MovesGated
+	st.BucketOps += s.BucketOps
+	st.Restarts += s.Restarts
+}
+
 // Engine runs improvement passes over a Partition. An Engine may be reused
 // across Improve calls on the same partition; it is not safe for concurrent
 // use.

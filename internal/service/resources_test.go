@@ -168,6 +168,24 @@ func TestHTTPBoardAndResources(t *testing.T) {
 	}
 }
 
+// TestHTTPRejectsOversizedBoard: a board past board.MaxSlots is a bad
+// request, answered before any job allocates a slot table for it.
+func TestHTTPRejectsOversizedBoard(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer shutdownClean(t, s)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	for _, spec := range []string{"chain:1000000000000", "crossbar:1000000", "mesh:100000x100000"} {
+		resp, body := postJSON(t, ts, "/v1/partition", apiRequest{
+			Circuit: "c3540", Device: "XC3020", Board: spec,
+		})
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), spec) {
+			t.Errorf("board %q: want 400 naming the spec, got %d: %s", spec, resp.StatusCode, body)
+		}
+	}
+}
+
 // TestFingerprintResourceColumns pins the cache-key rule for resource
 // demands: two structurally identical uploads that differ only in a node's
 // resource stamp are different computations, and the resource *name*

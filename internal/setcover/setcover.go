@@ -17,11 +17,11 @@
 package setcover
 
 import (
-	"errors"
-	"fmt"
+	"context"
 	"sort"
 	"time"
 
+	"fpart/internal/core"
 	"fpart/internal/device"
 	"fpart/internal/hypergraph"
 	"fpart/internal/partition"
@@ -41,17 +41,8 @@ type Result struct {
 // Partition runs candidate generation + greedy set cover.
 func Partition(h *hypergraph.Hypergraph, dev device.Device) (*Result, error) {
 	start := time.Now()
-	if err := dev.Validate(); err != nil {
+	if err := core.CheckInput(context.Background(), h, dev); err != nil {
 		return nil, err
-	}
-	if h.NumNodes() == 0 {
-		return nil, errors.New("setcover: empty circuit")
-	}
-	for _, id := range h.InteriorIDs() {
-		if h.Node(id).Size > dev.SMax() {
-			return nil, fmt.Errorf("setcover: node %q larger than device (%d > %d)",
-				h.Node(id).Name, h.Node(id).Size, dev.SMax())
-		}
 	}
 	m := device.LowerBound(h, dev)
 	res := &Result{M: m}

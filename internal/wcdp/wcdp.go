@@ -21,10 +21,10 @@
 package wcdp
 
 import (
-	"errors"
-	"fmt"
+	"context"
 	"time"
 
+	"fpart/internal/core"
 	"fpart/internal/device"
 	"fpart/internal/hypergraph"
 	"fpart/internal/multilevel"
@@ -54,19 +54,10 @@ type Config struct {
 // Partition runs ordering + DP.
 func Partition(h *hypergraph.Hypergraph, dev device.Device, cfg Config) (*Result, error) {
 	start := time.Now()
-	if err := dev.Validate(); err != nil {
+	if err := core.CheckInput(context.Background(), h, dev); err != nil {
 		return nil, err
 	}
 	n := h.NumNodes()
-	if n == 0 {
-		return nil, errors.New("wcdp: empty circuit")
-	}
-	for _, id := range h.InteriorIDs() {
-		if h.Node(id).Size > dev.SMax() {
-			return nil, fmt.Errorf("wcdp: node %q larger than device (%d > %d)",
-				h.Node(id).Name, h.Node(id).Size, dev.SMax())
-		}
-	}
 
 	var order []hypergraph.NodeID
 	if cfg.MaxAdjacencyOrder {
