@@ -73,7 +73,6 @@ type options struct {
 	advertise     string
 	replicas      int
 	stealInterval time.Duration
-	degradeAt     float64
 
 	cpuprofile string
 	memprofile string
@@ -101,9 +100,6 @@ func (o *options) validate() error {
 		if b.v < 0 {
 			return fmt.Errorf("%s must not be negative (got %v)", b.name, b.v)
 		}
-	}
-	if o.degradeAt > 1 {
-		return fmt.Errorf("-degrade-at is a queue-fill fraction in [0,1], or negative to disable (got %v)", o.degradeAt)
 	}
 	if o.dataDir == "" && o.storeBytes != 0 {
 		return errors.New("-store-bytes needs -data-dir")
@@ -170,7 +166,6 @@ func run() error {
 	flag.StringVar(&o.advertise, "advertise", "", "this peer's address as listed in -peers (default: -addr)")
 	flag.IntVar(&o.replicas, "replicas", 0, "virtual nodes per peer on the consistent-hash ring (0 = 64)")
 	flag.DurationVar(&o.stealInterval, "steal-interval", 0, "idle work-stealing poll interval (0 = 500ms)")
-	flag.Float64Var(&o.degradeAt, "degrade-at", 0, "queue-fill fraction that degrades expensive methods to a cheaper engine (0 = 0.75; negative disables)")
 	flag.StringVar(&o.cpuprofile, "cpuprofile", "", "write a pprof CPU profile of the daemon's lifetime to this file")
 	flag.StringVar(&o.memprofile, "memprofile", "", "write a pprof heap profile (taken at shutdown) to this file")
 	flag.Parse()
@@ -200,7 +195,6 @@ func run() error {
 		JobRetention:   o.retention,
 		DefaultTimeout: o.defaultTimeout,
 		Store:          st,
-		DegradeAt:      o.degradeAt,
 	})
 
 	ln, err := net.Listen("tcp", o.addr)

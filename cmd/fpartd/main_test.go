@@ -53,16 +53,6 @@ func TestValidateClusterAndStoreCoupling(t *testing.T) {
 	if err := o.validate(); err == nil || !strings.Contains(err.Error(), "a:1") {
 		t.Fatalf("self missing from peers: got %v", err)
 	}
-	// -degrade-at is a fraction; 2.0 is a typo, -1 is the documented off
-	// switch.
-	o = options{addr: "a:1", degradeAt: 2}
-	if err := o.validate(); err == nil || !strings.Contains(err.Error(), "-degrade-at") {
-		t.Fatalf("degrade-at > 1: got %v", err)
-	}
-	o = options{addr: "a:1", degradeAt: -1}
-	if err := o.validate(); err != nil {
-		t.Fatalf("degrade-at < 0 disables, must validate: %v", err)
-	}
 }
 
 func TestValidateAcceptsWorkingConfigs(t *testing.T) {

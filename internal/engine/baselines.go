@@ -20,7 +20,6 @@ func (kwayxEngine) Name() string { return "kwayx" }
 
 func (kwayxEngine) Caps() Capabilities {
 	return Capabilities{
-		Cost:    1,
 		Summary: "k-way.x recursive bipartitioning baseline (Kuznar-Brglez-Kozminski)",
 	}
 }
@@ -41,7 +40,6 @@ func (flowEngine) Name() string { return "flow" }
 
 func (flowEngine) Caps() Capabilities {
 	return Capabilities{
-		Cost:    3,
 		Summary: "FBB-MW flow-based peeling baseline (Liu-Wong max-flow min-cut)",
 	}
 }
@@ -60,7 +58,6 @@ func (multilevelEngine) Name() string { return "multilevel" }
 
 func (multilevelEngine) Caps() Capabilities {
 	return Capabilities{
-		Cost:    2,
 		Summary: "multilevel coarsen/split/refine baseline (hMETIS-style V-cycles)",
 	}
 }

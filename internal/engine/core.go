@@ -17,7 +17,6 @@ func (fpartEngine) Name() string { return "fpart" }
 
 func (fpartEngine) Caps() Capabilities {
 	return Capabilities{
-		Cost:    4,
 		Summary: "guided iterative improvement of Krupnova & Saucier (the paper's algorithm)",
 	}
 }
@@ -40,7 +39,6 @@ func (portfolioEngine) Name() string { return "portfolio" }
 func (portfolioEngine) Caps() Capabilities {
 	return Capabilities{
 		Budgeted: true,
-		Cost:     5,
 		Summary:  "races the core.DefaultPortfolio configuration mix, a K=M win cancels the later members",
 	}
 }

@@ -46,34 +46,8 @@ type Capabilities struct {
 	// Budgeted engines draw extra concurrency tokens from Options.Budget
 	// (portfolio members) beyond the one the caller holds.
 	Budgeted bool
-	// Cost ranks the engine's relative compute expense (1 = cheapest).
-	// It is the static prior of the fpartd degradation ladder: under
-	// load, admission control falls back from an expensive engine to a
-	// strictly cheaper one (refined at runtime by the measured per-method
-	// latency histograms). 0 means unranked — never a degradation target.
-	Cost int
 	// Summary is a one-line description for method listings.
 	Summary string
-}
-
-// CheaperThan lists the registered engines with a cost rank strictly
-// below the named engine's, cheapest first — the named engine's
-// degradation ladder. Unranked engines (Cost 0) never appear, and an
-// unknown or unranked name has an empty ladder.
-func CheaperThan(name string) []Info {
-	eng, ok := Lookup(name)
-	if !ok || eng.Caps().Cost == 0 {
-		return nil
-	}
-	limit := eng.Caps().Cost
-	var out []Info
-	for _, inf := range List() {
-		if inf.Caps.Cost > 0 && inf.Caps.Cost < limit {
-			out = append(out, inf)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Caps.Cost < out[j].Caps.Cost })
-	return out
 }
 
 // Options tunes one Run dispatch beyond the method choice.

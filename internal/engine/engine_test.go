@@ -69,44 +69,15 @@ func TestRegistryOrderAndCaps(t *testing.T) {
 	}
 }
 
-// TestCapabilitiesFlags pins the capability fields that remain: each one
-// must differ across the registry, or it carries no information. Budgeted
-// takes both values, and Cost ranks every engine so that CheaperThan lists
-// exactly the strictly cheaper engines, cheapest first.
+// TestCapabilitiesFlags pins the capability field that remains: it must
+// differ across the registry, or it carries no information.
 func TestCapabilitiesFlags(t *testing.T) {
-	infos := List()
 	budgeted := map[bool]int{}
-	for _, inf := range infos {
+	for _, inf := range List() {
 		budgeted[inf.Caps.Budgeted]++
-		if inf.Caps.Cost <= 0 {
-			t.Errorf("%s: unranked (Cost %d)", inf.Name, inf.Caps.Cost)
-		}
 	}
 	if budgeted[true] == 0 || budgeted[false] == 0 {
 		t.Errorf("Budgeted is constant across the registry: %v", budgeted)
-	}
-	for _, inf := range infos {
-		ladder := CheaperThan(inf.Name)
-		want := 0
-		for _, other := range infos {
-			if other.Caps.Cost < inf.Caps.Cost {
-				want++
-			}
-		}
-		if len(ladder) != want {
-			t.Errorf("CheaperThan(%q): %d engines, want %d", inf.Name, len(ladder), want)
-		}
-		for i, step := range ladder {
-			if step.Caps.Cost >= inf.Caps.Cost {
-				t.Errorf("CheaperThan(%q) lists %q at cost %d ≥ %d", inf.Name, step.Name, step.Caps.Cost, inf.Caps.Cost)
-			}
-			if i > 0 && step.Caps.Cost < ladder[i-1].Caps.Cost {
-				t.Errorf("CheaperThan(%q) not cheapest first: %+v", inf.Name, ladder)
-			}
-		}
-	}
-	if got := CheaperThan("simulated-annealing"); got != nil {
-		t.Errorf("unknown method has a ladder: %+v", got)
 	}
 }
 

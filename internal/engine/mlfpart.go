@@ -18,7 +18,6 @@ func (mlfpartEngine) Name() string { return "mlfpart" }
 
 func (mlfpartEngine) Caps() Capabilities {
 	return Capabilities{
-		Cost:    2,
 		Summary: "multilevel-accelerated FPART (coarsen, peel coarsest, refine down)",
 	}
 }

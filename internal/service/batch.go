@@ -34,8 +34,8 @@ func (g *Group) ID() string { return g.id }
 func (g *Group) Items() []GroupItem { return g.items }
 
 // SubmitBatch fans base out across devices as one job group. Each target
-// is admitted independently (cache hits, coalescing, and degradation all
-// apply per job); per-device admission errors are recorded in the group
+// is admitted independently (cache hits, coalescing, and the disk store
+// all apply per job); per-device admission errors are recorded in the group
 // rather than aborting it. Only if no device at all was admitted does
 // SubmitBatch fail, with the first error.
 func (s *Service) SubmitBatch(base Request, devices []string) (*Group, error) {

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -167,73 +168,41 @@ func TestStoreRetiredEventRecomputes(t *testing.T) {
 	}
 }
 
-// TestDegradeUnderQueuePressure: once the queue passes the DegradeAt
-// fill fraction, an expensive submission runs on a cheaper engine and
-// records the original method in DegradedFrom.
-func TestDegradeUnderQueuePressure(t *testing.T) {
-	s := New(Config{Workers: 1, QueueDepth: 4, DegradeAt: 0.5})
+// TestQueuePressureKeepsMethod: admission under the default Config never
+// substitutes a method. With the worker busy and three jobs queued (a
+// 0.75 fill of a four-deep queue), an fpart submission still queues as
+// fpart, and the next distinct submission is rejected with ErrQueueFull.
+func TestQueuePressureKeepsMethod(t *testing.T) {
+	s := New(Config{Workers: 1, QueueDepth: 4})
 	defer shutdownClean(t, s)
 	started, release := gateRuns(s, 8)
 	defer close(release)
 
-	// Occupy the worker, then fill the queue to the degradation threshold
-	// (0.5 * 4 = 2 queued jobs).
 	if _, err := s.Submit(phgRequest(uniquePHG(1))); err != nil {
 		t.Fatal(err)
 	}
 	<-started
-	for i := 2; i <= 3; i++ {
+	for i := 2; i <= 4; i++ {
 		if _, err := s.Submit(phgRequest(uniquePHG(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	// tinyPHG is structurally distinct from every queued uniquePHG, so this
-	// submission can neither cache-hit nor coalesce — it must queue or
-	// degrade.
+	// submission can neither cache-hit nor coalesce: it must queue.
 	job, err := s.Submit(Request{Format: "phg", Netlist: tinyPHG, Device: "XC3020", Method: "fpart"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := s.Snapshot(job)
-	if snap.DegradedFrom != "fpart" {
-		t.Fatalf("want degradation from fpart, got %q (method %q)", snap.DegradedFrom, snap.Method)
+	if snap := s.Snapshot(job); snap.State != StateQueued || snap.Method != "fpart" {
+		t.Fatalf("want a queued fpart job, got state=%s method=%s", snap.State, snap.Method)
 	}
-	if snap.Method == "fpart" {
-		t.Fatal("degraded job must run a cheaper engine")
-	}
-	if s.m.degraded.Load() != 1 {
-		t.Fatalf("degraded counter: want 1, got %d", s.m.degraded.Load())
+	if want := Fingerprint(job.h, device.XC3020, "fpart", ""); job.Key() != want {
+		t.Fatalf("job key %s is not the fpart fingerprint %s", job.Key(), want)
 	}
 
-	// Below the threshold nothing degrades.
-	s2 := New(Config{Workers: 2, QueueDepth: 64})
-	defer shutdownClean(t, s2)
-	j2, err := s2.Submit(phgRequest(tinyPHG))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap := s2.Snapshot(j2); snap.DegradedFrom != "" {
-		t.Fatalf("unloaded service degraded a job to %q", snap.Method)
-	}
-
-	// DegradeAt < 0 disables the ladder even under pressure.
-	s3 := New(Config{Workers: 1, QueueDepth: 1, DegradeAt: -1})
-	defer shutdownClean(t, s3)
-	started3, release3 := gateRuns(s3, 4)
-	defer close(release3)
-	if _, err := s3.Submit(phgRequest(uniquePHG(10))); err != nil {
-		t.Fatal(err)
-	}
-	<-started3
-	if _, err := s3.Submit(phgRequest(uniquePHG(11))); err != nil {
-		t.Fatal(err)
-	}
-	j3, err := s3.Submit(Request{Format: "phg", Netlist: uniquePHG(12), Device: "XC3020", Method: "fpart"})
-	if err == nil {
-		if snap := s3.Snapshot(j3); snap.DegradedFrom != "" {
-			t.Fatal("DegradeAt<0 must disable degradation")
-		}
+	if _, err := s.Submit(phgRequest(uniquePHG(5))); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("full queue: want ErrQueueFull, got %v", err)
 	}
 }
 
@@ -295,8 +264,8 @@ func TestStealLifecycle(t *testing.T) {
 	}
 }
 
-// TestStolenJobKeepsItsMethod: a thief whose own queue is past DegradeAt
-// still runs a stolen job with the method the victim admitted, and the
+// TestStolenJobKeepsItsMethod: a thief with a loaded queue still runs a
+// stolen job with the method the victim admitted, and the
 // victim refuses an envelope that ran any other method — it would cache
 // and persist that partition under the job's key.
 func TestStolenJobKeepsItsMethod(t *testing.T) {
@@ -317,8 +286,8 @@ func TestStolenJobKeepsItsMethod(t *testing.T) {
 		t.Fatalf("steal: ok=%v spec=%+v", ok, sj)
 	}
 
-	// Load the thief past its degradation threshold (0.5 * 4 = 2 queued).
-	thief := New(Config{Workers: 1, QueueDepth: 4, DegradeAt: 0.5})
+	// Load the thief: its worker busy and two jobs queued.
+	thief := New(Config{Workers: 1, QueueDepth: 4})
 	defer shutdownClean(t, thief)
 	tstarted, trelease := gateRuns(thief, 8)
 	if _, err := thief.Submit(phgRequest(uniquePHG(2))); err != nil {
@@ -351,9 +320,6 @@ func TestStolenJobKeepsItsMethod(t *testing.T) {
 	out := <-done
 	if out.err != nil {
 		t.Fatal(out.err)
-	}
-	if n := thief.m.degraded.Load(); n != 0 {
-		t.Errorf("thief degraded %d jobs; a stolen job must run as given", n)
 	}
 	var sr storedResult
 	if err := json.Unmarshal(out.env, &sr); err != nil {

@@ -71,9 +71,6 @@ type JobView struct {
 	Key       string `json:"key"`
 	Cached    bool   `json:"cached,omitempty"`
 	Coalesced bool   `json:"coalesced,omitempty"`
-	// DegradedFrom names the originally requested method when admission
-	// control substituted a cheaper engine under load.
-	DegradedFrom string `json:"degraded_from,omitempty"`
 	// Stolen and Thief report the job is (or was) out with a work thief.
 	Stolen bool   `json:"stolen,omitempty"`
 	Thief  string `json:"thief,omitempty"`
@@ -99,18 +96,17 @@ type JobView struct {
 
 func viewOf(snap Snapshot, withAssignment bool) JobView {
 	v := JobView{
-		ID:           snap.ID,
-		State:        snap.State,
-		Method:       snap.Method,
-		Device:       snap.Device,
-		Circuit:      snap.Circuit,
-		Key:          snap.Key,
-		Cached:       snap.Cached,
-		Coalesced:    snap.Coalesced,
-		DegradedFrom: snap.DegradedFrom,
-		Stolen:       snap.Stolen,
-		Thief:        snap.Thief,
-		SubmittedAt:  snap.Submitted.UTC().Format(time.RFC3339Nano),
+		ID:          snap.ID,
+		State:       snap.State,
+		Method:      snap.Method,
+		Device:      snap.Device,
+		Circuit:     snap.Circuit,
+		Key:         snap.Key,
+		Cached:      snap.Cached,
+		Coalesced:   snap.Coalesced,
+		Stolen:      snap.Stolen,
+		Thief:       snap.Thief,
+		SubmittedAt: snap.Submitted.UTC().Format(time.RFC3339Nano),
 	}
 	if !snap.Started.IsZero() {
 		v.StartedAt = snap.Started.UTC().Format(time.RFC3339Nano)
@@ -146,10 +142,7 @@ func viewOf(snap Snapshot, withAssignment bool) JobView {
 type MethodView struct {
 	Name     string `json:"name"`
 	Budgeted bool   `json:"budgeted"`
-	// Cost is the engine's relative compute rank (engine.Capabilities.Cost),
-	// the static order of the degradation ladder; 0 means unranked.
-	Cost    int    `json:"cost"`
-	Summary string `json:"summary"`
+	Summary  string `json:"summary"`
 }
 
 // Handler returns the service's HTTP API:
@@ -202,7 +195,6 @@ func handleMethods(w http.ResponseWriter, r *http.Request) {
 		views[i] = MethodView{
 			Name:     info.Name,
 			Budgeted: info.Caps.Budgeted,
-			Cost:     info.Caps.Cost,
 			Summary:  info.Caps.Summary,
 		}
 	}
@@ -278,7 +270,7 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(cluster.PeerHeader, n.Self())
 	}
 
-	job, err := s.submitPrepared(prep, true)
+	job, err := s.submitPrepared(prep)
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		w.Header().Set("Retry-After", "1")

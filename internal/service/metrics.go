@@ -64,12 +64,11 @@ type metrics struct {
 	storeBad      atomic.Int64
 	storeFailures atomic.Int64
 
-	// Cluster: stolen-job lifecycle on the victim side, plus degradation
-	// and batch activity.
+	// Cluster: stolen-job lifecycle on the victim side, plus batch
+	// activity.
 	stolenServed    atomic.Int64
 	stolenCompleted atomic.Int64
 	stealRequeued   atomic.Int64
-	degraded        atomic.Int64
 	batchGroups     atomic.Int64
 
 	mu sync.Mutex
@@ -116,31 +115,6 @@ func (m *metrics) observePhases(method string, st *obs.Stats) {
 	for p := obs.Phase(0); p < obs.NumPhases; p++ {
 		hs[p].observe(st.PhaseTime[p].Seconds())
 	}
-}
-
-// meanRunSeconds is the degradation ladder's cost model: the measured
-// mean wall time of one run of method, summed across its per-phase
-// histograms. ok is false until at least one run completed.
-func (m *metrics) meanRunSeconds(method string) (float64, bool) {
-	m.mu.Lock()
-	hs, ok := m.phase[method]
-	m.mu.Unlock()
-	if !ok {
-		return 0, false
-	}
-	var total float64
-	var count uint64
-	for p := obs.Phase(0); p < obs.NumPhases; p++ {
-		h := &hs[p]
-		h.mu.Lock()
-		total += h.sum
-		count = h.count // every phase is observed once per run
-		h.mu.Unlock()
-	}
-	if count == 0 {
-		return 0, false
-	}
-	return total / float64(count), true
 }
 
 // hitRate is cache hits (including coalesced riders) over all admissions
@@ -207,7 +181,6 @@ func (s *Service) WriteMetrics(w io.Writer) {
 	c("fpartd_coalesced_total", s.m.coalesced.Load(), "submissions coalesced onto an in-flight computation")
 	c("fpartd_computations_total", s.m.computations.Load(), "partitioning runs executed by the pool")
 
-	c("fpartd_degraded_total", s.m.degraded.Load(), "admissions degraded to a cheaper engine under load")
 	c("fpartd_batch_groups_total", s.m.batchGroups.Load(), "batch job groups admitted")
 	c("fpartd_stolen_served_total", s.m.stolenServed.Load(), "queued jobs handed to stealing peers")
 	c("fpartd_stolen_completed_total", s.m.stolenCompleted.Load(), "stolen jobs completed by a peer's result push")

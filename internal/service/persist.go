@@ -63,32 +63,35 @@ func encodeStored(circuit, method string, res *driver.Result, events []obs.Event
 }
 
 // decodeStored rebuilds a driver.Result from a stored payload against the
-// hypergraph it was computed for. The device must resolve locally and the
-// assignment must cover the hypergraph — a payload that does not fit the
+// hypergraph and device it was computed for. Both come from the job, so a
+// rebuilt partition keeps every resource cap of the job's device; the
+// envelope's device name and fill must agree with it. The assignment must
+// cover the hypergraph, and its block count (highest id + 1; absorption
+// can leave lower ids empty) must not exceed device.BlockCap of the job's
+// lower bound, where every peeling engine stops. Both are checked before
+// anything is sized by the block count — a payload that does not fit the
 // circuit (a hash collision would be the only honest cause) is an error,
 // never a silently wrong partition.
-func decodeStored(payload []byte, h *hypergraph.Hypergraph) (*driver.Result, *storedResult, error) {
+func decodeStored(payload []byte, h *hypergraph.Hypergraph, dev device.Device) (*driver.Result, *storedResult, error) {
 	var sr storedResult
 	if err := json.Unmarshal(payload, &sr); err != nil {
 		return nil, nil, fmt.Errorf("stored result: %w", err)
 	}
-	dev, ok := device.Parse(sr.Device)
-	if !ok {
-		return nil, nil, fmt.Errorf("stored result names unknown device %q", sr.Device)
-	}
-	if sr.Fill > 0 {
-		dev = dev.WithFill(sr.Fill)
+	if sr.Device != dev.Name || sr.Fill != dev.Fill {
+		return nil, nil, fmt.Errorf("stored result targets %s at fill %v, want %s at fill %v", sr.Device, sr.Fill, dev.Name, dev.Fill)
 	}
 	if len(sr.Assignment) != h.NumNodes() {
 		return nil, nil, fmt.Errorf("stored assignment covers %d of %d nodes", len(sr.Assignment), h.NumNodes())
 	}
+	limit := device.BlockCap(device.LowerBound(h, dev))
 	blocks := make([]partition.BlockID, len(sr.Assignment))
 	k := 1
 	for i, b := range sr.Assignment {
-		blocks[i] = partition.BlockID(b)
-		if int(b)+1 > k {
-			k = int(b) + 1
+		if b < 0 || int(b) >= limit {
+			return nil, nil, fmt.Errorf("stored assignment puts node %d in block %d, past the %d-block cap", i, b, limit)
 		}
+		blocks[i] = partition.BlockID(b)
+		k = max(k, int(b)+1)
 	}
 	p, err := partition.FromAssignment(h, dev, blocks, k)
 	if err != nil {

@@ -1,0 +1,188 @@
+package service
+
+// Tests and the fuzz target for the stored-result envelope: the payload
+// the disk store files and a work thief pushes over
+// POST /v1/internal/result. Run the fuzz seeds as a regular test, or
+// explore with `go test -fuzz FuzzDecodeStored ./internal/service`.
+
+import (
+	"context"
+	"encoding/json"
+	"reflect"
+	"strings"
+	"testing"
+
+	"fpart/internal/device"
+	"fpart/internal/driver"
+	"fpart/internal/hypergraph"
+	"fpart/internal/partition"
+)
+
+// storedFor runs req's method on its circuit and returns the prepared
+// submission with the encoded envelope of the result.
+func storedFor(t testing.TB, req Request) (*prepared, []byte) {
+	t.Helper()
+	s := New(Config{Workers: 1})
+	defer s.Shutdown(context.Background())
+	prep, err := s.prepare(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := driver.RunOpts(context.Background(), prep.method, prep.circuit.Hypergraph, prep.dev, driver.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := encodeStored(prep.circuit.Name, prep.method, res, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prep, payload
+}
+
+// TestDecodeStoredKeepsResources: a job's device carries the resource
+// caps of its request's "resources" field, which the envelope's device
+// name does not. The rebuilt partition must judge against the job's
+// device, caps included, so its fingerprint matches the job's key.
+func TestDecodeStoredKeepsResources(t *testing.T) {
+	prep, payload := storedFor(t, Request{
+		Format: "blif", Netlist: pipelineBLIF(32, 32), Device: "XC3042", Resources: "FF:8",
+	})
+	h := prep.circuit.Hypergraph
+	res, _, err := decodeStored(payload, h, prep.dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := res.Partition.Device()
+	if !reflect.DeepEqual(got, prep.dev) {
+		t.Fatalf("decoded device %v with resources %v, want %v with %v", got, got.Resources, prep.dev, prep.dev.Resources)
+	}
+	if key := Fingerprint(h, got, prep.method, ""); key != prep.key {
+		t.Fatalf("decoded device fingerprints as %s, want the job key %s", key, prep.key)
+	}
+	if res.M != 4 {
+		t.Fatalf("M = %d, want 4 (32 flip-flops at FF:8)", res.M)
+	}
+
+	// An envelope for another device or fill than the job's is refused.
+	for _, dev := range []device.Device{device.XC3020, prep.dev.WithFill(0.5)} {
+		if _, _, err := decodeStored(payload, h, dev); err == nil {
+			t.Errorf("envelope for %s accepted for a job on %s", prep.dev, dev)
+		}
+	}
+}
+
+// TestDecodeStoredKeepsEmptyBlocks: block ids are never compacted, so a
+// finished partition can hold empty blocks below its highest id —
+// absorption on c7552/XC2064 empties the remainder block 0. Its envelope
+// must decode to the same partition, not be refused for a highest id at
+// or past the non-empty count K.
+func TestDecodeStoredKeepsEmptyBlocks(t *testing.T) {
+	prep, payload := storedFor(t, Request{Circuit: "c7552", Device: "XC2064"})
+	h := prep.circuit.Hypergraph
+	res, sr, err := decodeStored(payload, h, prep.dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := res.Partition
+	if p.Nodes(0) != 0 || p.NumBlocks() <= sr.K {
+		t.Fatalf("fixture lost its empty block: %d blocks, K = %d, block 0 holds %d nodes", p.NumBlocks(), sr.K, p.Nodes(0))
+	}
+	for v := 0; v < h.NumNodes(); v++ {
+		if got, want := p.Block(hypergraph.NodeID(v)), partition.BlockID(sr.Assignment[v]); got != want {
+			t.Fatalf("node %d decoded into block %d, want %d", v, got, want)
+		}
+	}
+}
+
+// TestDecodeStoredRejectsBlockOutOfRange: the block count sizes a
+// nets × blocks pin-count slab, so an envelope must not be able to pick
+// it. A block id at or past device.BlockCap of the job's lower bound —
+// including n−1 on a circuit whose cap is far below n — is refused before
+// anything is allocated.
+func TestDecodeStoredRejectsBlockOutOfRange(t *testing.T) {
+	prep, payload := storedFor(t, Request{Circuit: "c7552", Device: "XC2064"})
+	h := prep.circuit.Hypergraph
+	limit := device.BlockCap(device.LowerBound(h, prep.dev))
+	if n := h.NumNodes(); n < 10*limit {
+		t.Fatalf("fixture has %d nodes against a %d-block cap; want a cap far below n", n, limit)
+	}
+	var sr storedResult
+	if err := json.Unmarshal(payload, &sr); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		block int32
+	}{
+		{"block at the cap", int32(limit)},
+		{"block n-1", int32(h.NumNodes() - 1)},
+		{"negative block", -1},
+	} {
+		bad := sr
+		bad.Assignment = append([]int32(nil), sr.Assignment...)
+		bad.Assignment[0] = tc.block
+		raw, err := json.Marshal(bad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := decodeStored(raw, h, prep.dev); err == nil || !strings.Contains(err.Error(), "block") {
+			t.Errorf("%s: want a rejection naming the block, got %v", tc.name, err)
+		}
+	}
+}
+
+// FuzzDecodeStored: arbitrary envelopes must never panic the decoder, and
+// an accepted one must rebuild a partition on the job's own device with
+// every block id in [0, K) and K within device.BlockCap of the job's
+// lower bound.
+func FuzzDecodeStored(f *testing.F) {
+	prep, valid := storedFor(f, phgRequest(tinyPHG))
+	h, dev := prep.circuit.Hypergraph, prep.dev
+	limit := device.BlockCap(device.LowerBound(h, dev))
+	f.Add(valid)
+	var sr storedResult
+	if err := json.Unmarshal(valid, &sr); err != nil {
+		f.Fatal(err)
+	}
+	for _, edit := range []func(*storedResult){
+		func(sr *storedResult) { sr.Device = "XC3042" },
+		func(sr *storedResult) { sr.Fill = 0.5 },
+		func(sr *storedResult) { sr.Assignment[0] = 1 << 16 },
+		func(sr *storedResult) {
+			for i := range sr.Assignment {
+				sr.Assignment[i]++
+			}
+		},
+		func(sr *storedResult) { sr.Assignment = sr.Assignment[1:] },
+	} {
+		bad := sr
+		bad.Assignment = append([]int32(nil), sr.Assignment...)
+		edit(&bad)
+		raw, err := json.Marshal(bad)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	f.Add(valid[:len(valid)/2])
+	f.Add([]byte(`{}`))
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		res, _, err := decodeStored(payload, h, dev)
+		if err != nil {
+			return
+		}
+		p := res.Partition
+		if !reflect.DeepEqual(p.Device(), dev) {
+			t.Fatalf("accepted envelope rebuilt on %v, want the job's %v", p.Device(), dev)
+		}
+		k := p.NumBlocks()
+		if k < 1 || k > limit {
+			t.Fatalf("accepted envelope has %d blocks, cap %d", k, limit)
+		}
+		for v := 0; v < h.NumNodes(); v++ {
+			if b := p.Block(hypergraph.NodeID(v)); b < 0 || int(b) >= k {
+				t.Fatalf("node %d in block %d of %d", v, b, k)
+			}
+		}
+	})
+}

@@ -35,7 +35,6 @@ import (
 	"fpart/internal/core"
 	"fpart/internal/device"
 	"fpart/internal/driver"
-	"fpart/internal/engine"
 	"fpart/internal/hypergraph"
 	"fpart/internal/netlist"
 	"fpart/internal/obs"
@@ -75,10 +74,9 @@ type Config struct {
 	// computation, so results survive restarts (and arrive via work
 	// stealing). nil keeps the service memory-only.
 	Store *store.Store
-	// DegradeAt is the queue-fill fraction at which admission control
-	// degrades expensive methods to a cheaper registry engine instead of
-	// rejecting with ErrQueueFull (0 = 0.75; negative disables
-	// degradation).
+	// Deprecated: ignored. DegradeAt was the queue-fill fraction of the
+	// removed method-substitution ladder; admission never changes a
+	// job's method.
 	DegradeAt float64
 	// StealTTL bounds how long a stolen job may stay out with a work
 	// thief before the victim requeues it locally (0 = 30s).
@@ -104,9 +102,6 @@ func (c Config) normalize() Config {
 	}
 	if c.EventBuffer <= 0 {
 		c.EventBuffer = 256
-	}
-	if c.DegradeAt == 0 {
-		c.DegradeAt = 0.75
 	}
 	if c.StealTTL <= 0 {
 		c.StealTTL = 30 * time.Second
@@ -181,9 +176,6 @@ type Job struct {
 	// req retains the original submission (cleared at completion) so a
 	// queued job can be handed to a work-stealing peer verbatim.
 	req Request
-	// degradedFrom names the method the client asked for when admission
-	// control degraded this job to a cheaper engine ("" otherwise).
-	degradedFrom string
 
 	state     State
 	cached    bool
@@ -226,17 +218,14 @@ func (j *Job) Events() *obs.Broadcast { return j.bcast }
 
 // Snapshot is an immutable copy of a job's externally visible state.
 type Snapshot struct {
-	ID      string
-	Key     string
-	State   State
-	Method  string
-	Device  string
-	Circuit string
-	// DegradedFrom names the originally requested method when admission
-	// control substituted a cheaper engine ("" when it did not).
-	DegradedFrom string
-	Cached       bool
-	Coalesced    bool
+	ID        string
+	Key       string
+	State     State
+	Method    string
+	Device    string
+	Circuit   string
+	Cached    bool
+	Coalesced bool
 	// Stolen reports that the job is (or was) out with the named work
 	// thief.
 	Stolen    bool
@@ -330,8 +319,7 @@ type prepared struct {
 	method  string
 	circuit *driver.Circuit
 	timeout time.Duration
-	// key is the content-addressed fingerprint under the *requested*
-	// method; admission may re-key if it degrades the method.
+	// key is the content-addressed fingerprint of the submission.
 	key string
 }
 
@@ -404,23 +392,19 @@ func (s *Service) prepare(req Request) (*prepared, error) {
 // Submit validates and admits one partitioning request. The returned job
 // is already terminal for cache hits (memory or disk). ErrQueueFull and
 // ErrShuttingDown report admission failures; other errors are invalid
-// requests. Under queue pressure, admission may degrade the default
-// expensive method to a cheaper registry engine — the job then reports
-// the original method in Snapshot.DegradedFrom.
+// requests. The job always runs the method the request named.
 func (s *Service) Submit(req Request) (*Job, error) {
 	prep, err := s.prepare(req)
 	if err != nil {
 		return nil, err
 	}
-	return s.submitPrepared(prep, true)
+	return s.submitPrepared(prep)
 }
 
 // submitPrepared admits a prepared submission: memory cache, in-flight
-// coalescing, disk store, degradation ladder (when mayDegrade), then the
-// bounded queue — in that order.
-func (s *Service) submitPrepared(prep *prepared, mayDegrade bool) (*Job, error) {
-	method, key := prep.method, prep.key
-
+// coalescing, disk store, then the bounded queue — in that order. A full
+// queue rejects with ErrQueueFull; the method is never substituted.
+func (s *Service) submitPrepared(prep *prepared) (*Job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -428,6 +412,8 @@ func (s *Service) submitPrepared(prep *prepared, mayDegrade bool) (*Job, error) 
 	}
 	job := &Job{
 		id:        "job-" + strconv.FormatInt(s.nextID.Add(1), 10),
+		key:       prep.key,
+		method:    prep.method,
 		device:    prep.dev,
 		board:     prep.board,
 		circuit:   prep.circuit.Name,
@@ -438,52 +424,33 @@ func (s *Service) submitPrepared(prep *prepared, mayDegrade bool) (*Job, error) 
 		timeout:   prep.timeout,
 	}
 
-	for attempt := 0; ; attempt++ {
-		job.method, job.key = method, key
+	if ent, ok := s.cache.get(job.key); ok {
+		// O(1) path: replay the cached outcome, including its event
+		// stream, without touching the queue.
+		s.m.cacheHits.Add(1)
+		s.finishFromCacheLocked(job, ent)
+		return job, nil
+	}
 
-		if ent, ok := s.cache.get(key); ok {
-			// O(1) path: replay the cached outcome, including its event
-			// stream, without touching the queue.
-			s.m.cacheHits.Add(1)
-			s.finishFromCacheLocked(job, ent)
-			return job, nil
-		}
+	if leader, ok := s.inflight[job.key]; ok {
+		// An identical computation is already queued or running: ride it.
+		job.state = leader.state
+		job.coalesced = true
+		job.bcast = leader.bcast
+		leader.followers = append(leader.followers, job)
+		s.m.coalesced.Add(1)
+		s.remember(job)
+		return job, nil
+	}
 
-		if leader, ok := s.inflight[key]; ok {
-			// An identical computation is already queued or running: ride it.
-			job.state = leader.state
-			job.coalesced = true
-			job.bcast = leader.bcast
-			leader.followers = append(leader.followers, job)
-			s.m.coalesced.Add(1)
-			s.remember(job)
-			return job, nil
-		}
-
-		if ent, ok := s.storeGetLocked(job); ok {
-			// Disk layer: a previous process (or a peer's steal run)
-			// already computed this fingerprint. Promote it to the memory
-			// cache and answer without queueing.
-			s.cache.add(key, ent)
-			s.m.storeHits.Add(1)
-			s.finishFromCacheLocked(job, ent)
-			return job, nil
-		}
-
-		// Nothing memoized: this request costs a computation. If the
-		// queue is near capacity and the method has a cheaper registered
-		// engine, degrade once and retry the lookups under the new key —
-		// a degraded request can still be a cache hit.
-		if mayDegrade && attempt == 0 && s.shouldDegradeLocked() {
-			if alt, ok := s.cheaperEngineLocked(method); ok {
-				job.degradedFrom = method
-				method = alt
-				key = Fingerprint(prep.circuit.Hypergraph, prep.dev, alt, prep.req.Board)
-				s.m.degraded.Add(1)
-				continue
-			}
-		}
-		break
+	if ent, ok := s.storeGetLocked(job); ok {
+		// Disk layer: a previous process (or a peer's steal run) already
+		// computed this fingerprint. Promote it to the memory cache and
+		// answer without queueing.
+		s.cache.add(job.key, ent)
+		s.m.storeHits.Add(1)
+		s.finishFromCacheLocked(job, ent)
+		return job, nil
 	}
 
 	job.state = StateQueued
@@ -494,7 +461,7 @@ func (s *Service) submitPrepared(prep *prepared, mayDegrade bool) (*Job, error) 
 		s.m.rejected.Add(1)
 		return nil, ErrQueueFull
 	}
-	s.inflight[key] = job
+	s.inflight[job.key] = job
 	s.m.cacheMisses.Add(1)
 	s.remember(job)
 	return job, nil
@@ -532,7 +499,7 @@ func (s *Service) storeGetLocked(job *Job) (cacheEntry, bool) {
 		s.m.storeMisses.Add(1)
 		return cacheEntry{}, false
 	}
-	res, sr, err := decodeStored(payload, job.h)
+	res, sr, err := decodeStored(payload, job.h, job.device)
 	if err != nil {
 		// The envelope passed the store's checksum but does not fit this
 		// circuit or decode — count it and recompute rather than serve it.
@@ -541,44 +508,6 @@ func (s *Service) storeGetLocked(job *Job) (cacheEntry, bool) {
 	}
 	report := quality.Analyze(res.Partition, res.M)
 	return cacheEntry{res: res, report: report, events: sr.Events}, true
-}
-
-// shouldDegradeLocked reports whether admission is under enough queue
-// pressure to trade quality for latency. Callers hold mu.
-func (s *Service) shouldDegradeLocked() bool {
-	if s.cfg.DegradeAt < 0 || s.cfg.DegradeAt > 1 {
-		return false
-	}
-	limit := int(s.cfg.DegradeAt * float64(cap(s.queue)))
-	if limit < 1 {
-		limit = 1
-	}
-	return len(s.queue) >= limit
-}
-
-// cheaperEngineLocked picks the degradation target for method: the
-// registered engine with a strictly lower Caps.Cost rank and the lowest
-// measured mean run time (per-method latency histograms); engines with
-// no observations yet fall back to their static cost rank. Callers hold
-// mu.
-func (s *Service) cheaperEngineLocked(method string) (string, bool) {
-	ladder := engine.CheaperThan(method)
-	if len(ladder) == 0 {
-		return "", false
-	}
-	best, bestMean := "", 0.0
-	for _, inf := range ladder {
-		if mean, ok := s.m.meanRunSeconds(inf.Name); ok {
-			if best == "" || mean < bestMean {
-				best, bestMean = inf.Name, mean
-			}
-		}
-	}
-	if best != "" {
-		return best, true
-	}
-	// No latency data yet: the ladder is sorted cheapest-first by rank.
-	return ladder[0].Name, true
 }
 
 // remember records the job for lookup and trims retention. Callers hold mu.
@@ -640,23 +569,22 @@ func (s *Service) Snapshot(j *Job) Snapshot {
 
 func (j *Job) snapshotLocked() Snapshot {
 	return Snapshot{
-		ID:           j.id,
-		Key:          j.key,
-		State:        j.state,
-		Method:       j.method,
-		Device:       j.device.Name,
-		Circuit:      j.circuit,
-		DegradedFrom: j.degradedFrom,
-		Cached:       j.cached,
-		Coalesced:    j.coalesced,
-		Stolen:       j.thief != "",
-		Thief:        j.thief,
-		Submitted:    j.submitted,
-		Started:      j.started,
-		Finished:     j.finished,
-		Err:          j.err,
-		Result:       j.result,
-		Report:       j.report,
+		ID:        j.id,
+		Key:       j.key,
+		State:     j.state,
+		Method:    j.method,
+		Device:    j.device.Name,
+		Circuit:   j.circuit,
+		Cached:    j.cached,
+		Coalesced: j.coalesced,
+		Stolen:    j.thief != "",
+		Thief:     j.thief,
+		Submitted: j.submitted,
+		Started:   j.started,
+		Finished:  j.finished,
+		Err:       j.err,
+		Result:    j.result,
+		Report:    j.report,
 	}
 }
 
@@ -876,8 +804,6 @@ func (s *Service) StealOne(thief string) (*cluster.StolenJob, bool) {
 				Resources: j.req.Resources,
 				Board:     j.req.Board,
 				Fill:      j.req.Fill,
-				// The thief must run what admission decided, not what the
-				// client asked for — a degraded job stays degraded.
 				Method:    j.method,
 				TimeoutMS: j.timeout.Milliseconds(),
 			},
@@ -927,17 +853,14 @@ func (s *Service) CompleteStolen(id string, payload []byte) error {
 		s.mu.Unlock()
 		return nil // stale push; the job moved on
 	}
-	h := j.h
+	h, dev := j.h, j.device
 	s.mu.Unlock()
 
 	// Decode (and rebuild the partition) off the lock; pushes race only
 	// against the requeue timer, which the re-check below handles.
-	res, sr, err := decodeStored(payload, h)
+	res, sr, err := decodeStored(payload, h, dev)
 	if err != nil {
 		return fmt.Errorf("stolen result for %s: %w", id, err)
-	}
-	if res.Partition.Device().Name != j.device.Name {
-		return fmt.Errorf("stolen result for %s targets %s, want %s", id, res.Partition.Device().Name, j.device.Name)
 	}
 	if sr.Method != j.method {
 		return fmt.Errorf("stolen result for %s ran %s, want %s", id, sr.Method, j.method)
@@ -972,8 +895,8 @@ func (s *Service) CompleteStolen(id string, payload []byte) error {
 
 // Execute runs a job stolen from a peer through this service's own
 // pipeline — budget, cache, and store included — and returns the result
-// envelope to push back (cluster.Source). The victim's admission already
-// chose the method, so the thief runs it as given and never degrades it.
+// envelope to push back (cluster.Source). The thief runs the victim's
+// method as given.
 func (s *Service) Execute(ctx context.Context, job *cluster.StolenJob) ([]byte, error) {
 	prep, err := s.prepare(Request{
 		Circuit:   job.Spec.Circuit,
@@ -990,7 +913,7 @@ func (s *Service) Execute(ctx context.Context, job *cluster.StolenJob) ([]byte, 
 	if err != nil {
 		return nil, err
 	}
-	j, err := s.submitPrepared(prep, false)
+	j, err := s.submitPrepared(prep)
 	if err != nil {
 		return nil, err
 	}

@@ -29,11 +29,11 @@ net n3 2 3 5
 net n4 0 3
 `
 
-// uniquePHG returns a structurally distinct tiny netlist per tag, so tests
-// can defeat the cache and in-flight coalescing at will.
+// uniquePHG returns a structurally distinct tiny netlist per tag in
+// [0, 64), so tests can defeat the cache and in-flight coalescing at will.
+// The fingerprint ignores names, so the tag is spelled in node sizes.
 func uniquePHG(tag int) string {
-	return fmt.Sprintf("phg\nnode a %d\nnode b 1\nnode c 1\npad p\nnet n1 0 1 3\nnet n2 1 2\n", 1+tag%3) +
-		fmt.Sprintf("net extra%d 0 2\n", tag)
+	return fmt.Sprintf("phg\nnode a %d\nnode b %d\nnode c 1\npad p\nnet n1 0 1 3\nnet n2 1 2\nnet n3 0 2\n", 1+tag%8, 1+tag/8%8)
 }
 
 func phgRequest(body string) Request {

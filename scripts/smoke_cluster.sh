@@ -39,6 +39,11 @@ if "$workdir/fpartd" -grace -1s 2>"$workdir/neg.log"; then
     fail "-grace -1s must be rejected at boot"
 fi
 grep -q -- '-grace' "$workdir/neg.log" || fail "boot error must name -grace"
+# Admission has no degradation threshold: the old flag is unknown.
+if "$workdir/fpartd" -degrade-at 0.5 2>"$workdir/neg.log"; then
+    fail "-degrade-at must be an unknown flag"
+fi
+grep -q 'not defined: -degrade-at' "$workdir/neg.log" || fail "boot error must reject -degrade-at as undefined"
 
 # start_peer INDEX PORT PEERS: boot one daemon with its own data dir.
 start_peer() {

@@ -53,10 +53,10 @@ case "$methods" in
 *'"budgeted":true'*) ;;
 *) fail "method discovery missing the budgeted capability: $methods" ;;
 esac
-case "$methods" in
-*'"cost":'[1-9]*) ;;
-*) fail "method discovery missing the cost rank: $methods" ;;
-esac
+names=$(printf '%s' "$methods" | grep -o '"name":' | wc -l)
+summaries=$(printf '%s' "$methods" | grep -o '"summary":"[^"]' | wc -l)
+[ "$names" -gt 0 ] && [ "$names" = "$summaries" ] ||
+    fail "every method entry must carry a summary ($summaries of $names): $methods"
 
 # Unknown methods are rejected at submit with the registry quoted.
 code=$(curl -sS -o "$workdir/badmethod.json" -w '%{http_code}' -X POST \

@@ -15,11 +15,12 @@ if [ -n "$unformatted" ]; then
     echo "$unformatted" >&2
     exit 1
 fi
-# Hypergraph.AuxOf, Device.AuxCap and the two SpecWidth fields are
-# deprecated stubs kept only for perfbench/: no other Go code may use them.
+# Hypergraph.AuxOf, Device.AuxCap, the two SpecWidth fields and
+# service.Config.DegradeAt are deprecated stubs kept only for perfbench/:
+# no other Go code may use them.
 # Comments and the declaring lines themselves are allowed.
-stale=$(grep -rnwE --include='*.go' --exclude-dir=perfbench 'AuxOf|AuxCap|SpecWidth' . |
-    grep -vE '^[^:]+:[0-9]+:[[:space:]]*(//|(AuxCap|SpecWidth)[[:space:]]+int$|func \(h \*Hypergraph\) AuxOf\()' || true)
+stale=$(grep -rnwE --include='*.go' --exclude-dir=perfbench 'AuxOf|AuxCap|SpecWidth|DegradeAt' . |
+    grep -vE '^[^:]+:[0-9]+:[[:space:]]*(//|(AuxCap|SpecWidth)[[:space:]]+int$|DegradeAt[[:space:]]+float64$|func \(h \*Hypergraph\) AuxOf\()' || true)
 if [ -n "$stale" ]; then
     echo "deprecated stub used outside perfbench/:" >&2
     echo "$stale" >&2
