@@ -76,6 +76,7 @@ func stepPasses(t *testing.T, e *Engine, blocks []partition.BlockID, rem partiti
 // checkKernelState is the gain oracle: every unlocked candidate cell's
 // bucket gain equals cellGain in every direction, its level-2 memo entry,
 // when valid, equals gain2, cells outside a subset are absent from the buckets,
+// every direction's zero-size count equals the zero-size cells in its bucket,
 // and the delta accumulator is back to all-zero.
 func checkKernelState(t *testing.T, e *Engine, label string, move int) {
 	t.Helper()
@@ -112,6 +113,17 @@ func checkKernelState(t *testing.T, e *Engine, label string, move int) {
 				t.Fatalf("%s move %d: cell %d dir %d→%d: memoised gain2 %d, gain2 %d",
 					label, move, v, fi, ti, got, want)
 			}
+		}
+	}
+	for d, bk := range e.buckets {
+		var pads int32
+		for vi := range e.szOf {
+			if e.szOf[vi] == 0 && bk.Contains(int32(vi)) {
+				pads++
+			}
+		}
+		if e.padCnt[d] != pads {
+			t.Fatalf("%s move %d: direction %d counts %d zero-size cells, bucket holds %d", label, move, d, e.padCnt[d], pads)
 		}
 	}
 	for i, a := range e.accum {

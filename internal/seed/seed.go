@@ -550,7 +550,8 @@ func (hp *attHeap) pop() attEntry {
 // sweepFrom grows a cluster from seed node s, moving at each step the
 // unclustered remainder node with the strongest attraction (most incident
 // pins already in the cluster; ties to smaller BFS frontier order), and
-// records the best ratio prefix.
+// records the best ratio prefix. The sweep stops once the cluster outgrows
+// S_MAX, past which no prefix is feasible.
 func sweepFrom(p *partition.Partition, rem partition.BlockID, dev device.Device, s hypergraph.NodeID, remNodes []hypergraph.NodeID, totalSize int) (set []hypergraph.NodeID, ratio float64, found bool) {
 	h := p.Hypergraph()
 	sc := sweepPool.Get().(*sweepScratch)
@@ -601,6 +602,7 @@ func sweepFrom(p *partition.Partition, rem partition.BlockID, dev device.Device,
 	best := math.Inf(1)
 	bestLen := -1
 	n := len(remNodes)
+	smax := dev.SMax()
 	for len(members) < n {
 		// Pick the most attracted node; fall back to the lowest-ID
 		// unclustered node for disconnected remainders.
@@ -627,6 +629,11 @@ func sweepFrom(p *partition.Partition, rem partition.BlockID, dev device.Device,
 		add(v)
 		if len(members) == n {
 			break // no second side left
+		}
+		if t.size > smax {
+			// Sizes are ≥ 0, so the cluster never shrinks: no later prefix
+			// can pass dev.Fits.
+			break
 		}
 		s1, t1 := t.size, t.term
 		s2 := totalSize - t.size
