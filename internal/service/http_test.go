@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -422,5 +423,31 @@ func TestHTTPMethods(t *testing.T) {
 		if resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusOK {
 			t.Fatalf("submit %s: %d %s", m.Name, resp.StatusCode, body)
 		}
+	}
+}
+
+// TestSubmitRefusesDeviceThatCannotRun: a fill that derates S_MAX to zero
+// leaves a device no engine accepts. The request is a 400 at submit and
+// never takes a queue slot or reaches a worker.
+func TestSubmitRefusesDeviceThatCannotRun(t *testing.T) {
+	s := New(Config{Workers: 1, QueueDepth: 1})
+	defer shutdownClean(t, s)
+	var runs atomic.Int64
+	s.run = func(ctx context.Context, method string, h *hypergraph.Hypergraph, dev device.Device, opts driver.Options) (*driver.Result, error) {
+		runs.Add(1)
+		return driver.RunOpts(ctx, method, h, dev, opts)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	resp, body := postJSON(t, ts, "/v1/partition", apiRequest{Circuit: "c3540", Device: "XC3020", Fill: 0.001})
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "S_MAX") {
+		t.Fatalf("fill 0.001: want 400 naming S_MAX, got %d: %s", resp.StatusCode, body)
+	}
+	if n := s.m.submitted.Load(); n != 0 {
+		t.Fatalf("refused request was admitted: %d jobs submitted", n)
+	}
+	if runs.Load() != 0 {
+		t.Fatal("refused request reached a worker")
 	}
 }

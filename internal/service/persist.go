@@ -72,6 +72,12 @@ func encodeStored(circuit, method string, res *driver.Result, events []obs.Event
 // anything is sized by the block count — a payload that does not fit the
 // circuit (a hash collision would be the only honest cause) is an error,
 // never a silently wrong partition.
+//
+// The envelope's k, m and feasible are claims about the partition, so they
+// are checked against the rebuilt one: k must be its non-empty block count,
+// m the job's lower bound, and a feasible claim needs a feasible partition.
+// feasible=false is accepted on any partition, since the board gate can
+// demote a partition that fits its devices.
 func decodeStored(payload []byte, h *hypergraph.Hypergraph, dev device.Device) (*driver.Result, *storedResult, error) {
 	var sr storedResult
 	if err := json.Unmarshal(payload, &sr); err != nil {
@@ -83,24 +89,37 @@ func decodeStored(payload []byte, h *hypergraph.Hypergraph, dev device.Device) (
 	if len(sr.Assignment) != h.NumNodes() {
 		return nil, nil, fmt.Errorf("stored assignment covers %d of %d nodes", len(sr.Assignment), h.NumNodes())
 	}
-	limit := device.BlockCap(device.LowerBound(h, dev))
+	m := device.LowerBound(h, dev)
+	limit := device.BlockCap(m)
 	blocks := make([]partition.BlockID, len(sr.Assignment))
-	k := 1
+	nb := 1
 	for i, b := range sr.Assignment {
 		if b < 0 || int(b) >= limit {
 			return nil, nil, fmt.Errorf("stored assignment puts node %d in block %d, past the %d-block cap", i, b, limit)
 		}
 		blocks[i] = partition.BlockID(b)
-		k = max(k, int(b)+1)
+		nb = max(nb, int(b)+1)
 	}
-	p, err := partition.FromAssignment(h, dev, blocks, k)
+	p, err := partition.FromAssignment(h, dev, blocks, nb)
 	if err != nil {
 		return nil, nil, fmt.Errorf("stored result: %w", err)
 	}
+	k := 0
+	for b := 0; b < nb; b++ {
+		if p.Nodes(partition.BlockID(b)) > 0 {
+			k++
+		}
+	}
+	if sr.K != k || sr.M != m {
+		return nil, nil, fmt.Errorf("stored result claims k=%d m=%d, its assignment gives k=%d m=%d", sr.K, sr.M, k, m)
+	}
+	if sr.Feasible && p.Classify() != partition.FeasibleSolution {
+		return nil, nil, fmt.Errorf("stored result claims feasible, its assignment is %s", p.Classify())
+	}
 	return &driver.Result{
 		Partition: p,
-		K:         sr.K,
-		M:         sr.M,
+		K:         k,
+		M:         m,
 		Feasible:  sr.Feasible,
 		Stats:     sr.Stats,
 		Elapsed:   time.Duration(sr.ElapsedNS),

@@ -131,18 +131,90 @@ func TestDecodeStoredRejectsBlockOutOfRange(t *testing.T) {
 	}
 }
 
-// FuzzDecodeStored: arbitrary envelopes must never panic the decoder, and
-// an accepted one must rebuild a partition on the job's own device with
-// every block id in [0, K) and K within device.BlockCap of the job's
-// lower bound.
-func FuzzDecodeStored(f *testing.F) {
-	prep, valid := storedFor(f, phgRequest(tinyPHG))
-	h, dev := prep.circuit.Hypergraph, prep.dev
-	limit := device.BlockCap(device.LowerBound(h, dev))
-	f.Add(valid)
+// tampered re-encodes the envelope payload after edit.
+func tampered(t testing.TB, payload []byte, edit func(*storedResult)) []byte {
+	t.Helper()
 	var sr storedResult
-	if err := json.Unmarshal(valid, &sr); err != nil {
-		f.Fatal(err)
+	if err := json.Unmarshal(payload, &sr); err != nil {
+		t.Fatal(err)
+	}
+	edit(&sr)
+	raw, err := json.Marshal(sr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// oneFeasibleDevice claims that the whole circuit fits one device: every
+// node in block 0, k=1, m=1, feasible.
+func oneFeasibleDevice(sr *storedResult) {
+	for i := range sr.Assignment {
+		sr.Assignment[i] = 0
+	}
+	sr.K, sr.M, sr.Feasible = 1, 1, true
+}
+
+// TestDecodeStoredChecksClaims: an envelope's k, m and feasible are
+// checked against the partition its assignment rebuilds. A c3540/XC3020
+// envelope that puts every node in one block and claims a feasible
+// one-device answer is refused, as are a k or m off by one and a feasible
+// claim on an infeasible partition; feasible=false on a feasible
+// partition (the board gate's demotion) is kept.
+func TestDecodeStoredChecksClaims(t *testing.T) {
+	prep, payload := storedFor(t, Request{Circuit: "c3540", Device: "XC3020"})
+	h := prep.circuit.Hypergraph
+	res, _, err := decodeStored(payload, h, prep.dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Feasible || res.K < 2 {
+		t.Fatalf("fixture is not a feasible multi-device answer: K=%d feasible=%v", res.K, res.Feasible)
+	}
+	for _, tc := range []struct {
+		name, want string
+		edit       func(*storedResult)
+	}{
+		{"one feasible device", "claims", oneFeasibleDevice},
+		{"one device at the true m", "claims feasible", func(sr *storedResult) {
+			m := sr.M
+			oneFeasibleDevice(sr)
+			sr.M = m
+		}},
+		{"k off by one", "claims k=", func(sr *storedResult) { sr.K++ }},
+		{"m off by one", "claims k=", func(sr *storedResult) { sr.M-- }},
+	} {
+		_, _, err := decodeStored(tampered(t, payload, tc.edit), h, prep.dev)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: want a refusal naming %q, got %v", tc.name, tc.want, err)
+		}
+	}
+	demoted, _, err := decodeStored(tampered(t, payload, func(sr *storedResult) { sr.Feasible = false }), h, prep.dev)
+	if err != nil {
+		t.Fatalf("feasible=false on a feasible partition refused: %v", err)
+	}
+	if demoted.Feasible || demoted.K != res.K || demoted.M != res.M {
+		t.Fatalf("demoted envelope decoded as K=%d M=%d feasible=%v", demoted.K, demoted.M, demoted.Feasible)
+	}
+}
+
+// FuzzDecodeStored: arbitrary envelopes must never panic the decoder. An
+// envelope accepted for either circuit must rebuild a partition on the
+// job's own device with every block id in [0, blocks), blocks within
+// device.BlockCap of the job's lower bound, K its non-empty block count,
+// M the lower bound, and a feasible claim only on a feasible partition.
+func FuzzDecodeStored(f *testing.F) {
+	type target struct {
+		h   *hypergraph.Hypergraph
+		dev device.Device
+	}
+	var targets []target
+	var valid [][]byte
+	for _, req := range []Request{phgRequest(tinyPHG), {Circuit: "c3540", Device: "XC3020"}} {
+		prep, payload := storedFor(f, req)
+		targets = append(targets, target{prep.circuit.Hypergraph, prep.dev})
+		valid = append(valid, payload)
+		f.Add(payload)
 	}
 	for _, edit := range []func(*storedResult){
 		func(sr *storedResult) { sr.Device = "XC3042" },
@@ -154,34 +226,45 @@ func FuzzDecodeStored(f *testing.F) {
 			}
 		},
 		func(sr *storedResult) { sr.Assignment = sr.Assignment[1:] },
+		func(sr *storedResult) { sr.K, sr.Feasible = 2, true },
 	} {
-		bad := sr
-		bad.Assignment = append([]int32(nil), sr.Assignment...)
-		edit(&bad)
-		raw, err := json.Marshal(bad)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(raw)
+		f.Add(tampered(f, valid[0], edit))
 	}
-	f.Add(valid[:len(valid)/2])
+	f.Add(tampered(f, valid[1], oneFeasibleDevice))
+	f.Add(valid[0][:len(valid[0])/2])
 	f.Add([]byte(`{}`))
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		res, _, err := decodeStored(payload, h, dev)
-		if err != nil {
-			return
-		}
-		p := res.Partition
-		if !reflect.DeepEqual(p.Device(), dev) {
-			t.Fatalf("accepted envelope rebuilt on %v, want the job's %v", p.Device(), dev)
-		}
-		k := p.NumBlocks()
-		if k < 1 || k > limit {
-			t.Fatalf("accepted envelope has %d blocks, cap %d", k, limit)
-		}
-		for v := 0; v < h.NumNodes(); v++ {
-			if b := p.Block(hypergraph.NodeID(v)); b < 0 || int(b) >= k {
-				t.Fatalf("node %d in block %d of %d", v, b, k)
+		for _, tg := range targets {
+			h, dev := tg.h, tg.dev
+			res, _, err := decodeStored(payload, h, dev)
+			if err != nil {
+				continue
+			}
+			p := res.Partition
+			if !reflect.DeepEqual(p.Device(), dev) {
+				t.Fatalf("accepted envelope rebuilt on %v, want the job's %v", p.Device(), dev)
+			}
+			m := device.LowerBound(h, dev)
+			nb := p.NumBlocks()
+			if nb < 1 || nb > device.BlockCap(m) {
+				t.Fatalf("accepted envelope has %d blocks, cap %d", nb, device.BlockCap(m))
+			}
+			k := 0
+			for b := 0; b < nb; b++ {
+				if p.Nodes(partition.BlockID(b)) > 0 {
+					k++
+				}
+			}
+			if res.K != k || res.M != m {
+				t.Fatalf("accepted envelope reports K=%d M=%d, partition has %d non-empty blocks at lower bound %d", res.K, res.M, k, m)
+			}
+			if res.Feasible && p.Classify() != partition.FeasibleSolution {
+				t.Fatalf("accepted envelope reports feasible on a %s partition", p.Classify())
+			}
+			for v := 0; v < h.NumNodes(); v++ {
+				if b := p.Block(hypergraph.NodeID(v)); b < 0 || int(b) >= nb {
+					t.Fatalf("node %d in block %d of %d", v, b, nb)
+				}
 			}
 		}
 	})

@@ -354,6 +354,11 @@ func (s *Service) prepare(req Request) (*prepared, error) {
 		}
 		dev = dev.WithFill(req.Fill)
 	}
+	// Fill and resources can leave a device no engine accepts (fill 0.001
+	// derates S_MAX to zero); refuse it here rather than in a worker.
+	if err := dev.Validate(); err != nil {
+		return nil, err
+	}
 	method := req.Method
 	if method == "" {
 		method = "fpart"
