@@ -115,7 +115,9 @@ func BenchmarkTable5XC2064(b *testing.B) {
 
 // BenchmarkTable6CPUTime measures FPART wall-clock per circuit and device —
 // the quantity Table 6 reports in Sparc Ultra 5 seconds. Sub-benchmark
-// names are circuit/device so `-bench Table6` prints the full grid.
+// names are circuit/device so `-bench Table6` prints the full grid. The
+// effort counters passes/op, moves/op and bucketops/op show where a kernel
+// change saves work.
 func BenchmarkTable6CPUTime(b *testing.B) {
 	devs := []device.Device{device.XC3020, device.XC3042, device.XC3090, device.XC2064}
 	for _, name := range benchOrder(bench.CircuitOrder) {
@@ -126,7 +128,7 @@ func BenchmarkTable6CPUTime(b *testing.B) {
 			b.Run(name+"/"+dev.Name, func(b *testing.B) {
 				spec, _ := gen.ByName(name)
 				h := gen.Generate(spec, dev.Family)
-				var moves, bucketOps int64
+				var passes, moves, bucketOps int64
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -134,9 +136,11 @@ func BenchmarkTable6CPUTime(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
+					passes += int64(r.Stats.Passes)
 					moves += int64(r.Stats.MovesApplied)
 					bucketOps += int64(r.Stats.BucketOps)
 				}
+				b.ReportMetric(float64(passes)/float64(b.N), "passes/op")
 				b.ReportMetric(float64(moves)/float64(b.N), "moves/op")
 				b.ReportMetric(float64(bucketOps)/float64(b.N), "bucketops/op")
 				b.StopTimer()
