@@ -157,3 +157,42 @@ func TestServiceCacheConcurrentCorrectness(t *testing.T) {
 		t.Fatalf("cache len %d exceeds capacity 4", got)
 	}
 }
+
+// TestFingerprintLiteralPins pins the exact cache keys of three queries.
+// The other fingerprint tests compare keys with each other; this one
+// catches any change to the hashed bytes themselves, which would
+// silently orphan every entry of an fpartd disk store.
+func TestFingerprintLiteralPins(t *testing.T) {
+	dev, _ := device.ByName("XC3020")
+	ffDev, err := device.ParseSpec("CLB:500,FF:8/200")
+	if err != nil {
+		t.Fatal(err)
+	}
+	builtin, err := driver.Load(driver.Source{Builtin: "c3540"}, dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blif, err := driver.Load(driver.Source{Reader: strings.NewReader(pipelineBLIF(16, 12)), Format: "blif"}, ffDev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if blif.Hypergraph.TotalResource("FF") != 12 {
+		t.Fatalf("BLIF FF total %d, want 12", blif.Hypergraph.TotalResource("FF"))
+	}
+	for _, c := range []struct {
+		name string
+		got  string
+		want string
+	}{
+		{"builtin", Fingerprint(builtin.Hypergraph, dev, "fpart", ""),
+			"747069e2418cf9e6759b375cfc0ca89aaef29b94760f07e914b3f80dd0017f16"},
+		{"blif-ff", Fingerprint(blif.Hypergraph, ffDev, "fpart", ""),
+			"9ef68692ee03358347d9c5452f9853288a25a127b74425388d5b4da18b429197"},
+		{"blif-ff-board", Fingerprint(blif.Hypergraph, ffDev, "fpart", "mesh:2x2:wires=8"),
+			"7abed3ab8bab6989ddf42c1841d75626bc3dff9716d68cd69eb6c6fc89c3e95c"},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s: fingerprint %s, want %s", c.name, c.got, c.want)
+		}
+	}
+}
