@@ -204,7 +204,7 @@ func run() error {
 	}
 	if *assign {
 		for v := 0; v < h.NumNodes(); v++ {
-			fmt.Printf("%s %d\n", h.Node(hypergraph.NodeID(v)).Name, p.Block(hypergraph.NodeID(v)))
+			fmt.Printf("%s %d\n", h.NodeName(hypergraph.NodeID(v)), p.Block(hypergraph.NodeID(v)))
 		}
 	}
 	if *outDir != "" {

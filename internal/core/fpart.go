@@ -627,7 +627,7 @@ func worstCell(p *partition.Partition, b partition.BlockID) hypergraph.NodeID {
 		}
 		score := -internal
 		if sizeViolated {
-			score += h.Node(v).Size * 8
+			score += h.SizeOf(v) * 8
 		}
 		for r := range resViolated {
 			if resViolated[r] {

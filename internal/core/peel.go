@@ -35,19 +35,16 @@ func CheckInput(ctx context.Context, h *hypergraph.Hypergraph, dev device.Device
 	for ri, r := range dev.Resources {
 		resCols[ri] = h.ResourceColumn(r.Name)
 	}
-	// Columnar accessors, not h.Node(id): the full Node is only needed on
-	// the (cold) error paths, and materializing the 64-byte struct per
-	// cell makes this scan the dominant cost of trivially-feasible runs.
 	smax := dev.SMax()
 	for _, id := range h.InteriorIDs() {
 		if h.SizeOf(id) > smax {
 			return fmt.Errorf("%w: node %q has size %d > S_MAX %d",
-				ErrUnsplittable, h.Node(id).Name, h.SizeOf(id), smax)
+				ErrUnsplittable, h.NodeName(id), h.SizeOf(id), smax)
 		}
 		for ri, r := range dev.Resources {
 			if resCols[ri] != nil && int(resCols[ri][id]) > r.Cap {
 				return fmt.Errorf("%w: node %q needs %d %s > cap %d",
-					ErrUnsplittable, h.Node(id).Name, resCols[ri][id], r.Name, r.Cap)
+					ErrUnsplittable, h.NodeName(id), resCols[ri][id], r.Name, r.Cap)
 			}
 		}
 	}

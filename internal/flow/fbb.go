@@ -116,11 +116,10 @@ func (nw *fbbNetwork) evaluate(side []int32) (size, term int) {
 	seen := make(map[hypergraph.NetID]bool)
 	for _, i := range side {
 		v := nw.nodes[i]
-		nd := nw.h.Node(v)
-		if nd.Kind == hypergraph.Pad {
+		if nw.h.KindOf(v) == hypergraph.Pad {
 			term++
 		} else {
-			size += nd.Size
+			size += nw.h.SizeOf(v)
 		}
 		for _, e := range nw.h.NodeNets(v) {
 			if seen[e] {
@@ -173,15 +172,7 @@ func fbbPeelCtx(ctx context.Context, p *partition.Partition, rem partition.Block
 	smax := dev.SMax()
 
 	// Seeds: biggest interior node as source, BFS-farthest as sink.
-	var s hypergraph.NodeID = -1
-	for _, v := range remNodes {
-		if h.Node(v).Kind != hypergraph.Interior {
-			continue
-		}
-		if s < 0 || h.Node(v).Size > h.Node(s).Size {
-			s = v
-		}
-	}
+	s := h.BiggestInterior(remNodes)
 	if s < 0 {
 		s = remNodes[0]
 	}
@@ -265,7 +256,7 @@ func fbbPeelCtx(ctx context.Context, p *partition.Partition, rem partition.Block
 func sideSize(h *hypergraph.Hypergraph, nw *fbbNetwork, side []int32) int {
 	size := 0
 	for _, i := range side {
-		size += h.Node(nw.nodes[i]).Size
+		size += h.SizeOf(nw.nodes[i])
 	}
 	return size
 }
@@ -339,7 +330,7 @@ func farthestInRemainder(p *partition.Partition, rem partition.BlockID, s hyperg
 		}
 		d, ok := dist[v]
 		if !ok {
-			if h.Node(v).Kind != hypergraph.Interior {
+			if h.KindOf(v) != hypergraph.Interior {
 				continue
 			}
 			d = 1 << 30

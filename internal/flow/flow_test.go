@@ -137,7 +137,7 @@ func TestFBBPeelFindsCluster(t *testing.T) {
 	}
 	size := 0
 	for _, v := range set {
-		size += h.Node(v).Size
+		size += h.SizeOf(v)
 	}
 	if size == 0 || size > dev.SMax() {
 		t.Fatalf("peeled size %d outside (0,%d]", size, dev.SMax())
@@ -243,7 +243,7 @@ func TestGreedyFallback(t *testing.T) {
 	}
 	size := 0
 	for _, v := range set {
-		size += h.Node(v).Size
+		size += h.SizeOf(v)
 	}
 	if size > dev.SMax() {
 		t.Errorf("fallback block size %d > S_MAX %d", size, dev.SMax())

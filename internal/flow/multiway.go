@@ -51,29 +51,13 @@ func carve(ctx context.Context, p *partition.Partition, rem partition.BlockID, _
 	if err != nil || ok {
 		return set, err
 	}
-	if set = pinAwareFallback(p, rem, dev); len(set) == 0 {
+	if s := p.Hypergraph().BiggestInterior(p.NodesIn(rem)); s >= 0 {
+		set = seed.Grow(p, rem, dev, []hypergraph.NodeID{s})
+	}
+	if len(set) == 0 {
 		set = greedyFallback(p, rem, dev)
 	}
 	return set, nil
-}
-
-// pinAwareFallback saturates a block from the biggest remainder node under
-// both device constraints.
-func pinAwareFallback(p *partition.Partition, rem partition.BlockID, dev device.Device) []hypergraph.NodeID {
-	h := p.Hypergraph()
-	var s hypergraph.NodeID = -1
-	for _, v := range p.NodesIn(rem) {
-		if h.Node(v).Kind != hypergraph.Interior {
-			continue
-		}
-		if s < 0 || h.Node(v).Size > h.Node(s).Size {
-			s = v
-		}
-	}
-	if s < 0 {
-		return nil
-	}
-	return seed.Grow(p, rem, dev, []hypergraph.NodeID{s})
 }
 
 // greedyFallback grows a block by connectivity until S_MAX, ignoring pins —
@@ -84,21 +68,13 @@ func greedyFallback(p *partition.Partition, rem partition.BlockID, dev device.De
 	if len(remNodes) == 0 {
 		return nil
 	}
-	var seedNode hypergraph.NodeID = -1
-	for _, v := range remNodes {
-		if h.Node(v).Kind != hypergraph.Interior {
-			continue
-		}
-		if seedNode < 0 || h.Node(v).Size > h.Node(seedNode).Size {
-			seedNode = v
-		}
-	}
+	seedNode := h.BiggestInterior(remNodes)
 	if seedNode < 0 {
 		seedNode = remNodes[0]
 	}
 	in := map[hypergraph.NodeID]bool{seedNode: true}
 	set := []hypergraph.NodeID{seedNode}
-	size := h.Node(seedNode).Size
+	size := h.SizeOf(seedNode)
 	frontier := map[hypergraph.NodeID]int{}
 	expand := func(v hypergraph.NodeID) {
 		for _, e := range h.NodeNets(v) {
@@ -121,13 +97,13 @@ func greedyFallback(p *partition.Partition, rem partition.BlockID, dev device.De
 		if best < 0 {
 			break
 		}
-		if size+h.Node(best).Size > dev.SMax() {
+		if size+h.SizeOf(best) > dev.SMax() {
 			delete(frontier, best)
 			continue
 		}
 		in[best] = true
 		set = append(set, best)
-		size += h.Node(best).Size
+		size += h.SizeOf(best)
 		delete(frontier, best)
 		expand(best)
 	}

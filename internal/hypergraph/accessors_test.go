@@ -26,8 +26,11 @@ func TestIDAccessors(t *testing.T) {
 	if h.MaxDegree() != 2 {
 		t.Errorf("MaxDegree = %d, want 2", h.MaxDegree())
 	}
-	if h.Net(0).Name != "n" {
-		t.Errorf("Net(0) = %q", h.Net(0).Name)
+	if h.NetName(0) != "n" || h.NetName(1) != "m" {
+		t.Errorf("NetName = %q, %q, want n, m", h.NetName(0), h.NetName(1))
+	}
+	if h.NodeName(v0) != "a" || h.NodeName(p0) != "p" || h.NodeName(v1) != "b" {
+		t.Errorf("NodeName = %q, %q, %q, want a, p, b", h.NodeName(v0), h.NodeName(p0), h.NodeName(v1))
 	}
 	if h.NumInterior() != 2 {
 		t.Errorf("NumInterior = %d", h.NumInterior())

@@ -1,23 +1,25 @@
 package hypergraph
 
-// Property test for the CSR incidence layout: a fuzzer-driven Builder
-// construction must produce slab-backed accessors (NetPins, NodeNets,
-// Degree, NetDegree, packed attributes) that agree with an independent
-// shadow incidence built directly from the raw inputs. The shadow is
-// assembled BEFORE Build repoints the legacy structs at the slabs, so the
-// comparison cannot be satisfied by aliasing.
+// Property test for the column layout: a fuzzer-driven Builder
+// construction must produce accessors (NodeName, NetName, SizeOf, KindOf,
+// NetPins, NodeNets, Degree, NetDegree, resource columns) that agree with
+// an independent shadow built directly from the raw inputs. AddNet gets
+// the raw pin lists, duplicates included, in a buffer that is scribbled
+// over after each call, so the comparison also pins AddNet's
+// keep-first-occurrence dedup and its copy of the caller's pins.
 
 import (
+	"fmt"
 	"testing"
 )
 
 // decodeCircuit turns a fuzzer byte stream into a deterministic Builder
-// construction plus the shadow input lists it was built from. Duplicate
-// pins are pre-collapsed the same way AddNet collapses them, so the shadow
-// pin lists are exactly what Build receives.
-func decodeCircuit(data []byte) (b *Builder, kinds []NodeKind, sizes, ffs []int, netPins [][]NodeID) {
+// construction plus the shadow input lists it was built from. The shadow
+// pin lists are the raw pins with duplicates collapsed to their first
+// occurrence — what AddNet is documented to keep.
+func decodeCircuit(data []byte) (b *Builder, kinds []NodeKind, sizes, ffs []int, netPins [][]NodeID, nodeNames, netNames []string) {
 	if len(data) < 2 {
-		return nil, nil, nil, nil, nil
+		return nil, nil, nil, nil, nil, nil, nil
 	}
 	b = &Builder{}
 	n := int(data[0])%48 + 1
@@ -27,16 +29,23 @@ func decodeCircuit(data []byte) (b *Builder, kinds []NodeKind, sizes, ffs []int,
 		if i < len(data) {
 			spec = data[i]
 		}
+		// Names vary with the spec byte and repeat across nodes; spec 0
+		// gives an anonymous node, as the coarsener makes.
+		name := ""
+		if spec != 0 {
+			name = fmt.Sprintf("n%d", spec%11)
+		}
+		nodeNames = append(nodeNames, name)
 		if spec&1 == 0 {
 			sz := int(spec>>1)%7 + 1
-			id := b.AddInterior("v", sz)
+			id := b.AddInterior(name, sz)
 			ff := int(spec >> 4 & 3)
 			b.SetResource(id, "FF", ff)
 			kinds = append(kinds, Interior)
 			sizes = append(sizes, sz)
 			ffs = append(ffs, ff)
 		} else {
-			b.AddPad("p")
+			b.AddPad(name)
 			kinds = append(kinds, Pad)
 			sizes = append(sizes, 0)
 			ffs = append(ffs, 0)
@@ -48,8 +57,10 @@ func decodeCircuit(data []byte) (b *Builder, kinds []NodeKind, sizes, ffs []int,
 		data = nil
 	}
 	// Remaining bytes: alternating (degree, pins...) groups.
+	var raw []NodeID
 	for len(data) > 0 {
-		deg := int(data[0])%6 + 1
+		head := data[0]
+		deg := int(head)%6 + 1
 		data = data[1:]
 		if deg > len(data) {
 			deg = len(data)
@@ -57,20 +68,27 @@ func decodeCircuit(data []byte) (b *Builder, kinds []NodeKind, sizes, ffs []int,
 		if deg == 0 {
 			break
 		}
+		raw = raw[:0]
 		var pins []NodeID
 		seen := map[NodeID]bool{}
-		for _, raw := range data[:deg] {
-			p := NodeID(int(raw) % n)
+		for _, x := range data[:deg] {
+			p := NodeID(int(x) % n)
+			raw = append(raw, p)
 			if !seen[p] {
 				seen[p] = true
 				pins = append(pins, p)
 			}
 		}
 		data = data[deg:]
-		b.AddNet("e", pins...)
+		name := fmt.Sprintf("e%d", head)
+		b.AddNet(name, raw...)
+		for i := range raw {
+			raw[i] = -1 // AddNet must have copied the pins
+		}
 		netPins = append(netPins, pins)
+		netNames = append(netNames, name)
 	}
-	return b, kinds, sizes, ffs, netPins
+	return b, kinds, sizes, ffs, netPins, nodeNames, netNames
 }
 
 func FuzzBuilderCSRRoundTrip(f *testing.F) {
@@ -79,7 +97,7 @@ func FuzzBuilderCSRRoundTrip(f *testing.F) {
 	f.Add([]byte{48, 255, 254})
 	f.Add([]byte{1, 0, 5, 0, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		b, kinds, sizes, ffs, netPins := decodeCircuit(data)
+		b, kinds, sizes, ffs, netPins, nodeNames, netNames := decodeCircuit(data)
 		if b == nil {
 			return
 		}
@@ -117,9 +135,8 @@ func FuzzBuilderCSRRoundTrip(f *testing.F) {
 				t.Fatalf("node %d attrs: kind=%v size=%d FF=%d, want %v/%d/%d",
 					v, h.KindOf(id), h.SizeOf(id), ffOf(v), kinds[v], sizes[v], ffs[v])
 			}
-			nd := h.Node(id)
-			if nd.Kind != kinds[v] || nd.Size != sizes[v] {
-				t.Fatalf("node %d struct attrs diverge from packed arrays", v)
+			if h.NodeName(id) != nodeNames[v] {
+				t.Fatalf("node %d name %q, want %q", v, h.NodeName(id), nodeNames[v])
 			}
 			got := h.NodeNets(id)
 			if len(got) != len(shadowNets[v]) || h.Degree(id) != len(shadowNets[v]) {
@@ -144,6 +161,9 @@ func FuzzBuilderCSRRoundTrip(f *testing.F) {
 		}
 		for ei, pins := range netPins {
 			id := NetID(ei)
+			if h.NetName(id) != netNames[ei] {
+				t.Fatalf("net %d name %q, want %q", ei, h.NetName(id), netNames[ei])
+			}
 			got := h.NetPins(id)
 			if len(got) != len(pins) || h.NetDegree(id) != len(pins) {
 				t.Fatalf("net %d: %d pins (NetDegree %d), shadow %d",

@@ -10,6 +10,7 @@ package hypergraph
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 )
@@ -43,46 +44,28 @@ func (k NodeKind) String() string {
 	}
 }
 
-// Node is a vertex of the hypergraph: a logic cell or an I/O pad.
-type Node struct {
-	Name string
-	Kind NodeKind
-	// Size is the number of technology cells (CLBs) the node occupies.
-	// It is zero for pads and at least one for interior nodes.
-	Size int
-}
-
-// Net is a hyperedge connecting two or more nodes.
-type Net struct {
-	Name string
-	// Pins lists the nodes connected by the net, without duplicates.
-	Pins []NodeID
-}
-
 // Hypergraph is an immutable-after-build circuit hypergraph. Build one with
 // a Builder, or deserialize one with the netlist package.
 //
-// Internally the incidence structure is stored as two flat CSR
-// (compressed sparse row) slabs built once at Build time: the pin lists of
-// all nets concatenated into pinOfNet (indexed by netOff) and the transpose
-// — the net lists of all nodes — concatenated into netOfNode (indexed by
-// nodeOff). NodeNets and NetPins are zero-alloc views into these slabs, and
-// every Net.Pins is repointed at its span of pinOfNet.
+// The hypergraph is a set of columns and nothing else. Every node
+// attribute (name, kind, size, resource demands) is one packed per-node
+// array, every net attribute (name, pins) one per-net array, and the
+// incidence structure is two flat CSR (compressed sparse row) slabs: the
+// pin lists of all nets concatenated into pinOfNet (indexed by netOff) and
+// the transpose — the net lists of all nodes — concatenated into netOfNode
+// (indexed by nodeOff). NodeNets and NetPins are zero-alloc views into
+// these slabs.
 type Hypergraph struct {
-	nodes []Node
-	nets  []Net
+	nodeName []string
+	nodeSize []int32 // technology cells (CLBs): 0 for pads, >= 1 for interior nodes
+	nodeKind []NodeKind
+	netName  []string
 
 	// CSR incidence slabs; see the type comment.
 	pinOfNet  []NodeID
 	netOff    []int32 // len nets+1; net e's pins are pinOfNet[netOff[e]:netOff[e+1]]
 	netOfNode []NetID
 	nodeOff   []int32 // len nodes+1; node v's nets are netOfNode[nodeOff[v]:nodeOff[v+1]]
-
-	// Packed per-node attribute arrays: the hot paths read sizes and kinds
-	// through these instead of pulling whole Node structs (whose Name
-	// headers would waste cache lines) into the working set.
-	nodeSize []int32
-	nodeKind []NodeKind
 
 	// Named resource-demand columns (LUT/FF/DSP/...; §2's secondary
 	// constraints, "handled in a similar way as the size constraint"):
@@ -102,16 +85,16 @@ type Hypergraph struct {
 }
 
 // NumNodes returns the total node count (interior + pads).
-func (h *Hypergraph) NumNodes() int { return len(h.nodes) }
+func (h *Hypergraph) NumNodes() int { return len(h.nodeKind) }
 
 // NumNets returns the net count.
-func (h *Hypergraph) NumNets() int { return len(h.nets) }
+func (h *Hypergraph) NumNets() int { return len(h.netName) }
 
 // NumPads returns |Y0|, the number of terminal (pad) nodes.
 func (h *Hypergraph) NumPads() int { return h.numPads }
 
 // NumInterior returns |X0|, the number of interior nodes.
-func (h *Hypergraph) NumInterior() int { return len(h.nodes) - h.numPads }
+func (h *Hypergraph) NumInterior() int { return len(h.nodeKind) - h.numPads }
 
 // TotalSize returns S0 = sum of interior node sizes.
 func (h *Hypergraph) TotalSize() int { return h.totalSize }
@@ -119,21 +102,21 @@ func (h *Hypergraph) TotalSize() int { return h.totalSize }
 // MaxDegree returns the largest number of nets incident to any node.
 func (h *Hypergraph) MaxDegree() int { return h.maxDegree }
 
-// Node returns the node with the given ID. The returned pointer must be
-// treated as read-only.
-func (h *Hypergraph) Node(id NodeID) *Node { return &h.nodes[id] }
+// NodeName returns the name node v was added with ("" for anonymous nodes
+// such as coarse clusters).
+func (h *Hypergraph) NodeName(v NodeID) string { return h.nodeName[v] }
 
-// Net returns the net with the given ID. The returned pointer must be
-// treated as read-only.
-func (h *Hypergraph) Net(id NetID) *Net { return &h.nets[id] }
+// NetName returns the name net e was added with.
+func (h *Hypergraph) NetName(e NetID) string { return h.netName[e] }
 
 // NodeNets returns the nets incident to node id, in ascending net order: a
 // zero-alloc view into the flat transpose slab. The slice must not be
 // modified.
 func (h *Hypergraph) NodeNets(id NodeID) []NetID { return h.netOfNode[h.nodeOff[id]:h.nodeOff[id+1]] }
 
-// NetPins returns the pins of net id: a zero-alloc view into the flat pin
-// slab. The slice must not be modified.
+// NetPins returns the pins of net id, without duplicates, in the order they
+// were first given to AddNet: a zero-alloc view into the flat pin slab. The
+// slice must not be modified.
 func (h *Hypergraph) NetPins(id NetID) []NodeID { return h.pinOfNet[h.netOff[id]:h.netOff[id+1]] }
 
 // Degree returns the number of nets incident to node id.
@@ -147,8 +130,8 @@ func (h *Hypergraph) NetDegree(id NetID) int { return int(h.netOff[id+1] - h.net
 // CSR pin slab.
 func (h *Hypergraph) NumPins() int { return len(h.pinOfNet) }
 
-// SizeOf returns the size of node v from the packed attribute array. It is
-// the hot-path equivalent of Node(v).Size.
+// SizeOf returns the number of technology cells (CLBs) node v occupies:
+// zero for pads, at least one for interior nodes.
 func (h *Hypergraph) SizeOf(v NodeID) int { return int(h.nodeSize[v]) }
 
 // AuxOf returns 0.
@@ -157,8 +140,7 @@ func (h *Hypergraph) SizeOf(v NodeID) int { return int(h.nodeSize[v]) }
 // resource column. Kept only for the benchmark harness's checker.
 func (h *Hypergraph) AuxOf(v NodeID) int { return 0 }
 
-// KindOf returns the kind of node v from the packed attribute array. It is
-// the hot-path equivalent of Node(v).Kind.
+// KindOf returns whether node v is an interior node or a pad.
 func (h *Hypergraph) KindOf(v NodeID) NodeKind { return h.nodeKind[v] }
 
 // ResourceNames lists the resource-demand columns present in the netlist,
@@ -188,9 +170,22 @@ func (h *Hypergraph) TotalResource(name string) int {
 	return 0
 }
 
+// BiggestInterior returns the first interior node of maximal size in
+// nodes, or -1 when nodes holds no interior node. It is the seed choice of
+// every constructive carve (§3.2: "the biggest node").
+func (h *Hypergraph) BiggestInterior(nodes []NodeID) NodeID {
+	var best NodeID = -1
+	for _, v := range nodes {
+		if h.nodeKind[v] == Interior && (best < 0 || h.nodeSize[v] > h.nodeSize[best]) {
+			best = v
+		}
+	}
+	return best
+}
+
 // NodeIDs returns all node IDs in increasing order.
 func (h *Hypergraph) NodeIDs() []NodeID {
-	ids := make([]NodeID, len(h.nodes))
+	ids := make([]NodeID, len(h.nodeKind))
 	for i := range ids {
 		ids[i] = NodeID(i)
 	}
@@ -200,8 +195,8 @@ func (h *Hypergraph) NodeIDs() []NodeID {
 // InteriorIDs returns the IDs of all interior nodes in increasing order.
 func (h *Hypergraph) InteriorIDs() []NodeID {
 	ids := make([]NodeID, 0, h.NumInterior())
-	for i := range h.nodes {
-		if h.nodes[i].Kind == Interior {
+	for i, k := range h.nodeKind {
+		if k == Interior {
 			ids = append(ids, NodeID(i))
 		}
 	}
@@ -211,8 +206,8 @@ func (h *Hypergraph) InteriorIDs() []NodeID {
 // PadIDs returns the IDs of all pad nodes in increasing order.
 func (h *Hypergraph) PadIDs() []NodeID {
 	ids := make([]NodeID, 0, h.numPads)
-	for i := range h.nodes {
-		if h.nodes[i].Kind == Pad {
+	for i, k := range h.nodeKind {
+		if k == Pad {
 			ids = append(ids, NodeID(i))
 		}
 	}
@@ -222,31 +217,50 @@ func (h *Hypergraph) PadIDs() []NodeID {
 // String summarizes the hypergraph in one line.
 func (h *Hypergraph) String() string {
 	return fmt.Sprintf("hypergraph{interior:%d pads:%d nets:%d size:%d}",
-		h.NumInterior(), h.numPads, len(h.nets), h.totalSize)
+		h.NumInterior(), h.numPads, h.NumNets(), h.totalSize)
 }
 
 // Builder incrementally constructs a Hypergraph. The zero value is ready to
 // use. Builders are not safe for concurrent use.
+//
+// The builder stages straight into the columns the Hypergraph keeps: Build
+// hands them over without copying, and adds only the transpose slab.
 type Builder struct {
-	nodes  []Node
-	nets   []Net
+	names    []string
+	kinds    []NodeKind
+	sizes    []int32
+	netNames []string
+	pins     []NodeID
+	netOff   []int32 // net e's pins are pins[netOff[e]:netOff[e+1]]; nil until the first net
+	// stamp[v] is one more than the last net that took v as a pin, so
+	// AddNet collapses duplicate pins without a set per net.
+	stamp  []int32
 	byName map[string]NodeID
 	// res holds sparse per-resource demands until Build packs them into
 	// dense columns; most circuits never touch it.
 	res map[string]map[NodeID]int32
+	// err is the first unknown pin, or size or demand that does not fit
+	// the int32 columns; Build reports it.
+	err error
 }
 
 // AddNode appends a node and returns its ID. Pads are forced to size zero;
 // interior nodes must have size >= 1 (size 0 is promoted to 1). Names need
-// not be unique, but NodeByName resolves only the first occurrence.
+// not be unique, but NodeByName resolves only the first occurrence. A size
+// past the int32 range makes Build fail.
 func (b *Builder) AddNode(name string, kind NodeKind, size int) NodeID {
 	if kind == Pad {
 		size = 0
 	} else if size < 1 {
 		size = 1
 	}
-	id := NodeID(len(b.nodes))
-	b.nodes = append(b.nodes, Node{Name: name, Kind: kind, Size: size})
+	id := NodeID(len(b.kinds))
+	if size > math.MaxInt32 && b.err == nil {
+		b.err = fmt.Errorf("hypergraph: node %d (%q) size %d exceeds %d", id, name, size, math.MaxInt32)
+	}
+	b.names = append(b.names, name)
+	b.kinds = append(b.kinds, kind)
+	b.sizes = append(b.sizes, int32(size))
 	if b.byName == nil {
 		b.byName = make(map[string]NodeID)
 	}
@@ -268,10 +282,18 @@ func (b *Builder) AddPad(name string) NodeID {
 
 // SetResource records node id's demand for a named resource axis (FF,
 // DSP, BRAM, ...). Non-positive demands are dropped — absent means zero. The
-// column comes into existence with its first positive demand.
+// column comes into existence with its first positive demand. A demand
+// past the int32 range makes Build fail.
 func (b *Builder) SetResource(id NodeID, name string, demand int) {
 	if demand <= 0 || name == "" {
 		return
+	}
+	if demand > math.MaxInt32 && b.err == nil {
+		node := fmt.Sprint(id)
+		if id >= 0 && int(id) < len(b.names) {
+			node = fmt.Sprintf("%d (%q)", id, b.names[id])
+		}
+		b.err = fmt.Errorf("hypergraph: node %s demands %d %s, more than %d", node, demand, name, math.MaxInt32)
 	}
 	if b.res == nil {
 		b.res = make(map[string]map[NodeID]int32)
@@ -291,102 +313,101 @@ func (b *Builder) NodeByName(name string) (NodeID, bool) {
 }
 
 // NumNodes returns the number of nodes added so far.
-func (b *Builder) NumNodes() int { return len(b.nodes) }
+func (b *Builder) NumNodes() int { return len(b.kinds) }
 
 // AddNet appends a net connecting the given pins and returns its ID.
-// Duplicate pins are collapsed.
+// Duplicate pins are collapsed; the first occurrence keeps its place. The
+// pins are copied, so the caller may reuse the slice. A pin outside
+// [0, NumNodes()) — a node not added yet — makes Build fail.
 func (b *Builder) AddNet(name string, pins ...NodeID) NetID {
-	uniq := pins[:0:0]
-	seen := make(map[NodeID]bool, len(pins))
+	id := NetID(len(b.netNames))
+	if b.netOff == nil {
+		b.netOff = []int32{0}
+	}
+	if n := len(b.kinds); len(b.stamp) < n {
+		b.stamp = append(b.stamp, make([]int32, n-len(b.stamp))...)
+	}
+	mark := int32(id) + 1
 	for _, p := range pins {
-		if !seen[p] {
-			seen[p] = true
-			uniq = append(uniq, p)
+		if p < 0 || int(p) >= len(b.stamp) {
+			if b.err == nil {
+				b.err = fmt.Errorf("hypergraph: net %d (%q) references unknown node %d", id, name, p)
+			}
+			continue
+		}
+		if b.stamp[p] != mark {
+			b.stamp[p] = mark
+			b.pins = append(b.pins, p)
 		}
 	}
-	id := NetID(len(b.nets))
-	b.nets = append(b.nets, Net{Name: name, Pins: uniq})
-	return id
-}
-
-// AddNetUnique appends a net whose pins the caller guarantees are already
-// pairwise distinct, skipping AddNet's dedup pass, and takes ownership of
-// the pins slice. Generators that dedup with their own scratch state (the
-// multilevel coarsener emits millions of nets per level) use it to avoid
-// one map allocation per net.
-func (b *Builder) AddNetUnique(name string, pins []NodeID) NetID {
-	id := NetID(len(b.nets))
-	b.nets = append(b.nets, Net{Name: name, Pins: pins})
+	b.netNames = append(b.netNames, name)
+	b.netOff = append(b.netOff, int32(len(b.pins)))
 	return id
 }
 
 // Build validates the construction and returns the finished hypergraph.
-// It fails if any net references an unknown node or has fewer than one pin.
-// Single-pin nets are permitted (they can never be cut) but nets with zero
-// pins are rejected.
+// It fails if a node size or resource demand does not fit in int32, or if
+// any net references an unknown node or has no pins. Single-pin nets are
+// permitted (they can never be cut).
 //
-// Build assembles the flat CSR incidence slabs in two counting-sort passes
-// and repoints every Net.Pins at its slab span, so the whole
-// incidence structure costs four allocations regardless of net count and
-// all accessors read contiguous memory.
+// The staged columns and pin slab become the hypergraph's own (capped, so
+// later builder appends cannot reach them); Build adds the transpose slab
+// in one counting-sort pass, so the whole incidence structure costs a
+// fixed number of allocations regardless of net count.
 func (b *Builder) Build() (*Hypergraph, error) {
-	h := &Hypergraph{nodes: b.nodes, nets: b.nets}
-	n, m := len(h.nodes), len(h.nets)
+	if b.err != nil {
+		return nil, b.err
+	}
+	n, m := len(b.kinds), len(b.netNames)
+	netOff := b.netOff
+	if netOff == nil {
+		netOff = []int32{0}
+	}
+	h := &Hypergraph{
+		nodeName: b.names[:n:n],
+		nodeSize: b.sizes[:n:n],
+		nodeKind: b.kinds[:n:n],
+		netName:  b.netNames[:m:m],
+		pinOfNet: b.pins[:len(b.pins):len(b.pins)],
+		netOff:   netOff[: m+1 : m+1],
+	}
 
-	// Pass 1: validate, size the slabs, count node degrees into nodeOff.
+	// Reject empty nets and count node degrees into nodeOff. AddNet has
+	// already checked every pin.
 	h.nodeOff = make([]int32, n+1)
-	h.netOff = make([]int32, m+1)
-	totalPins := 0
-	for ei := range h.nets {
-		e := &h.nets[ei]
-		if len(e.Pins) == 0 {
-			return nil, fmt.Errorf("hypergraph: net %d (%q) has no pins", ei, e.Name)
+	for e := 0; e < m; e++ {
+		pins := h.NetPins(NetID(e))
+		if len(pins) == 0 {
+			return nil, fmt.Errorf("hypergraph: net %d (%q) has no pins", e, h.netName[e])
 		}
-		for _, p := range e.Pins {
-			if p < 0 || int(p) >= n {
-				return nil, fmt.Errorf("hypergraph: net %d (%q) references unknown node %d", ei, e.Name, p)
-			}
+		for _, p := range pins {
 			h.nodeOff[p+1]++
 		}
-		totalPins += len(e.Pins)
-		h.netOff[ei+1] = int32(totalPins)
 	}
 	for i := 0; i < n; i++ {
 		h.nodeOff[i+1] += h.nodeOff[i]
 	}
 
-	// Pass 2: fill the pin slab (net-major, preserving each net's pin
-	// order) and the transpose (cursor fill in ascending net order, which
-	// reproduces the legacy per-node insertion order exactly).
-	h.pinOfNet = make([]NodeID, totalPins)
-	h.netOfNode = make([]NetID, totalPins)
+	// Fill the transpose by cursor in ascending net order, so each node's
+	// nets come out in ascending net order.
+	h.netOfNode = make([]NetID, len(h.pinOfNet))
 	cursor := make([]int32, n)
 	copy(cursor, h.nodeOff[:n])
-	for ei := range h.nets {
-		e := &h.nets[ei]
-		copy(h.pinOfNet[h.netOff[ei]:h.netOff[ei+1]], e.Pins)
-		for _, p := range e.Pins {
-			h.netOfNode[cursor[p]] = NetID(ei)
+	for e := 0; e < m; e++ {
+		for _, p := range h.NetPins(NetID(e)) {
+			h.netOfNode[cursor[p]] = NetID(e)
 			cursor[p]++
 		}
-		e.Pins = h.pinOfNet[h.netOff[ei]:h.netOff[ei+1]:h.netOff[ei+1]]
 	}
 
-	// Packed attribute arrays + aggregate stats.
-	h.nodeSize = make([]int32, n)
-	h.nodeKind = make([]NodeKind, n)
-	for i := range h.nodes {
-		nd := &h.nodes[i]
-		h.nodeSize[i] = int32(nd.Size)
-		h.nodeKind[i] = nd.Kind
-		if nd.Kind == Interior {
-			h.totalSize += nd.Size
+	// Aggregate stats.
+	for i, k := range h.nodeKind {
+		if k == Interior {
+			h.totalSize += int(h.nodeSize[i])
 		} else {
 			h.numPads++
 		}
-		if d := h.Degree(NodeID(i)); d > h.maxDegree {
-			h.maxDegree = d
-		}
+		h.maxDegree = max(h.maxDegree, h.Degree(NodeID(i)))
 	}
 
 	// Pack sparse builder demands into dense per-resource columns, in
@@ -403,7 +424,7 @@ func (b *Builder) Build() (*Hypergraph, error) {
 			col := make([]int32, n)
 			total := 0
 			for id, d := range b.res[name] {
-				if int(id) >= n {
+				if id < 0 || int(id) >= n {
 					return nil, fmt.Errorf("hypergraph: resource %s demand on unknown node %d", name, id)
 				}
 				col[id] = d
@@ -429,7 +450,7 @@ func (b *Builder) MustBuild() *Hypergraph {
 // BFSDistances returns, for every node, its hop distance from the seed node
 // (two nodes are adjacent when they share a net). Unreachable nodes get -1.
 func (h *Hypergraph) BFSDistances(seed NodeID) []int {
-	dist := make([]int, len(h.nodes))
+	dist := make([]int, h.NumNodes())
 	for i := range dist {
 		dist[i] = -1
 	}
@@ -458,14 +479,14 @@ func (h *Hypergraph) FarthestFrom(seed NodeID) NodeID {
 	dist := h.BFSDistances(seed)
 	best := seed
 	bestDist := -2 // below any real distance so seed itself can win only alone
-	for i := range h.nodes {
+	for i := range h.nodeKind {
 		id := NodeID(i)
 		if id == seed {
 			continue
 		}
 		d := dist[i]
 		if d == -1 {
-			if h.nodes[i].Kind != Interior {
+			if h.nodeKind[i] != Interior {
 				continue
 			}
 			d = int(^uint(0) >> 2) // effectively infinite: disconnected
@@ -475,10 +496,10 @@ func (h *Hypergraph) FarthestFrom(seed NodeID) NodeID {
 		case d > bestDist:
 			better = true
 		case d == bestDist:
-			bi, ci := h.nodes[best], h.nodes[i]
-			if ci.Kind == Interior && bi.Kind != Interior {
+			bk, ck := h.nodeKind[best], h.nodeKind[i]
+			if ck == Interior && bk != Interior {
 				better = true
-			} else if ci.Kind == bi.Kind && ci.Size > bi.Size {
+			} else if ck == bk && h.nodeSize[i] > h.nodeSize[best] {
 				better = true
 			}
 		}
@@ -492,9 +513,9 @@ func (h *Hypergraph) FarthestFrom(seed NodeID) NodeID {
 // Components returns the connected components of the hypergraph as slices of
 // node IDs, largest (by total interior size, then node count) first.
 func (h *Hypergraph) Components() [][]NodeID {
-	seen := make([]bool, len(h.nodes))
+	seen := make([]bool, h.NumNodes())
 	var comps [][]NodeID
-	for i := range h.nodes {
+	for i := range seen {
 		if seen[i] {
 			continue
 		}
@@ -518,7 +539,7 @@ func (h *Hypergraph) Components() [][]NodeID {
 	}
 	size := func(c []NodeID) (s, n int) {
 		for _, v := range c {
-			s += h.nodes[v].Size
+			s += int(h.nodeSize[v])
 		}
 		return s, len(c)
 	}
@@ -543,8 +564,7 @@ func (h *Hypergraph) Induced(nodes []NodeID) (*Hypergraph, []NodeID) {
 	var b Builder
 	back := make([]NodeID, 0, len(nodes))
 	for _, v := range nodes {
-		n := &h.nodes[v]
-		id := b.AddNode(n.Name, n.Kind, n.Size)
+		id := b.AddNode(h.nodeName[v], h.nodeKind[v], int(h.nodeSize[v]))
 		for ri, name := range h.resNames {
 			if d := h.resCols[ri][v]; d > 0 {
 				b.SetResource(id, name, int(d))
@@ -553,21 +573,22 @@ func (h *Hypergraph) Induced(nodes []NodeID) (*Hypergraph, []NodeID) {
 		newID[v] = id
 		back = append(back, v)
 	}
-	for ei := range h.nets {
-		e := &h.nets[ei]
-		var pins []NodeID
-		for _, p := range e.Pins {
+	var pins []NodeID
+	for ei, name := range h.netName {
+		pins = pins[:0]
+		for _, p := range h.NetPins(NetID(ei)) {
 			if np, ok := newID[p]; ok {
 				pins = append(pins, np)
 			}
 		}
 		if len(pins) >= 2 {
-			b.AddNet(e.Name, pins...)
+			b.AddNet(name, pins...)
 		}
 	}
 	sub, err := b.Build()
 	if err != nil {
-		// Build can only fail on dangling pins, which cannot happen here.
+		// Build can only fail on dangling pins or out-of-range sizes,
+		// which cannot happen here.
 		panic(fmt.Sprintf("hypergraph: induced subgraph invalid: %v", err))
 	}
 	return sub, back
@@ -594,27 +615,15 @@ func (h *Hypergraph) ComputeStats() Stats {
 		Nets:      h.NumNets(),
 		TotalSize: h.totalSize,
 	}
-	var pinSum int
-	for i := range h.nets {
-		d := len(h.nets[i].Pins)
-		pinSum += d
-		if d > s.MaxNetDegree {
-			s.MaxNetDegree = d
-		}
+	for e := 0; e < s.Nets; e++ {
+		s.MaxNetDegree = max(s.MaxNetDegree, h.NetDegree(NetID(e)))
 	}
 	if s.Nets > 0 {
-		s.AvgNetDegree = float64(pinSum) / float64(s.Nets)
+		s.AvgNetDegree = float64(h.NumPins()) / float64(s.Nets)
 	}
-	var degSum int
-	for i := range h.nodes {
-		d := h.Degree(NodeID(i))
-		degSum += d
-		if d > s.MaxNodeDegree {
-			s.MaxNodeDegree = d
-		}
-	}
+	s.MaxNodeDegree = h.maxDegree
 	if s.Nodes > 0 {
-		s.AvgNodeDegree = float64(degSum) / float64(s.Nodes)
+		s.AvgNodeDegree = float64(h.NumPins()) / float64(s.Nodes)
 	}
 	s.Components = len(h.Components())
 	return s

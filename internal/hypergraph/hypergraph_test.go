@@ -1,7 +1,9 @@
 package hypergraph
 
 import (
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -43,8 +45,8 @@ func TestBuilderBasics(t *testing.T) {
 	if got := len(h.NetPins(1)); got != 2 {
 		t.Errorf("net n2 pins = %d, want 2 after dedup", got)
 	}
-	if h.Node(p).Size != 0 {
-		t.Errorf("pad size = %d, want 0", h.Node(p).Size)
+	if h.SizeOf(p) != 0 {
+		t.Errorf("pad size = %d, want 0", h.SizeOf(p))
 	}
 	if h.Degree(a) != 2 {
 		t.Errorf("Degree(a) = %d, want 2", h.Degree(a))
@@ -76,9 +78,46 @@ func TestBuildRejectsEmptyNet(t *testing.T) {
 func TestBuildRejectsDanglingPin(t *testing.T) {
 	var b Builder
 	b.AddInterior("a", 1)
-	b.nets = append(b.nets, Net{Name: "bad", Pins: []NodeID{42}})
-	if _, err := b.Build(); err == nil {
-		t.Fatal("Build accepted a net with an unknown node")
+	b.AddNet("bad", 42)
+	_, err := b.Build()
+	if err == nil || !strings.Contains(err.Error(), `net 0 ("bad") references unknown node 42`) {
+		t.Fatalf("Build on a dangling pin: err = %v, want it to name net 0 and node 42", err)
+	}
+}
+
+// TestBuildRejectsInt32Overflow pins that sizes and demands past the
+// int32 columns fail the build, naming the node, instead of wrapping: a
+// size of 1<<31 used to read back as -2147483648 and a demand of
+// 1<<32+5 as 5.
+func TestBuildRejectsInt32Overflow(t *testing.T) {
+	var b Builder
+	a := b.AddInterior("a", 1<<31)
+	b.AddPad("p")
+	b.AddNet("n", a, 1)
+	_, err := b.Build()
+	if err == nil || !strings.Contains(err.Error(), `node 0 ("a") size 2147483648`) {
+		t.Errorf("size 1<<31: err = %v, want it to name node 0 (\"a\") and the size", err)
+	}
+
+	var c Builder
+	c.AddInterior("ok", 1)
+	big := c.AddInterior("c", math.MaxInt32)
+	c.SetResource(big, "DSP", 1<<32+5)
+	_, err = c.Build()
+	if err == nil || !strings.Contains(err.Error(), `node 1 ("c") demands 4294967301 DSP`) {
+		t.Errorf("DSP demand 1<<32+5: err = %v, want it to name node 1, the demand and the resource", err)
+	}
+
+	// The int32 maximum itself still fits on both axes.
+	c = Builder{}
+	v := c.AddInterior("c", math.MaxInt32)
+	c.SetResource(v, "DSP", math.MaxInt32)
+	h, err := c.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.SizeOf(v) != math.MaxInt32 || h.TotalResource("DSP") != math.MaxInt32 {
+		t.Errorf("SizeOf = %d, DSP total = %d, want %d for both", h.SizeOf(v), h.TotalResource("DSP"), math.MaxInt32)
 	}
 }
 
@@ -151,8 +190,8 @@ func TestComponentsOrdering(t *testing.T) {
 	if len(comps) != 2 {
 		t.Fatalf("components = %d, want 2", len(comps))
 	}
-	if h.Node(comps[0][0]).Name != "big" {
-		t.Errorf("largest-size component should be first, got %q", h.Node(comps[0][0]).Name)
+	if h.NodeName(comps[0][0]) != "big" {
+		t.Errorf("largest-size component should be first, got %q", h.NodeName(comps[0][0]))
 	}
 }
 
@@ -180,7 +219,7 @@ func TestInducedSubgraph(t *testing.T) {
 		t.Fatalf("induced nets = %d, want 2", sub.NumNets())
 	}
 	for newID, origID := range back {
-		if h.Node(origID).Size != sub.Node(NodeID(newID)).Size {
+		if h.SizeOf(origID) != sub.SizeOf(NodeID(newID)) {
 			t.Errorf("back-mapping broke sizes at %d", newID)
 		}
 	}
@@ -250,11 +289,10 @@ func TestQuickIncidenceInvariant(t *testing.T) {
 		nodeRefs, size, pads := 0, 0, 0
 		for i := 0; i < h.NumNodes(); i++ {
 			nodeRefs += len(h.NodeNets(NodeID(i)))
-			nd := h.Node(NodeID(i))
-			if nd.Kind == Pad {
+			if h.KindOf(NodeID(i)) == Pad {
 				pads++
 			} else {
-				size += nd.Size
+				size += h.SizeOf(NodeID(i))
 			}
 		}
 		return pinRefs == nodeRefs && size == h.TotalSize() && pads == h.NumPads()

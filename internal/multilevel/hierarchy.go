@@ -224,22 +224,20 @@ func coarsenCtx(ctx context.Context, h *hypergraph.Hypergraph, maxClusterSize in
 			f2c[m] = id
 		}
 	}
-	cstamp := make([]int32, b.NumNodes())
-	for i := range cstamp {
-		cstamp[i] = -1
-	}
+	// Each net maps its pins through one reused scratch buffer. AddNet
+	// copies them and collapses the pins that share a cluster; a net
+	// whose pins all land in one cluster is internal to it and dropped.
+	var coarse []hypergraph.NodeID
 	for e := 0; e < h.NumNets(); e++ {
 		pins := h.NetPins(hypergraph.NetID(e))
-		coarse := make([]hypergraph.NodeID, 0, len(pins))
+		coarse = coarse[:0]
+		spans := false
 		for _, p := range pins {
-			c := f2c[p]
-			if cstamp[c] != int32(e) {
-				cstamp[c] = int32(e)
-				coarse = append(coarse, c)
-			}
+			coarse = append(coarse, f2c[p])
+			spans = spans || f2c[p] != f2c[pins[0]]
 		}
-		if len(coarse) >= 2 {
-			b.AddNetUnique("", coarse)
+		if spans {
+			b.AddNet("", coarse...)
 		}
 	}
 	ch, err := b.Build()

@@ -156,21 +156,12 @@ func vCycleSplit(ctx context.Context, p *partition.Partition, rem partition.Bloc
 // the next addition would exceed S_MAX.
 func growSplit(h *hypergraph.Hypergraph, smax int) map[hypergraph.NodeID]bool {
 	inA := make(map[hypergraph.NodeID]bool)
-	var seedNode hypergraph.NodeID = -1
-	for v := 0; v < h.NumNodes(); v++ {
-		id := hypergraph.NodeID(v)
-		if h.Node(id).Kind != hypergraph.Interior {
-			continue
-		}
-		if seedNode < 0 || h.Node(id).Size > h.Node(seedNode).Size {
-			seedNode = id
-		}
-	}
+	seedNode := h.BiggestInterior(h.NodeIDs())
 	if seedNode < 0 {
 		return inA
 	}
 	inA[seedNode] = true
-	size := h.Node(seedNode).Size
+	size := h.SizeOf(seedNode)
 	gainTo := map[hypergraph.NodeID]int{}
 	expand := func(v hypergraph.NodeID) {
 		for _, e := range h.NodeNets(v) {
@@ -189,7 +180,7 @@ func growSplit(h *hypergraph.Hypergraph, smax int) map[hypergraph.NodeID]bool {
 			if inA[u] {
 				continue
 			}
-			if size+h.Node(u).Size > smax {
+			if size+h.SizeOf(u) > smax {
 				continue
 			}
 			if g > bestG || (g == bestG && u < best) {
@@ -200,7 +191,7 @@ func growSplit(h *hypergraph.Hypergraph, smax int) map[hypergraph.NodeID]bool {
 			return inA
 		}
 		inA[best] = true
-		size += h.Node(best).Size
+		size += h.SizeOf(best)
 		delete(gainTo, best)
 		expand(best)
 	}
@@ -250,7 +241,7 @@ func ClusterOrder(h *hypergraph.Hypergraph) []hypergraph.NodeID {
 		var anchor hypergraph.NodeID = -1
 		for _, e := range h.NodeNets(p) {
 			for _, u := range h.NetPins(e) {
-				if h.Node(u).Kind == hypergraph.Interior {
+				if h.KindOf(u) == hypergraph.Interior {
 					anchor = u
 					break
 				}
@@ -267,7 +258,7 @@ func ClusterOrder(h *hypergraph.Hypergraph) []hypergraph.NodeID {
 	}
 	final := make([]hypergraph.NodeID, 0, h.NumNodes())
 	for _, v := range order {
-		if h.Node(v).Kind == hypergraph.Pad {
+		if h.KindOf(v) == hypergraph.Pad {
 			continue // re-emitted next to its anchor
 		}
 		final = append(final, v)
@@ -307,7 +298,11 @@ func carve(ctx context.Context, p *partition.Partition, rem partition.BlockID, s
 		set = trimToFeasible(p, rem, dev, set)
 	}
 	if !ok || len(set) == 0 {
-		set = seed.Grow(p, rem, dev, biggestSeed(p, rem))
+		var init []hypergraph.NodeID
+		if s := p.Hypergraph().BiggestInterior(p.NodesIn(rem)); s >= 0 {
+			init = []hypergraph.NodeID{s}
+		}
+		set = seed.Grow(p, rem, dev, init)
 	}
 	return set, nil
 }
@@ -349,7 +344,7 @@ func probeTerminals(p *partition.Partition, rem partition.BlockID, set []hypergr
 	term := 0
 	seen := map[hypergraph.NetID]bool{}
 	for _, v := range set {
-		if h.Node(v).Kind == hypergraph.Pad {
+		if h.KindOf(v) == hypergraph.Pad {
 			term++
 		}
 		for _, e := range h.NodeNets(v) {
@@ -372,23 +367,4 @@ func probeTerminals(p *partition.Partition, rem partition.BlockID, set []hypergr
 		}
 	}
 	return term
-}
-
-// biggestSeed returns the biggest interior remainder node as a one-element
-// growth seed.
-func biggestSeed(p *partition.Partition, rem partition.BlockID) []hypergraph.NodeID {
-	h := p.Hypergraph()
-	var s hypergraph.NodeID = -1
-	for _, v := range p.NodesIn(rem) {
-		if h.Node(v).Kind != hypergraph.Interior {
-			continue
-		}
-		if s < 0 || h.Node(v).Size > h.Node(s).Size {
-			s = v
-		}
-	}
-	if s < 0 {
-		return nil
-	}
-	return []hypergraph.NodeID{s}
 }

@@ -98,7 +98,7 @@ func TestGrowSplitTargetsSMax(t *testing.T) {
 	inA := growSplit(h, 10)
 	size := 0
 	for v := range inA {
-		size += h.Node(v).Size
+		size += h.SizeOf(v)
 	}
 	if size == 0 || size > 10 {
 		t.Errorf("grown side size %d outside (0,10]", size)

@@ -38,7 +38,7 @@ func TestClusterOrderPadsNextToAnchors(t *testing.T) {
 		var anchor hypergraph.NodeID = -1
 		for _, e := range h.NodeNets(p) {
 			for _, u := range h.NetPins(e) {
-				if h.Node(u).Kind == hypergraph.Interior {
+				if h.KindOf(u) == hypergraph.Interior {
 					anchor = u
 					break
 				}

@@ -268,7 +268,7 @@ func TestBLIFHypergraph(t *testing.T) {
 	// w2 connects gate(w2), gate(sum), latch -> 3 pins.
 	found := false
 	for e := 0; e < h.NumNets(); e++ {
-		if h.Net(hypergraph.NetID(e)).Name == "w2" {
+		if h.NetName(hypergraph.NetID(e)) == "w2" {
 			found = true
 			if len(h.NetPins(hypergraph.NetID(e))) != 3 {
 				t.Errorf("w2 has %d pins, want 3", len(h.NetPins(hypergraph.NetID(e))))

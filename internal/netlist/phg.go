@@ -42,11 +42,11 @@ func WritePHG(w io.Writer, h *hypergraph.Hypergraph) error {
 		resCols[i] = h.ResourceColumn(name)
 	}
 	for i := 0; i < h.NumNodes(); i++ {
-		n := h.Node(hypergraph.NodeID(i))
-		if n.Kind == hypergraph.Pad {
-			fmt.Fprintf(bw, "pad %s\n", sanitizeName(n.Name, i))
+		v := hypergraph.NodeID(i)
+		if h.KindOf(v) == hypergraph.Pad {
+			fmt.Fprintf(bw, "pad %s\n", sanitizeName(h.NodeName(v), i))
 		} else {
-			fmt.Fprintf(bw, "node %s %d", sanitizeName(n.Name, i), n.Size)
+			fmt.Fprintf(bw, "node %s %d", sanitizeName(h.NodeName(v), i), h.SizeOf(v))
 			for ri, col := range resCols {
 				if d := col[i]; d > 0 {
 					fmt.Fprintf(bw, " %s:%d", resNames[ri], d)
@@ -56,9 +56,8 @@ func WritePHG(w io.Writer, h *hypergraph.Hypergraph) error {
 		}
 	}
 	for e := 0; e < h.NumNets(); e++ {
-		net := h.Net(hypergraph.NetID(e))
-		fmt.Fprintf(bw, "net %s", sanitizeName(net.Name, e))
-		for _, p := range net.Pins {
+		fmt.Fprintf(bw, "net %s", sanitizeName(h.NetName(hypergraph.NetID(e)), e))
+		for _, p := range h.NetPins(hypergraph.NetID(e)) {
 			fmt.Fprintf(bw, " %d", p)
 		}
 		fmt.Fprintln(bw)
@@ -189,7 +188,7 @@ func WriteHgr(w io.Writer, h *hypergraph.Hypergraph) error {
 		fmt.Fprintln(bw)
 	}
 	for i := 0; i < h.NumNodes(); i++ {
-		fmt.Fprintln(bw, h.Node(hypergraph.NodeID(i)).Size)
+		fmt.Fprintln(bw, h.SizeOf(hypergraph.NodeID(i)))
 	}
 	return bw.Flush()
 }

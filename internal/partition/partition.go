@@ -870,12 +870,11 @@ func (p *Partition) Validate() error {
 		if b < 0 || int(b) >= p.k {
 			return fmt.Errorf("node %d assigned to invalid block %d (k=%d)", v, b, p.k)
 		}
-		n := p.h.Node(hypergraph.NodeID(v))
 		nodes[b]++
-		if n.Kind == hypergraph.Pad {
+		if p.h.KindOf(hypergraph.NodeID(v)) == hypergraph.Pad {
 			pads[b]++
 		} else {
-			size[b] += n.Size
+			size[b] += p.h.SizeOf(hypergraph.NodeID(v))
 		}
 	}
 	cut := 0

@@ -100,11 +100,11 @@ func Reduce(m *techmap.Mapped, h *hypergraph.Hypergraph, p *partition.Partition,
 		extraRes:     map[partition.BlockID][]int{},
 	}
 	for si, s := range e.signals {
-		if s.driver >= 0 && h.Node(s.driver).Kind == hypergraph.Interior {
+		if s.driver >= 0 && h.KindOf(s.driver) == hypergraph.Interior {
 			e.drives[s.driver] = append(e.drives[s.driver], si)
 		}
 		for _, c := range s.consumers {
-			if h.Node(c).Kind == hypergraph.Interior {
+			if h.KindOf(c) == hypergraph.Interior {
 				e.inputsOf[c] = append(e.inputsOf[c], si)
 				if e.inputSet[c] == nil {
 					e.inputSet[c] = map[int]bool{}
@@ -151,7 +151,7 @@ func (e *engine) reduceBlock(b partition.BlockID, res *Result) {
 		var best hypergraph.NodeID = -1
 		bestAfter := cur
 		for _, cand := range e.candidates(b) {
-			if e.p.Size(b)+e.extraSize[b]+e.h.Node(cand).Size > e.dev.SMax() {
+			if e.p.Size(b)+e.extraSize[b]+e.h.SizeOf(cand) > e.dev.SMax() {
 				continue
 			}
 			if !e.resFits(b, cand) {
@@ -175,7 +175,7 @@ func (e *engine) reduceBlock(b partition.BlockID, res *Result) {
 		for si := range e.inputSet[best] {
 			e.replicaNeeds[b][si] = true
 		}
-		e.extraSize[b] += e.h.Node(best).Size
+		e.extraSize[b] += e.h.SizeOf(best)
 		if nr := e.p.NumRes(); nr > 0 {
 			if e.extraRes[b] == nil {
 				e.extraRes[b] = make([]int, nr)
@@ -214,7 +214,7 @@ func (e *engine) candidates(b partition.BlockID) []hypergraph.NodeID {
 	set := map[hypergraph.NodeID]bool{}
 	for si := range e.signals {
 		s := &e.signals[si]
-		if s.driver < 0 || e.h.Node(s.driver).Kind != hypergraph.Interior {
+		if s.driver < 0 || e.h.KindOf(s.driver) != hypergraph.Interior {
 			continue
 		}
 		if e.available(si, b) {
@@ -373,7 +373,7 @@ func extractSignals(m *techmap.Mapped, h *hypergraph.Hypergraph) ([]signalInfo, 
 			r := get(cell.Output)
 			if r.driver < 0 || r.driver == clbNode {
 				r.driver = clbNode
-			} else if h.Node(r.driver).Kind == hypergraph.Pad {
+			} else if h.KindOf(r.driver) == hypergraph.Pad {
 				// A gate re-driving a PI name would be a malformed circuit;
 				// keep the pad driver and treat the gate as a consumer-less
 				// duplicate.

@@ -103,7 +103,7 @@ func TestReduceBroadcastDriver(t *testing.T) {
 	}
 	// Pads: a,b with the driver, outputs with consumers.
 	for v := m.NumCLBs(); v < h.NumNodes(); v++ {
-		name := h.Node(hypergraph.NodeID(v)).Name
+		name := h.NodeName(hypergraph.NodeID(v))
 		if strings.HasPrefix(name, "po:") {
 			p.Move(hypergraph.NodeID(v), b1)
 		}
@@ -175,7 +175,7 @@ func TestReduceRespectsFFHeadroom(t *testing.T) {
 		b1 := p.AddBlock()
 		for v := 0; v < h.NumNodes(); v++ {
 			id := hypergraph.NodeID(v)
-			if (v < m.NumCLBs() && v != driverCLB) || strings.HasPrefix(h.Node(id).Name, "po:") {
+			if (v < m.NumCLBs() && v != driverCLB) || strings.HasPrefix(h.NodeName(id), "po:") {
 				p.Move(id, b1)
 			}
 		}

@@ -165,7 +165,7 @@ type Engine struct {
 	// below winLowInt. See dirWindowFor for the exactness argument.
 	winUpInt, winLowInt int
 
-	// szOf[v] = h.Node(v).Size, packed for cache locality in the
+	// szOf[v] = h.SizeOf(v), packed for cache locality in the
 	// admissibility test of the selection loop.
 	szOf []int32
 

@@ -24,7 +24,7 @@ func TestGrowFromMultiNodeInit(t *testing.T) {
 	size := 0
 	for _, v := range set {
 		inSet[v] = true
-		size += h.Node(v).Size
+		size += h.SizeOf(v)
 	}
 	if !inSet[left[0]] || !inSet[left[1]] {
 		t.Error("Grow dropped the nucleus")

@@ -134,10 +134,9 @@ func (t *tracker) contributes(e hypergraph.NetID, pinsIn int) bool {
 // Probe returns the size and terminal count the cluster would have after
 // adding v, without modifying the tracker.
 func (t *tracker) Probe(v hypergraph.NodeID) (size, term int) {
-	n := t.h.Node(v)
-	size = t.size + n.Size
+	size = t.size + t.h.SizeOf(v)
 	term = t.term
-	if n.Kind == hypergraph.Pad {
+	if t.h.KindOf(v) == hypergraph.Pad {
 		term++
 	}
 	for _, e := range t.h.NodeNets(v) {
@@ -156,13 +155,12 @@ func (t *tracker) Probe(v hypergraph.NodeID) (size, term int) {
 // Add commits node v to the cluster.
 func (t *tracker) Add(v hypergraph.NodeID) {
 	_, term := t.Probe(v)
-	n := t.h.Node(v)
-	t.size += n.Size
+	t.size += t.h.SizeOf(v)
 	for r := range t.res {
 		t.res[r] += t.p.ResDemandOf(v, r)
 	}
 	t.term = term
-	if n.Kind == hypergraph.Pad {
+	if t.h.KindOf(v) == hypergraph.Pad {
 		t.pads++
 	}
 	t.nodes++
@@ -255,16 +253,7 @@ func seeds(p *partition.Partition, rem partition.BlockID) (s1, s2 hypergraph.Nod
 	if len(nodes) < 2 {
 		return 0, 0, false
 	}
-	s1 = -1
-	for _, v := range nodes {
-		n := h.Node(v)
-		if n.Kind != hypergraph.Interior {
-			continue
-		}
-		if s1 < 0 || n.Size > h.Node(s1).Size {
-			s1 = v
-		}
-	}
+	s1 = h.BiggestInterior(nodes)
 	if s1 < 0 {
 		s1 = nodes[0] // pad-only remainder: degenerate but handled
 	}
@@ -280,7 +269,7 @@ func seeds(p *partition.Partition, rem partition.BlockID) (s1, s2 hypergraph.Nod
 		}
 		d := int(dist[v])
 		if d < 0 {
-			if h.Node(v).Kind != hypergraph.Interior {
+			if h.KindOf(v) != hypergraph.Interior {
 				continue
 			}
 			d = inf
@@ -456,7 +445,7 @@ func RatioCutSweep(p *partition.Partition, rem partition.BlockID, dev device.Dev
 	totalSize := 0
 	h := p.Hypergraph()
 	for _, v := range remNodes {
-		totalSize += h.Node(v).Size
+		totalSize += h.SizeOf(v)
 	}
 
 	best := math.Inf(1)

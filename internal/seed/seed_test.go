@@ -171,7 +171,7 @@ func TestGreedyConeMergeRespectsSMax(t *testing.T) {
 	}
 	size := 0
 	for _, v := range set {
-		size += h.Node(v).Size
+		size += h.SizeOf(v)
 	}
 	if size > testDev.SMax() {
 		t.Errorf("block size %d exceeds S_MAX %d", size, testDev.SMax())

@@ -46,9 +46,8 @@ func Fingerprint(h *hypergraph.Hypergraph, dev device.Device, method, boardSpec 
 	putInt(h.NumNodes())
 	putInt(h.NumNets())
 	for i := 0; i < h.NumNodes(); i++ {
-		n := h.Node(hypergraph.NodeID(i))
-		putInt(int(n.Kind))
-		putInt(n.Size)
+		putInt(int(h.KindOf(hypergraph.NodeID(i))))
+		putInt(h.SizeOf(hypergraph.NodeID(i)))
 	}
 	for e := 0; e < h.NumNets(); e++ {
 		pins := h.NetPins(hypergraph.NetID(e))

@@ -77,7 +77,8 @@ func encodeStored(circuit, method string, res *driver.Result, events []obs.Event
 // are checked against the rebuilt one: k must be its non-empty block count,
 // m the job's lower bound, and a feasible claim needs a feasible partition.
 // feasible=false is accepted on any partition, since the board gate can
-// demote a partition that fits its devices.
+// demote a partition that fits its devices. The events are replayed to the
+// job's subscribers, so their run-end claims are checked too (checkRunEnds).
 func decodeStored(payload []byte, h *hypergraph.Hypergraph, dev device.Device) (*driver.Result, *storedResult, error) {
 	var sr storedResult
 	if err := json.Unmarshal(payload, &sr); err != nil {
@@ -116,6 +117,9 @@ func decodeStored(payload []byte, h *hypergraph.Hypergraph, dev device.Device) (
 	if sr.Feasible && p.Classify() != partition.FeasibleSolution {
 		return nil, nil, fmt.Errorf("stored result claims feasible, its assignment is %s", p.Classify())
 	}
+	if err := checkRunEnds(sr.Events, k, m); err != nil {
+		return nil, nil, err
+	}
 	return &driver.Result{
 		Partition: p,
 		K:         k,
@@ -124,4 +128,32 @@ func decodeStored(payload []byte, h *hypergraph.Hypergraph, dev device.Device) (
 		Stats:     sr.Stats,
 		Elapsed:   time.Duration(sr.ElapsedNS),
 	}, &sr, nil
+}
+
+// checkRunEnds holds a stored event stream to the rebuilt partition. Every
+// run-end must carry the job's lower bound m; at least one must carry the
+// rebuilt block count k (portfolio members and mlfpart's coarse peel end
+// runs of their own); and none may call fewer than k blocks feasible. An
+// empty stream makes no claim.
+func checkRunEnds(events []obs.Event, k, m int) error {
+	if len(events) == 0 {
+		return nil
+	}
+	sawK := false
+	for _, e := range events {
+		if e.Type != obs.RunEnd {
+			continue
+		}
+		if e.M != m {
+			return fmt.Errorf("stored events end a run at m=%d, the job's lower bound is %d", e.M, m)
+		}
+		if e.Feasible && e.K < k {
+			return fmt.Errorf("stored events call k=%d feasible, the assignment needs k=%d", e.K, k)
+		}
+		sawK = sawK || e.K == k
+	}
+	if !sawK {
+		return fmt.Errorf("stored events end no run at the assignment's k=%d", k)
+	}
+	return nil
 }

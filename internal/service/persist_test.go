@@ -14,12 +14,15 @@ import (
 
 	"fpart/internal/device"
 	"fpart/internal/driver"
+	"fpart/internal/engine"
 	"fpart/internal/hypergraph"
+	"fpart/internal/mlfpart"
+	"fpart/internal/obs"
 	"fpart/internal/partition"
 )
 
 // storedFor runs req's method on its circuit and returns the prepared
-// submission with the encoded envelope of the result.
+// submission with the encoded envelope of the result and its event stream.
 func storedFor(t testing.TB, req Request) (*prepared, []byte) {
 	t.Helper()
 	s := New(Config{Workers: 1})
@@ -28,11 +31,12 @@ func storedFor(t testing.TB, req Request) (*prepared, []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := driver.RunOpts(context.Background(), prep.method, prep.circuit.Hypergraph, prep.dev, driver.Options{})
+	var events obs.Collector
+	res, err := driver.RunOpts(context.Background(), prep.method, prep.circuit.Hypergraph, prep.dev, driver.Options{Sink: &events})
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload, err := encodeStored(prep.circuit.Name, prep.method, res, nil)
+	payload, err := encodeStored(prep.circuit.Name, prep.method, res, events.Events())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,11 +202,106 @@ func TestDecodeStoredChecksClaims(t *testing.T) {
 	}
 }
 
+// onlyRunEnd replaces the event stream with one run-end claiming a
+// feasible one-device answer and drops the counters, leaving k, m and the
+// assignment true.
+func onlyRunEnd(sr *storedResult) {
+	sr.Events = []obs.Event{{Type: obs.RunEnd, K: 1, M: 1, Feasible: true}}
+	sr.Stats = nil
+}
+
+// TestDecodeStoredChecksRunEnds: the replayed event stream is a claim
+// like k and m. On a c3540/XC3020 envelope, a stream whose only event is
+// a feasible one-device run-end is refused, as are a run-end at another
+// m, a stream with no run-end at the rebuilt k, and a feasible run-end
+// with fewer blocks than the assignment.
+func TestDecodeStoredChecksRunEnds(t *testing.T) {
+	prep, payload := storedFor(t, Request{Circuit: "c3540", Device: "XC3020"})
+	h := prep.circuit.Hypergraph
+	res, _, err := decodeStored(payload, h, prep.dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.K < 2 {
+		t.Fatalf("fixture is not a multi-device answer: K=%d", res.K)
+	}
+	eachRunEnd := func(edit func(*obs.Event)) func(*storedResult) {
+		return func(sr *storedResult) {
+			for i := range sr.Events {
+				if sr.Events[i].Type == obs.RunEnd {
+					edit(&sr.Events[i])
+				}
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name, want string
+		edit       func(*storedResult)
+	}{
+		{"only a one-device run-end", "m=1", onlyRunEnd},
+		{"run-end at another m", "lower bound", eachRunEnd(func(e *obs.Event) { e.M++ })},
+		{"no run-end at k", "no run", eachRunEnd(func(e *obs.Event) { e.K++ })},
+		{"feasible below k", "feasible", func(sr *storedResult) {
+			sr.Events = append(sr.Events, obs.Event{Type: obs.RunEnd, K: sr.K - 1, M: sr.M, Feasible: true})
+		}},
+	} {
+		_, _, err := decodeStored(tampered(t, payload, tc.edit), h, prep.dev)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: want a refusal naming %q, got %v", tc.name, tc.want, err)
+		}
+	}
+}
+
+// TestDecodeStoredAcceptsEveryMethod: the run-end rules hold for honest
+// streams. A real run of every registered method on c3540 and s9234 /
+// XC3020, and of mlfpart with its V-cycle forced, survives an
+// encode→decode round trip with its events.
+func TestDecodeStoredAcceptsEveryMethod(t *testing.T) {
+	for _, method := range engine.Names() {
+		for _, circuit := range []string{"c3540", "s9234"} {
+			prep, payload := storedFor(t, Request{Circuit: circuit, Device: "XC3020", Method: method})
+			_, sr, err := decodeStored(payload, prep.circuit.Hypergraph, prep.dev)
+			if err != nil {
+				t.Errorf("%s on %s: %v", method, circuit, err)
+				continue
+			}
+			if len(sr.Events) == 0 {
+				t.Errorf("%s on %s: envelope carries no events", method, circuit)
+			}
+		}
+	}
+
+	// mlfpart's V-cycle, forced on a small circuit, adds the coarse
+	// peel's run-end to the stream.
+	prep, err := New(Config{Workers: 1}).prepare(Request{Circuit: "c3540", Device: "XC3020", Method: "mlfpart"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := prep.circuit.Hypergraph
+	var events obs.Collector
+	r, err := mlfpart.PartitionCtx(context.Background(), h, prep.dev, mlfpart.Config{FlatThreshold: -1, Sink: &events})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := events.Count(obs.RunEnd); n < 2 {
+		t.Fatalf("forced V-cycle ended %d runs; want the coarse peel's run-end too", n)
+	}
+	res := &driver.Result{Partition: r.Partition, K: r.K, M: r.M, Feasible: r.Feasible, Elapsed: r.Elapsed}
+	payload, err := encodeStored(prep.circuit.Name, prep.method, res, events.Events())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := decodeStored(payload, h, prep.dev); err != nil {
+		t.Errorf("mlfpart with a forced V-cycle: %v", err)
+	}
+}
+
 // FuzzDecodeStored: arbitrary envelopes must never panic the decoder. An
 // envelope accepted for either circuit must rebuild a partition on the
 // job's own device with every block id in [0, blocks), blocks within
 // device.BlockCap of the job's lower bound, K its non-empty block count,
-// M the lower bound, and a feasible claim only on a feasible partition.
+// M the lower bound, a feasible claim only on a feasible partition, and
+// an event stream that is empty or meets checkRunEnds' rules.
 func FuzzDecodeStored(f *testing.F) {
 	type target struct {
 		h   *hypergraph.Hypergraph
@@ -231,12 +330,13 @@ func FuzzDecodeStored(f *testing.F) {
 		f.Add(tampered(f, valid[0], edit))
 	}
 	f.Add(tampered(f, valid[1], oneFeasibleDevice))
+	f.Add(tampered(f, valid[1], onlyRunEnd))
 	f.Add(valid[0][:len(valid[0])/2])
 	f.Add([]byte(`{}`))
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		for _, tg := range targets {
 			h, dev := tg.h, tg.dev
-			res, _, err := decodeStored(payload, h, dev)
+			res, sr, err := decodeStored(payload, h, dev)
 			if err != nil {
 				continue
 			}
@@ -260,6 +360,19 @@ func FuzzDecodeStored(f *testing.F) {
 			}
 			if res.Feasible && p.Classify() != partition.FeasibleSolution {
 				t.Fatalf("accepted envelope reports feasible on a %s partition", p.Classify())
+			}
+			atK := len(sr.Events) == 0
+			for _, e := range sr.Events {
+				if e.Type != obs.RunEnd {
+					continue
+				}
+				if e.M != m || (e.Feasible && e.K < k) {
+					t.Fatalf("accepted envelope replays a run-end K=%d M=%d feasible=%v against k=%d m=%d", e.K, e.M, e.Feasible, k, m)
+				}
+				atK = atK || e.K == k
+			}
+			if !atK {
+				t.Fatalf("accepted envelope replays no run-end at k=%d", k)
 			}
 			for v := 0; v < h.NumNodes(); v++ {
 				if b := p.Block(hypergraph.NodeID(v)); b < 0 || int(b) >= nb {

@@ -112,7 +112,7 @@ func Partition(h *hypergraph.Hypergraph, dev device.Device) (*Result, error) {
 		}
 		var anchor hypergraph.NodeID = -1
 		for _, v := range pick.nodes {
-			if p.Block(v) == 0 && h.Node(v).Kind == hypergraph.Interior {
+			if p.Block(v) == 0 && h.KindOf(v) == hypergraph.Interior {
 				anchor = v
 				break
 			}
@@ -132,15 +132,7 @@ func Partition(h *hypergraph.Hypergraph, dev device.Device) (*Result, error) {
 	// Peel whatever remains in block 0 until it fits.
 	repair(p, dev)
 	for !p.Feasible(0) && p.NumBlocks() < maxBlocks {
-		var seedNode hypergraph.NodeID = -1
-		for _, v := range p.NodesIn(0) {
-			if h.Node(v).Kind != hypergraph.Interior {
-				continue
-			}
-			if seedNode < 0 || h.Node(v).Size > h.Node(seedNode).Size {
-				seedNode = v
-			}
-		}
+		seedNode := h.BiggestInterior(p.NodesIn(0))
 		if seedNode < 0 {
 			break
 		}
@@ -176,12 +168,7 @@ func spreadSeeds(h *hypergraph.Hypergraph, n int) []hypergraph.NodeID {
 	}
 	out := make([]hypergraph.NodeID, 0, n)
 	seen := map[hypergraph.NodeID]bool{}
-	biggest := interior[0]
-	for _, v := range interior {
-		if h.Node(v).Size > h.Node(biggest).Size {
-			biggest = v
-		}
-	}
+	biggest := h.BiggestInterior(interior)
 	out = append(out, biggest)
 	seen[biggest] = true
 	for i := 0; len(out) < n; i++ {
@@ -218,7 +205,7 @@ func repair(p *partition.Partition, dev device.Device) {
 				}
 				s := -internal
 				if sizeViolated {
-					s += h.Node(v).Size * 8
+					s += h.SizeOf(v) * 8
 				}
 				if worst < 0 || s > score {
 					worst, score = v, s

@@ -112,7 +112,7 @@ func TestSpreadSeeds(t *testing.T) {
 			t.Fatal("duplicate seed")
 		}
 		seen[s] = true
-		if h.Node(s).Kind != hypergraph.Interior {
+		if h.KindOf(s) != hypergraph.Interior {
 			t.Error("pad chosen as seed")
 		}
 	}

@@ -16,6 +16,7 @@ package techmap
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"fpart/internal/hypergraph"
 	"fpart/internal/netlist"
@@ -302,18 +303,9 @@ func (m *Mapped) Hypergraph() (*hypergraph.Hypergraph, error) {
 		}
 	}
 	for _, sig := range order {
-		ids := attach[sig]
-		// Dedup while preserving order.
-		uniq := ids[:0:0]
-		had := map[hypergraph.NodeID]bool{}
-		for _, id := range ids {
-			if !had[id] {
-				had[id] = true
-				uniq = append(uniq, id)
-			}
-		}
-		if len(uniq) >= 2 {
-			b.AddNet(sig, uniq...)
+		// AddNet collapses repeated pins; a signal on one node forms no net.
+		if ids := attach[sig]; slices.ContainsFunc(ids, func(id hypergraph.NodeID) bool { return id != ids[0] }) {
+			b.AddNet(sig, ids...)
 		}
 	}
 	return b.Build()

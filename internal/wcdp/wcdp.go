@@ -134,10 +134,10 @@ func maxAdjacencyOrder(h *hypergraph.Hypergraph) []hypergraph.NodeID {
 				best = id
 				continue
 			}
-			bn, cn := h.Node(best), h.Node(id)
-			if cn.Kind == hypergraph.Interior && bn.Kind != hypergraph.Interior {
+			bk, ck := h.KindOf(best), h.KindOf(id)
+			if ck == hypergraph.Interior && bk != hypergraph.Interior {
 				best = id
-			} else if cn.Kind == bn.Kind && cn.Size > bn.Size {
+			} else if ck == bk && h.SizeOf(id) > h.SizeOf(best) {
 				best = id
 			}
 		}
@@ -213,14 +213,13 @@ func segmentDP(h *hypergraph.Hypergraph, dev device.Device, order []hypergraph.N
 		for j := i - 1; j >= lo; j-- {
 			// Segment is order[j:i]; add node order[j] on the left.
 			v := order[j]
-			nd := h.Node(v)
-			size += nd.Size
+			size += h.SizeOf(v)
 			for r, col := range cols {
 				if col != nil {
 					res[r] += int(col[v])
 				}
 			}
-			if nd.Kind == hypergraph.Pad {
+			if h.KindOf(v) == hypergraph.Pad {
 				pads++
 			}
 			for _, e := range h.NodeNets(v) {
