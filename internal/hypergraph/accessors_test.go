@@ -85,3 +85,39 @@ func TestInducedEmptySet(t *testing.T) {
 		t.Errorf("empty induced subgraph: %v back=%v", sub, back)
 	}
 }
+
+// TestAnonymousNameColumnsStayNil pins the name-column economy: a graph
+// whose nodes and nets are all anonymous (a coarse level) keeps no name
+// column at all, and a column that starts anonymous fills its earlier
+// entries with "" once the first name arrives.
+func TestAnonymousNameColumnsStayNil(t *testing.T) {
+	var b Builder
+	u := b.AddInterior("", 1)
+	v := b.AddInterior("", 2)
+	b.AddNet("", u, v)
+	h := b.MustBuild()
+	if h.nodeName != nil || h.netName != nil {
+		t.Fatalf("anonymous graph keeps name columns: %d nodes, %d nets", len(h.nodeName), len(h.netName))
+	}
+	if h.NodeName(v) != "" || h.NetName(0) != "" || h.NumNets() != 1 {
+		t.Fatalf("NodeName %q NetName %q NumNets %d", h.NodeName(v), h.NetName(0), h.NumNets())
+	}
+	if _, ok := b.NodeByName(""); ok {
+		t.Fatal("NodeByName resolved the empty name")
+	}
+
+	w := b.AddPad("p")
+	b.AddNet("", v, w)
+	b.AddNet("n2", u, w)
+	h = b.MustBuild()
+	names := []string{h.NodeName(u), h.NodeName(v), h.NodeName(w)}
+	if names[0] != "" || names[1] != "" || names[2] != "p" {
+		t.Fatalf("node names %q", names)
+	}
+	if h.NetName(0) != "" || h.NetName(1) != "" || h.NetName(2) != "n2" {
+		t.Fatalf("net names %q %q %q", h.NetName(0), h.NetName(1), h.NetName(2))
+	}
+	if id, ok := b.NodeByName("p"); !ok || id != w {
+		t.Fatalf("NodeByName(p) = %d, %v", id, ok)
+	}
+}
