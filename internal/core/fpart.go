@@ -335,7 +335,7 @@ func absorbSmallest(p *partition.Partition, snapBuf *partition.Snapshot, st *Sta
 			for _, e := range h.NodeNets(v) {
 				for _, b := range p.Blocks(e, nil) {
 					if b != target {
-						affinity[b]++
+						affinity[b] += h.NetWeight(e)
 					}
 				}
 			}
@@ -622,7 +622,7 @@ func worstCell(p *partition.Partition, b partition.BlockID) hypergraph.NodeID {
 		internal := 0
 		for _, e := range h.NodeNets(v) {
 			if p.Span(e) == 1 {
-				internal++
+				internal += h.NetWeight(e)
 			}
 		}
 		score := -internal

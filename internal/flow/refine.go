@@ -82,10 +82,10 @@ func RefinePairCtx(ctx context.Context, p *partition.Partition, a, b partition.B
 	}
 
 	// Yang–Wong transform over the corridor. Each pair-internal net with a
-	// corridor pin gets a capacity-1 bridging edge; non-corridor pins pin
-	// the net to the source (block a) or sink (block b) side. A net pinned
-	// to both sides is cut no matter how the corridor falls, so it carries
-	// no bridging edge.
+	// corridor pin gets a bridging edge whose capacity is the net's
+	// weight; non-corridor pins pin the net to the source (block a) or
+	// sink (block b) side. A net pinned to both sides is cut no matter how
+	// the corridor falls, so it carries no bridging edge.
 	flowIdx := make([]int32, h.NumNodes())
 	for i := range flowIdx {
 		flowIdx[i] = -1
@@ -95,6 +95,7 @@ func RefinePairCtx(ctx context.Context, p *partition.Partition, a, b partition.B
 	}
 	type netArc struct {
 		e1, e2  int32
+		w       int32
 		srcPin  bool
 		sinkPin bool
 		pins    []hypergraph.NodeID
@@ -121,13 +122,13 @@ func RefinePairCtx(ctx context.Context, p *partition.Partition, a, b partition.B
 		if !hasCorr || (srcPin && sinkPin) {
 			continue
 		}
-		arcs = append(arcs, netArc{e1: aux, e2: aux + 1, srcPin: srcPin, sinkPin: sinkPin, pins: pins})
+		arcs = append(arcs, netArc{e1: aux, e2: aux + 1, w: int32(h.NetWeight(ne)), srcPin: srcPin, sinkPin: sinkPin, pins: pins})
 		aux += 2
 	}
 	s, t := aux, aux+1
 	g := NewGraph(int(aux)+2, len(arcs)*6+int(nc))
 	for _, arc := range arcs {
-		g.AddEdge(arc.e1, arc.e2, 1)
+		g.AddEdge(arc.e1, arc.e2, arc.w)
 		for _, v := range arc.pins {
 			if vi := flowIdx[v]; vi >= 0 {
 				g.AddEdge(vi, arc.e1, Inf)

@@ -2,14 +2,17 @@ package hypergraph
 
 // Property test for the column layout: a fuzzer-driven Builder
 // construction must produce accessors (NodeName, NetName, SizeOf, KindOf,
-// NetPins, NodeNets, Degree, NetDegree, resource columns) that agree with
-// an independent shadow built directly from the raw inputs. AddNet gets
-// the raw pin lists, duplicates included, in a buffer that is scribbled
-// over after each call, so the comparison also pins AddNet's
-// keep-first-occurrence dedup and its copy of the caller's pins.
+// NetPins, NodeNets, Degree, NetDegree, resource columns)
+// that agree with an independent shadow built directly from the raw
+// inputs. AddNet gets the raw pin lists, duplicates included, in a buffer
+// that is scribbled over after each call, so the comparison also pins
+// AddNet's keep-first-occurrence dedup and its copy of the caller's pins.
+// MergeParallelNets is checked against a shadow merge keyed by sorted pin
+// set.
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -96,6 +99,8 @@ func FuzzBuilderCSRRoundTrip(f *testing.F) {
 	f.Add([]byte{3, 2, 2, 2, 1, 0, 1, 1, 1, 2, 2, 0})
 	f.Add([]byte{48, 255, 254})
 	f.Add([]byte{1, 0, 5, 0, 0, 0, 0, 0})
+	// Parallel nets, pins permuted.
+	f.Add([]byte{3, 2, 4, 6, 1, 1, 0, 1, 1, 1, 0, 134, 0, 1, 2, 134, 2, 1, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b, kinds, sizes, ffs, netPins, nodeNames, netNames := decodeCircuit(data)
 		if b == nil {
@@ -149,9 +154,7 @@ func FuzzBuilderCSRRoundTrip(f *testing.F) {
 				}
 			}
 			totalPins += len(got)
-			if len(got) > maxDeg {
-				maxDeg = len(got)
-			}
+			maxDeg = max(maxDeg, len(got))
 			if kinds[v] == Interior {
 				totalSize += sizes[v]
 			} else {
@@ -161,8 +164,8 @@ func FuzzBuilderCSRRoundTrip(f *testing.F) {
 		}
 		for ei, pins := range netPins {
 			id := NetID(ei)
-			if h.NetName(id) != netNames[ei] {
-				t.Fatalf("net %d name %q, want %q", ei, h.NetName(id), netNames[ei])
+			if h.NetName(id) != netNames[ei] || h.NetWeight(id) != 1 {
+				t.Fatalf("net %d name %q weight %d, want %q, 1", ei, h.NetName(id), h.NetWeight(id), netNames[ei])
 			}
 			got := h.NetPins(id)
 			if len(got) != len(pins) || h.NetDegree(id) != len(pins) {
@@ -178,8 +181,8 @@ func FuzzBuilderCSRRoundTrip(f *testing.F) {
 		if h.NumPins() != totalPins {
 			t.Fatalf("NumPins %d, shadow transpose has %d", h.NumPins(), totalPins)
 		}
-		if h.MaxDegree() != maxDeg {
-			t.Fatalf("MaxDegree %d, shadow %d", h.MaxDegree(), maxDeg)
+		if h.MaxDegree() != maxDeg || h.MaxWeightedDegree() != maxDeg {
+			t.Fatalf("MaxDegree %d, MaxWeightedDegree %d, shadow %d", h.MaxDegree(), h.MaxWeightedDegree(), maxDeg)
 		}
 		if (ffCol == nil) != (totalFF == 0) {
 			t.Fatalf("FF column present=%v, shadow total %d", ffCol != nil, totalFF)
@@ -188,5 +191,65 @@ func FuzzBuilderCSRRoundTrip(f *testing.F) {
 			t.Fatalf("aggregates: size %d FF %d pads %d, shadow %d/%d/%d",
 				h.TotalSize(), h.TotalResource("FF"), h.NumPads(), totalSize, totalFF, pads)
 		}
+		checkMerge(t, h, netPins, netNames)
 	})
+}
+
+// setKey renders a pin list's sorted set.
+func setKey(pins []NodeID) string {
+	sorted := slices.Clone(pins)
+	slices.Sort(sorted)
+	return fmt.Sprint(sorted)
+}
+
+// checkMerge compares h.MergeParallelNets with a shadow merge: the first
+// net of each sorted pin set survives, in net order, with its own pins and
+// name and the size of its set as weight; node columns and aggregates are
+// h's, and the transpose is rebuilt over the survivors.
+func checkMerge(t *testing.T, h *Hypergraph, netPins [][]NodeID, netNames []string) {
+	t.Helper()
+	var survivors []int
+	weightOf := map[string]int{}
+	for ei, pins := range netPins {
+		key := setKey(pins)
+		if _, seen := weightOf[key]; !seen {
+			survivors = append(survivors, ei)
+		}
+		weightOf[key]++
+	}
+	g := h.MergeParallelNets()
+	if len(survivors) == len(netPins) && g != h {
+		t.Fatal("MergeParallelNets copied a graph without parallel nets")
+	}
+	if g.NumNets() != len(survivors) || g.NumNodes() != h.NumNodes() || g.TotalSize() != h.TotalSize() || g.NumPads() != h.NumPads() {
+		t.Fatalf("merged dims: %d nets %d nodes, want %d, %d", g.NumNets(), g.NumNodes(), len(survivors), h.NumNodes())
+	}
+	shadowNets := make([][]NetID, h.NumNodes())
+	maxWDeg := 0
+	for si, ei := range survivors {
+		id := NetID(si)
+		pins := netPins[ei]
+		want := weightOf[setKey(pins)]
+		if !slices.Equal(g.NetPins(id), pins) || g.NetWeight(id) != want || g.NetName(id) != netNames[ei] {
+			t.Fatalf("merged net %d: pins %v weight %d name %q, want net %d: %v, %d, %q",
+				si, g.NetPins(id), g.NetWeight(id), g.NetName(id), ei, pins, want, netNames[ei])
+		}
+		for _, p := range pins {
+			shadowNets[p] = append(shadowNets[p], id)
+		}
+	}
+	for v := range shadowNets {
+		id := NodeID(v)
+		if !slices.Equal(g.NodeNets(id), shadowNets[v]) || g.SizeOf(id) != h.SizeOf(id) || g.NodeName(id) != h.NodeName(id) {
+			t.Fatalf("merged node %d: nets %v, want %v", v, g.NodeNets(id), shadowNets[v])
+		}
+		wdeg := 0
+		for _, e := range shadowNets[v] {
+			wdeg += g.NetWeight(e)
+		}
+		maxWDeg = max(maxWDeg, wdeg)
+	}
+	if g.MaxWeightedDegree() != maxWDeg || g.MaxWeightedDegree() != h.MaxWeightedDegree() {
+		t.Fatalf("merged MaxWeightedDegree %d, shadow %d, unmerged %d", g.MaxWeightedDegree(), maxWDeg, h.MaxWeightedDegree())
+	}
 }

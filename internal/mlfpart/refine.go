@@ -68,7 +68,7 @@ func (r *refiner) refine(ctx context.Context, p *partition.Partition, stats *obs
 }
 
 // blockPair is a cut-connected block pair, weighted by the number of
-// two-block nets spanning exactly {a, b}.
+// two-block nets spanning exactly {a, b} (each counted with its weight).
 type blockPair struct {
 	a, b partition.BlockID
 	w    int
@@ -91,7 +91,7 @@ func (r *refiner) topPairs(p *partition.Partition) []blockPair {
 		if a > b {
 			a, b = b, a
 		}
-		w[uint64(uint32(a))<<32|uint64(uint32(b))]++
+		w[uint64(uint32(a))<<32|uint64(uint32(b))] += h.NetWeight(ne)
 	}
 	pairs := make([]blockPair, 0, len(w))
 	for key, cnt := range w {
@@ -274,10 +274,10 @@ func bestMove(p *partition.Partition, v hypergraph.NodeID) moveCand {
 				newSpan++
 			}
 			if span > 1 {
-				g++
+				g += int32(h.NetWeight(e))
 			}
 			if newSpan > 1 {
-				g--
+				g -= int32(h.NetWeight(e))
 			}
 		}
 		if g > best.gain || (g == best.gain && g > 0 && t < best.target) {

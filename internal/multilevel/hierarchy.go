@@ -36,10 +36,11 @@ func (c HierarchyConfig) normalize() HierarchyConfig {
 
 // Hierarchy is a retained multi-level coarsening of one hypergraph: level 0
 // is the input graph, each following level the heavy-edge contraction of
-// the previous one. It is the shared substructure of the one-shot V-cycle
-// baseline (vCycleSplit builds a throwaway one per peel) and the mlfpart
-// engine (which builds one for the whole input and peels on its coarsest
-// graph).
+// the previous one with its parallel nets merged into weighted nets
+// (hypergraph.MergeParallelNets). It is the shared substructure of the
+// one-shot V-cycle baseline (vCycleSplit builds a throwaway one per peel)
+// and the mlfpart engine (which builds one for the whole input and peels
+// on its coarsest graph).
 type Hierarchy struct {
 	levels []*level
 }
@@ -85,14 +86,21 @@ func (hr *Hierarchy) Project(i int, coarse []partition.BlockID, dst []partition.
 // (reduction below 10%), or maxLevels is reached. Cancellation is
 // polled between levels and inside each matching loop, so even a single
 // million-cell level aborts promptly.
+//
+// Each level is matched on its unmerged graph, so the matching sees every
+// parallel net in its own place in the rating sums — the float rounding
+// of those sums, and so every FineToCoarse map, is what it would be
+// without merging. A level is merged once the next level has been
+// contracted from it; only the two topmost levels are ever unmerged at
+// once.
 func BuildHierarchy(ctx context.Context, h *hypergraph.Hypergraph, cfg HierarchyConfig) (*Hierarchy, error) {
 	cfg = cfg.normalize()
 	hr := &Hierarchy{levels: []*level{{h: h}}}
-	for hr.Depth() < maxLevels && hr.Coarsest().NumNodes() > cfg.CoarsestNodes {
+	cur := h // the unmerged form of the coarsest level
+	for hr.Depth() < maxLevels && cur.NumNodes() > cfg.CoarsestNodes {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		cur := hr.Coarsest()
 		levelCap := 4 * (cur.TotalSize()/max(cur.NumInterior(), 1) + 1)
 		levelCap = min(levelCap, cfg.MaxClusterSize)
 		levelCap = max(levelCap, 2)
@@ -103,9 +111,21 @@ func BuildHierarchy(ctx context.Context, h *hypergraph.Hypergraph, cfg Hierarchy
 		if !ok {
 			break
 		}
+		hr.mergeTop()
 		hr.levels = append(hr.levels, lv)
+		cur = lv.h
 	}
+	hr.mergeTop()
 	return hr, nil
+}
+
+// mergeTop replaces the coarsest level's graph by its parallel-net merge.
+// Level 0 is the caller's graph and stays as given.
+func (hr *Hierarchy) mergeTop() {
+	if hr.Depth() > 0 {
+		top := hr.levels[len(hr.levels)-1]
+		top.h = top.h.MergeParallelNets()
+	}
 }
 
 // coarsenPollEvery is the matching-loop cancellation poll interval. A
@@ -114,7 +134,9 @@ var coarsenPollEvery = 8192
 
 // coarsenCtx builds one coarser level via heavy-edge matching: each
 // unmatched node pairs with the neighbour sharing the largest connectivity
-// weight Σ 1/(|e|−1); pads never merge. Returns ok=false when matching
+// weight Σ 1/(|e|−1); pads never merge. h must be unmerged (every net of
+// weight 1): the rating counts a net once per occurrence, and the coarse
+// level it returns is unmerged too. Returns ok=false when matching
 // stalls (reduction below 10%). ctx is polled every coarsenPollEvery
 // visited nodes.
 //

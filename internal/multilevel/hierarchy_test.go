@@ -74,24 +74,31 @@ func checkHierarchy(t *testing.T, hr *Hierarchy) {
 		}
 		// Every fine net must either survive with the exact set of member
 		// clusters, or have collapsed into a single cluster. Surviving
-		// nets are matched by multiset of (sorted) cluster pins: count
-		// them on both sides.
+		// nets are matched by (sorted) cluster pin set, each counted with
+		// its weight on both sides; a coarse level holds each set once,
+		// its parallel nets merged into one weighted net.
 		fineNets := make(map[string]int)
 		for e := 0; e < fh.NumNets(); e++ {
 			key := netKey(f2c, fh.NetPins(hypergraph.NetID(e)))
 			if key != "" {
-				fineNets[key]++
+				fineNets[key] += fh.NetWeight(hypergraph.NetID(e))
 			}
 		}
+		coarseSets := make(map[string]bool)
 		for e := 0; e < ch.NumNets(); e++ {
 			pins := ch.NetPins(hypergraph.NetID(e))
 			ids := make([]hypergraph.NodeID, len(pins))
 			copy(ids, pins)
 			key := sortedKey(ids)
-			if fineNets[key] == 0 {
-				t.Fatalf("level %d: coarse net %d (%v) has no fine counterpart", li, e, pins)
+			if coarseSets[key] {
+				t.Fatalf("level %d: coarse net %d (%v) repeats an earlier net's pin set", li, e, pins)
 			}
-			fineNets[key]--
+			coarseSets[key] = true
+			if fineNets[key] < ch.NetWeight(hypergraph.NetID(e)) {
+				t.Fatalf("level %d: coarse net %d (%v) of weight %d has %d fine counterparts",
+					li, e, pins, ch.NetWeight(hypergraph.NetID(e)), fineNets[key])
+			}
+			fineNets[key] -= ch.NetWeight(hypergraph.NetID(e))
 		}
 		for key, left := range fineNets {
 			if left != 0 {

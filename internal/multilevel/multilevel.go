@@ -88,6 +88,12 @@ func vCycleSplit(ctx context.Context, p *partition.Partition, rem partition.Bloc
 		levels = append(levels, lv)
 	}
 
+	// Every level above the input is matched; merge their parallel nets
+	// for the split and the refinement.
+	for _, lv := range levels[1:] {
+		lv.h = lv.h.MergeParallelNets()
+	}
+
 	// Split the coarsest level: grow a block toward S_MAX by connectivity.
 	coarsest := levels[len(levels)-1].h
 	inA := growSplit(coarsest, dev.SMax())
@@ -165,9 +171,10 @@ func growSplit(h *hypergraph.Hypergraph, smax int) map[hypergraph.NodeID]bool {
 	gainTo := map[hypergraph.NodeID]int{}
 	expand := func(v hypergraph.NodeID) {
 		for _, e := range h.NodeNets(v) {
+			w := h.NetWeight(e)
 			for _, u := range h.NetPins(e) {
 				if !inA[u] {
-					gainTo[u]++
+					gainTo[u] += w
 				}
 			}
 		}

@@ -11,7 +11,9 @@
 //	      |{pad nodes assigned to block i}|
 //
 // Every cut net consumes one pin on each block it touches, and every primary
-// I/O pad consumes one IOB on its block.
+// I/O pad consumes one IOB on its block. A net of weight w
+// (hypergraph.NetWeight) counts as w parallel nets in the cut and in T_i;
+// its pin counts and span are those of one net.
 package partition
 
 import (
@@ -39,7 +41,7 @@ type Partition struct {
 	k      int
 
 	blockSize   []int // Σ sizes of interior nodes per block
-	blockCutInc []int // nets cut and incident, per block
+	blockCutInc []int // nets cut and incident, per block (weighted)
 	blockPads   []int // pad nodes per block (T_i^E)
 	blockNodes  []int // node count per block (interior + pads)
 
@@ -55,7 +57,7 @@ type Partition struct {
 	spans     []int32
 	netTouch  []uint64
 
-	cut   int   // nets with span >= 2
+	cut   int   // weighted count of nets with span >= 2
 	moves int64 // total Move calls, for statistics
 
 	// Incremental solution-cost aggregates, maintained by Move and AddBlock
@@ -189,10 +191,11 @@ func (p *Partition) Load(h *hypergraph.Hypergraph, dev device.Device, blocks []B
 		if span < 2 {
 			continue
 		}
-		p.cut++
+		wt := h.NetWeight(hypergraph.NetID(e))
+		p.cut += wt
 		for w := 0; w < p.twords; w++ {
 			for word := p.netTouch[tbase+w]; word != 0; word &= word - 1 {
-				p.blockCutInc[w*64+bits.TrailingZeros64(word)]++
+				p.blockCutInc[w*64+bits.TrailingZeros64(word)] += wt
 			}
 		}
 	}
@@ -369,7 +372,8 @@ func (p *Partition) Pads(b BlockID) int { return p.blockPads[b] }
 // Nodes returns the number of nodes (interior + pads) in block b.
 func (p *Partition) Nodes(b BlockID) int { return p.blockNodes[b] }
 
-// Cut returns the number of nets spanning two or more blocks.
+// Cut returns the number of nets spanning two or more blocks, each
+// counted with its weight.
 func (p *Partition) Cut() int { return p.cut }
 
 // Moves returns the total number of Move operations applied, a cheap proxy
@@ -545,25 +549,29 @@ func (p *Partition) MoveTrace(v hypergraph.NodeID, to BlockID, buf []NetDelta) [
 			buf[len(buf)-1].SpanAfter = spanAfter
 		}
 
+		// The weight is read only where a count changes, which keeps
+		// the common no-transition net free of the extra load.
 		wasCut, isCut := spanBefore >= 2, spanAfter >= 2
 		switch {
 		case wasCut && isCut:
 			if fromLeft {
-				p.blockCutInc[from]--
+				p.blockCutInc[from] -= p.h.NetWeight(e)
 			}
 			if toJoined {
-				p.blockCutInc[to]++
+				p.blockCutInc[to] += p.h.NetWeight(e)
 			}
 		case wasCut && !isCut:
 			// spanBefore == 2, members were {from, to}; from left.
-			p.blockCutInc[from]--
-			p.blockCutInc[to]--
-			p.cut--
+			wt := p.h.NetWeight(e)
+			p.blockCutInc[from] -= wt
+			p.blockCutInc[to] -= wt
+			p.cut -= wt
 		case !wasCut && isCut:
 			// spanBefore == 1, member was {from}; to joined.
-			p.blockCutInc[from]++
-			p.blockCutInc[to]++
-			p.cut++
+			wt := p.h.NetWeight(e)
+			p.blockCutInc[from] += wt
+			p.blockCutInc[to] += wt
+			p.cut += wt
 		}
 	}
 
@@ -892,9 +900,10 @@ func (p *Partition) Validate() error {
 			}
 		}
 		if len(want) >= 2 {
-			cut++
+			wt := p.h.NetWeight(hypergraph.NetID(e))
+			cut += wt
 			for b := range want {
-				cutInc[b]++
+				cutInc[b] += wt
 			}
 		}
 	}

@@ -349,6 +349,8 @@ func (e *Engine) dirIndex(fi, ti int) int {
 }
 
 // gain1 returns the first-level (exact Δcut) gain of moving v from F to T.
+// Every per-net term here and in the other gains counts a net of weight
+// w as w nets.
 func (e *Engine) gain1(v hypergraph.NodeID, f, t partition.BlockID) int {
 	g := 0
 	for _, net := range e.h.NodeNets(v) {
@@ -358,11 +360,11 @@ func (e *Engine) gain1(v hypergraph.NodeID, f, t partition.BlockID) int {
 			// Net leaves F entirely; it becomes uncut only if its other
 			// pins all sit in T.
 			if span == 2 && e.p.PinCount(net, t) > 0 {
-				g++
+				g += e.h.NetWeight(net)
 			}
 		} else if span == 1 {
 			// Net entirely inside F with other pins left behind: cut.
-			g--
+			g -= e.h.NetWeight(net)
 		}
 	}
 	return g
@@ -378,29 +380,7 @@ func (e *Engine) gainPin(v hypergraph.NodeID, f, t partition.BlockID) int {
 		pf := e.p.PinCount(net, f)
 		pt := e.p.PinCount(net, t)
 		span := e.p.Span(net)
-		fromLeft := pf == 1
-		toJoined := pt == 0
-		spanAfter := span
-		if fromLeft {
-			spanAfter--
-		}
-		if toJoined {
-			spanAfter++
-		}
-		wasCut, isCut := span >= 2, spanAfter >= 2
-		switch {
-		case wasCut && isCut:
-			if fromLeft {
-				g++
-			}
-			if toJoined {
-				g--
-			}
-		case wasCut && !isCut:
-			g += 2
-		case !wasCut && isCut:
-			g -= 2
-		}
+		g += int(pinContrib(int32(pf), int32(pt), int32(span))) * e.h.NetWeight(net)
 	}
 	return g
 }
@@ -454,10 +434,10 @@ func (e *Engine) gain2(v hypergraph.NodeID, f, t partition.BlockID) int {
 		}
 		base := int(net) * nb
 		if pf == 2 && e.netLock[base+fi] == 0 {
-			g++
+			g += e.h.NetWeight(net)
 		}
 		if pt == 1 && e.netLock[base+ti] == 0 {
-			g--
+			g -= e.h.NetWeight(net)
 		}
 	}
 	return g
@@ -627,7 +607,7 @@ func (e *Engine) prepareRes() {
 // cell-major, then inserted direction-major.
 func (e *Engine) initPass() {
 	n := e.h.NumNodes()
-	maxG := e.h.MaxDegree()
+	maxG := e.h.MaxWeightedDegree()
 	if e.cfg.PinGain {
 		maxG *= 2 // pin deltas reach ±2 per net
 	}
@@ -693,7 +673,7 @@ func (e *Engine) initPass() {
 				switch e.p.Span(net) {
 				case 1:
 					if e.h.NetDegree(net) > 1 {
-						common--
+						common -= int32(e.h.NetWeight(net))
 					}
 				case 2:
 					if e.p.PinCount(net, b) != 1 {
@@ -704,7 +684,7 @@ func (e *Engine) initPass() {
 						if si > fi {
 							si--
 						}
-						acc[si]++
+						acc[si] += int32(e.h.NetWeight(net))
 					}
 				}
 			}
@@ -970,8 +950,8 @@ func cutContrib(pcA, pcDest, span int32) int32 {
 	return 0
 }
 
-// pinContrib is cutContrib's counterpart for the PinGain model, mirroring
-// the per-net body of gainPin.
+// pinContrib is cutContrib's counterpart for the PinGain model: the
+// per-net term of gainPin.
 func pinContrib(pcA, pcDest, span int32) int32 {
 	fromLeft := pcA == 1
 	toJoined := pcDest == 0
@@ -1117,6 +1097,7 @@ func (e *Engine) deltaUpdate(v hypergraph.NodeID, from, to partition.BlockID) {
 			}
 			continue
 		}
+		wt := int32(e.h.NetWeight(net))
 		for _, u := range e.h.NetPins(net) {
 			if u == v || e.locked[u] || e.subsetExcluded(u) {
 				continue
@@ -1154,7 +1135,7 @@ func (e *Engine) deltaUpdate(v hypergraph.NodeID, from, to partition.BlockID) {
 						before = contrib(pcFb, pcD, spanB)
 						after = contrib(pcFa, pcD, spanA)
 					}
-					e.accum[base+s] += after - before
+					e.accum[base+s] += (after - before) * wt
 				}
 			case to:
 				if pcTb >= 2 && spanB == spanA {
@@ -1177,7 +1158,7 @@ func (e *Engine) deltaUpdate(v hypergraph.NodeID, from, to partition.BlockID) {
 						before = contrib(pcTb, pcD, spanB)
 						after = contrib(pcTa, pcD, spanA)
 					}
-					e.accum[base+s] += after - before
+					e.accum[base+s] += (after - before) * wt
 				}
 			default:
 				// Uninvolved source block: only the directions toward the
@@ -1195,12 +1176,12 @@ func (e *Engine) deltaUpdate(v hypergraph.NodeID, from, to partition.BlockID) {
 				if fi > ufi {
 					s--
 				}
-				e.accum[base+s] += contrib(pcA, pcFa, spanA) - contrib(pcA, pcFb, spanB)
+				e.accum[base+s] += (contrib(pcA, pcFa, spanA) - contrib(pcA, pcFb, spanB)) * wt
 				s = ti
 				if ti > ufi {
 					s--
 				}
-				e.accum[base+s] += contrib(pcA, pcTa, spanA) - contrib(pcA, pcTb, spanB)
+				e.accum[base+s] += (contrib(pcA, pcTa, spanA) - contrib(pcA, pcTb, spanB)) * wt
 			}
 		}
 	}

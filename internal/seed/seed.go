@@ -144,9 +144,9 @@ func (t *tracker) Probe(v hypergraph.NodeID) (size, term int) {
 		wasC := t.contributes(e, before)
 		isC := t.contributes(e, before+1)
 		if isC && !wasC {
-			term++
+			term += t.h.NetWeight(e)
 		} else if !isC && wasC {
-			term--
+			term -= t.h.NetWeight(e)
 		}
 	}
 	return size, term
@@ -172,9 +172,9 @@ func (t *tracker) Add(v hypergraph.NodeID) {
 		wasSplit := before > 0 && before < rp
 		isSplit := after > 0 && after < rp
 		if isSplit && !wasSplit {
-			t.intCut++
+			t.intCut += t.h.NetWeight(e)
 		} else if !isSplit && wasSplit {
-			t.intCut--
+			t.intCut -= t.h.NetWeight(e)
 		}
 		t.pinsIn[e] = int32(after)
 	}
@@ -572,9 +572,10 @@ func sweepFrom(p *partition.Partition, rem partition.BlockID, dev device.Device,
 		sc.epoch++
 		sc.touched = sc.touched[:0]
 		for _, e := range h.NodeNets(v) {
+			w := int32(h.NetWeight(e))
 			for _, u := range h.NetPins(e) {
 				if u != v && p.Block(u) == rem && !t.Contains(u) {
-					attract[u]++
+					attract[u] += w
 					if mark[u] != sc.epoch {
 						mark[u] = sc.epoch
 						sc.touched = append(sc.touched, u)
