@@ -377,6 +377,8 @@ func BenchmarkScaling(b *testing.B) {
 // 10⁵-cell row, and the -short leg of verify.sh runs the 10⁴-cell row so
 // the V-cycle path is exercised on every push. The device is a synthetic
 // CELLSxPINS part so the block count stays modest as the circuit grows.
+// coarse-nets/op and coarse-pins/op are the size of the graph the coarse
+// peel runs on, after parallel-net merging.
 func BenchmarkMLFpartScale(b *testing.B) {
 	dev, ok := device.Parse("3000x800")
 	if !ok {
@@ -397,6 +399,8 @@ func BenchmarkMLFpartScale(b *testing.B) {
 				}
 				if i == 0 {
 					b.ReportMetric(float64(r.K), "devices")
+					b.ReportMetric(float64(r.CoarseNets), "coarse-nets/op")
+					b.ReportMetric(float64(r.CoarsePins), "coarse-pins/op")
 					if !r.Feasible {
 						b.Fatalf("mlfpart infeasible at %d cells", n)
 					}
