@@ -3,7 +3,8 @@
 # build + vet + gofmt + full tests + a repeated racer-determinism test +
 # race run of the concurrency tests +
 # a short-mode pass over every benchmark so the harness cannot silently rot +
-# the scale, daemon and cluster smoke tests over the real binaries.
+# a run of every example + the scale, daemon and cluster smoke tests over
+# the real binaries.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -36,6 +37,11 @@ go test -race ./internal/obs ./internal/core ./internal/sanchis ./internal/servi
 # whole package is slow under -race, so race only the Suite tests.
 go test -race -run TestSuite ./internal/bench
 go test -short -run '^$' -bench . -benchtime 1x . ./internal/sanchis
+# go build compiles the examples but never runs them; run each so its
+# output cannot rot unnoticed. set -e fails the gate on a non-zero exit.
+for ex in examples/*/; do
+    go run "./$ex" >/dev/null
+done
 ./scripts/smoke_scale.sh
 ./scripts/smoke_service.sh
 ./scripts/smoke_cluster.sh
