@@ -148,15 +148,24 @@ func randomInstance(r *rand.Rand, h *hypergraph.Hypergraph, k int) ([]partition.
 
 // TestDeltaBucketStateMatchesRecompute runs the gain oracle after every
 // move of several passes, across devices, block counts, every gain-model
-// variant, and whole-graph and subset-restricted passes.
+// variant, and whole-graph and subset-restricted passes. A second leg on
+// the same engine runs it at the start of passes reached after kept
+// prefixes, cut-short passes and restores (seedPasses), where initPass
+// reuses the seed gains of earlier passes, and a third starts a new call
+// on two of the blocks, which must not reuse them. Seeds past 6 draw
+// weighted nets and DSP demands, and one device caps DSP.
 func TestDeltaBucketStateMatchesRecompute(t *testing.T) {
 	devices := []device.Device{
 		{Name: "tight", DatasheetCells: 12, Pins: 10, Fill: 1.0},
 		{Name: "roomy", DatasheetCells: 20, Pins: 24, Fill: 1.0},
+		{Name: "dsp", DatasheetCells: 16, Pins: 24, Fill: 1.0, Resources: []device.Resource{{Name: "DSP", Cap: 6}}},
 	}
-	for seed := int64(1); seed <= 6; seed++ {
+	for seed := int64(1); seed <= 10; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		h := randomCircuit(r)
+		if seed > 6 {
+			_, h = parallelPair(r)
+		}
 		k := 2 + r.Intn(4)
 		assign, blocks := randomInstance(r, h, k)
 		var cells []hypergraph.NodeID
@@ -179,6 +188,8 @@ func TestDeltaBucketStateMatchesRecompute(t *testing.T) {
 					label := fmt.Sprintf("seed %d dev %s %s subset=%v", seed, dev.Name, vt.name, subset != nil)
 					stepPasses(t, e, blocks, partition.BlockID(k-1), m, subset, 3, e.selectBest,
 						func(move int) { checkKernelState(t, e, label, move) })
+					seedPasses(t, e, r, blocks, partition.BlockID(k-1), m, subset, 12, label+" seeding")
+					seedPasses(t, e, r, blocks[:2], blocks[1], m, subset, 4, label+" new call")
 					if err := p.Validate(); err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
@@ -316,6 +327,52 @@ func TestDirCandStress(t *testing.T) {
 					stepPasses(t, e, blocks, partition.BlockID(k-1), m, nil, 3, sel, func(int) {})
 				}
 			}
+		}
+	}
+}
+
+// seedPasses drives passes the ways a pass series reaches initPass and runs
+// the gain oracle at every pass start: full passes rolled back to a random
+// prefix (a kept best prefix), passes cut short after a move or two (a
+// cancelled pass), and restores of an earlier pass's start state (a
+// restart series). A non-nil cells restricts the passes like
+// ImproveSubsetCtx.
+func seedPasses(t *testing.T, e *Engine, r *rand.Rand, blocks []partition.BlockID, rem partition.BlockID, m int,
+	cells []hypergraph.NodeID, passes int, label string) {
+	t.Helper()
+	if cells != nil {
+		e.subset = cells
+		e.inSubset = make([]bool, e.h.NumNodes())
+		for _, v := range cells {
+			e.inSubset[v] = true
+		}
+		defer func() { e.subset, e.inSubset = nil, nil }()
+	}
+	e.prepare(blocks, rem, m)
+	scratch := make([]int32, 0, tieWidth)
+	var starts []partition.Snapshot
+	for pass := 0; pass < passes; pass++ {
+		if len(starts) > 0 && r.Intn(3) == 0 {
+			e.p.Restore(starts[r.Intn(len(starts))])
+		}
+		starts = append(starts, e.p.Snapshot())
+		e.initPass()
+		e.journal = e.journal[:0]
+		checkKernelState(t, e, fmt.Sprintf("%s pass %d", label, pass), -1)
+		limit := -1
+		if r.Intn(2) == 0 {
+			limit = 1 + r.Intn(2)
+		}
+		for move := 0; move != limit; move++ {
+			c, ok := e.selectBest(scratch)
+			if !ok {
+				break
+			}
+			e.applyMove(c)
+		}
+		keep := r.Intn(len(e.journal) + 1)
+		for i := len(e.journal) - 1; i >= keep; i-- {
+			e.p.Move(e.journal[i].v, e.journal[i].from)
 		}
 	}
 }
