@@ -295,74 +295,22 @@ func GreedyConeMerge(p *partition.Partition, rem partition.BlockID, dev device.D
 	if !ok {
 		return nil, false
 	}
-	h := p.Hypergraph()
-	smax := dev.SMax()
-
-	mk := func(s hypergraph.NodeID) *grow {
-		g := newGrow(p, rem)
-		g.add(p, h, rem, s)
-		return g
-	}
-	a := mk(s1)
-	b := mk(s2)
+	a := newGrow(p, rem)
+	b := newGrow(p, rem)
 	defer a.release()
 	defer b.release()
+	a.add(s1)
+	b.add(s2)
+	// Each block's members are taken for the other, so neither grows into
+	// its sibling.
+	a.other, b.other = b, a
 
-	taken := func(v hypergraph.NodeID) bool { return a.t.Contains(v) || b.t.Contains(v) }
-
-	tmax := dev.TMax()
-	// step grows g by its best frontier candidate; returns false when the
-	// block is saturated — no candidate keeps both device constraints
-	// (§3.2: "merge for each block stops when constraints are saturated").
-	// When the frontier runs dry but the block is unsaturated (disconnected
-	// remainder, or pads stranded by earlier carves), growth jumps to the
-	// best admissible node anywhere in the remainder.
-	step := func(g *grow) bool {
-		var bestV hypergraph.NodeID = -1
-		bestCost := math.Inf(-1)
-		consider := func(v hypergraph.NodeID) {
-			s, t := g.t.Probe(v)
-			if s > smax || t > tmax {
-				return
-			}
-			if !g.t.resFits(v) {
-				return
-			}
-			// Brasen/Saucier cost: size per terminal of the merged
-			// cluster — bigger is better (more logic per pin).
-			cost := float64(s) / float64(t+1)
-			if cost > bestCost || (cost == bestCost && v < bestV) {
-				bestCost, bestV = cost, v
-			}
-		}
-		keep := g.frontier[:0]
-		for _, v := range g.frontier {
-			if taken(v) {
-				continue // compact out: taken nodes never return
-			}
-			keep = append(keep, v)
-			consider(v)
-		}
-		g.frontier = keep
-		if bestV < 0 && len(g.frontier) == 0 {
-			for _, v := range p.NodesIn(rem) {
-				if !taken(v) {
-					consider(v)
-				}
-			}
-		}
-		if bestV < 0 {
-			return false
-		}
-		g.add(p, h, rem, bestV)
-		return true
-	}
-
+	smax, tmax := dev.SMax(), dev.TMax()
 	for !a.done || !b.done {
-		if !a.done && !step(a) {
+		if !a.done && !a.step(smax, tmax) {
 			a.done = true
 		}
-		if !b.done && !step(b) {
+		if !b.done && !b.step(smax, tmax) {
 			b.done = true
 		}
 	}
@@ -375,32 +323,32 @@ func GreedyConeMerge(p *partition.Partition, rem partition.BlockID, dev device.D
 	return a.detachMembers(), true
 }
 
-// add extends a grow cluster with v and refreshes its frontier.
-func (g *grow) add(p *partition.Partition, h *hypergraph.Hypergraph, rem partition.BlockID, v hypergraph.NodeID) {
-	g.t.Add(v)
-	g.members = append(g.members, v)
-	for _, e := range h.NodeNets(v) {
-		for _, u := range h.NetPins(e) {
-			if u != v && !g.inFront[u] && p.Block(u) == rem && !g.t.Contains(u) {
-				g.inFront[u] = true
-				g.frontier = append(g.frontier, u)
-			}
-		}
-	}
-}
-
-// grow tracks one of the two simultaneously growing blocks of the greedy
-// cone merge. The frontier is an insertion-ordered slice deduplicated by
-// inFront; entries that joined a cluster are compacted out during scans.
-// Candidate selection breaks ties by a total order (cost, then node ID), so
-// scan order does not affect the pick.
+// grow tracks one greedily growing cluster: one of the two simultaneously
+// growing blocks of the greedy cone merge, or Grow's single cluster. The
+// frontier is an insertion-ordered slice deduplicated by inFront; entries
+// that were taken are compacted out during scans. Candidate selection
+// breaks ties by a total order (cost, then node ID), so scan order does not
+// affect the pick.
+//
+// probeDT caches each candidate's Probe terminal delta (the terminal count
+// after adding it, minus the cluster's). The delta reads only the
+// cluster's pin counts on the candidate's nets, and adding v changes those
+// counts on v's nets alone, so add marks stale just the pins of v's nets
+// and a frontier scan recomputes only the candidates next to the last
+// member.
 type grow struct {
 	t        *tracker
 	members  []hypergraph.NodeID
 	frontier []hypergraph.NodeID
 	inFront  []bool
+	probeDT  []int32
+	other    *grow // sibling cluster whose members are taken too; nil in Grow
 	done     bool
 }
+
+// probeStale marks a probeDT entry that must be recomputed. A real delta
+// is bounded by the candidate's weighted degree plus one, far above it.
+const probeStale = math.MinInt32
 
 // growPool recycles grow clusters across peel steps: each §3.2 seeding pass
 // builds up to three of them, and the tracker plus membership slices are all
@@ -411,11 +359,90 @@ var growPool = sync.Pool{New: func() any { return &grow{t: new(tracker)} }}
 func newGrow(p *partition.Partition, rem partition.BlockID) *grow {
 	g := growPool.Get().(*grow)
 	g.t.reset(p, rem)
-	g.inFront = resizeBools(g.inFront, p.Hypergraph().NumNodes())
+	n := p.Hypergraph().NumNodes()
+	g.inFront = resizeBools(g.inFront, n)
+	g.probeDT = resizeInt32s(g.probeDT, n, probeStale)
 	g.frontier = g.frontier[:0]
 	g.members = g.members[:0]
 	g.done = false
 	return g
+}
+
+// add extends the cluster with v, refreshes its frontier and marks the
+// probe deltas of v's net neighbours stale.
+func (g *grow) add(v hypergraph.NodeID) {
+	p, h, rem := g.t.p, g.t.h, g.t.rem
+	g.t.Add(v)
+	g.members = append(g.members, v)
+	for _, e := range h.NodeNets(v) {
+		for _, u := range h.NetPins(e) {
+			g.probeDT[u] = probeStale
+			if u != v && !g.inFront[u] && p.Block(u) == rem && !g.t.Contains(u) {
+				g.inFront[u] = true
+				g.frontier = append(g.frontier, u)
+			}
+		}
+	}
+}
+
+// probe is tracker.Probe through the probeDT cache.
+func (g *grow) probe(v hypergraph.NodeID) (size, term int) {
+	d := g.probeDT[v]
+	if d == probeStale {
+		_, t := g.t.Probe(v)
+		d = int32(t - g.t.term)
+		g.probeDT[v] = d
+	}
+	return g.t.size + g.t.h.SizeOf(v), g.t.term + int(d)
+}
+
+// taken reports whether v already belongs to this cluster or its sibling.
+func (g *grow) taken(v hypergraph.NodeID) bool {
+	return g.t.Contains(v) || g.other != nil && g.other.t.Contains(v)
+}
+
+// step grows g by its best frontier candidate under the Brasen/Saucier
+// cost, size per terminal of the merged cluster (bigger is better: more
+// logic per pin). It returns false when the cluster is saturated: no
+// candidate keeps both device constraints (§3.2: "merge for each block
+// stops when constraints are saturated"). When the frontier runs dry but
+// the cluster is unsaturated (disconnected remainder, or pads stranded by
+// earlier carves), growth jumps to the best admissible node anywhere in
+// the remainder.
+func (g *grow) step(smax, tmax int) bool {
+	var bestV hypergraph.NodeID = -1
+	bestCost := math.Inf(-1)
+	consider := func(v hypergraph.NodeID) {
+		s, t := g.probe(v)
+		if s > smax || t > tmax || !g.t.resFits(v) {
+			return
+		}
+		cost := float64(s) / float64(t+1)
+		if cost > bestCost || (cost == bestCost && v < bestV) {
+			bestCost, bestV = cost, v
+		}
+	}
+	keep := g.frontier[:0]
+	for _, v := range g.frontier {
+		if g.taken(v) {
+			continue // compact out: taken nodes never return
+		}
+		keep = append(keep, v)
+		consider(v)
+	}
+	g.frontier = keep
+	if bestV < 0 && len(g.frontier) == 0 {
+		for _, v := range g.t.p.NodesIn(g.t.rem) {
+			if !g.taken(v) {
+				consider(v)
+			}
+		}
+	}
+	if bestV < 0 {
+		return false
+	}
+	g.add(bestV)
+	return true
 }
 
 // detachMembers hands ownership of the member list to the caller, so the
@@ -429,6 +456,7 @@ func (g *grow) detachMembers() []hypergraph.NodeID {
 // release returns g to the pool, dropping its partition binding.
 func (g *grow) release() {
 	g.t.p, g.t.h = nil, nil
+	g.other = nil
 	growPool.Put(g)
 }
 
@@ -653,52 +681,15 @@ func sweepFrom(p *partition.Partition, rem partition.BlockID, dev device.Device,
 // package use it to saturate a nucleus found by other means (e.g. the flow
 // baseline's min-cut side).
 func Grow(p *partition.Partition, rem partition.BlockID, dev device.Device, init []hypergraph.NodeID) []hypergraph.NodeID {
-	h := p.Hypergraph()
 	g := newGrow(p, rem)
 	defer g.release()
 	for _, v := range init {
-		g.add(p, h, rem, v)
+		g.add(v)
 	}
 	smax, tmax := dev.SMax(), dev.TMax()
-	for {
-		var bestV hypergraph.NodeID = -1
-		bestCost := math.Inf(-1)
-		consider := func(v hypergraph.NodeID) {
-			s, t := g.t.Probe(v)
-			if s > smax || t > tmax {
-				return
-			}
-			if !g.t.resFits(v) {
-				return
-			}
-			cost := float64(s) / float64(t+1)
-			if cost > bestCost || (cost == bestCost && v < bestV) {
-				bestCost, bestV = cost, v
-			}
-		}
-		keep := g.frontier[:0]
-		for _, v := range g.frontier {
-			if g.t.Contains(v) {
-				continue // compact out: clustered nodes never return
-			}
-			keep = append(keep, v)
-			consider(v)
-		}
-		g.frontier = keep
-		if bestV < 0 && len(g.frontier) == 0 {
-			// Frontier exhausted (disconnected remainder or stranded
-			// pads): jump to the best admissible node anywhere.
-			for _, v := range p.NodesIn(rem) {
-				if !g.t.Contains(v) {
-					consider(v)
-				}
-			}
-		}
-		if bestV < 0 {
-			return g.detachMembers()
-		}
-		g.add(p, h, rem, bestV)
+	for g.step(smax, tmax) {
 	}
+	return g.detachMembers()
 }
 
 // Best runs both constructive methods, applies each candidate split to the

@@ -32,7 +32,7 @@ go test ./...
 # same winner at any goroutine schedule; repeat the registry differential so
 # a schedule-dependent winner fails here instead of passing most runs.
 go test -count=5 -run TestRegistryDispatchMatchesDirectCalls ./internal/driver
-go test -race ./internal/obs ./internal/core ./internal/sanchis ./internal/service ./internal/store ./internal/cluster ./internal/driver ./internal/engine ./internal/flow ./internal/multilevel ./internal/mlfpart ./cmd/fpartd
+go test -race ./internal/obs ./internal/core ./internal/sanchis ./internal/seed ./internal/service ./internal/store ./internal/cluster ./internal/driver ./internal/engine ./internal/flow ./internal/multilevel ./internal/mlfpart ./cmd/fpartd
 # bench.Suite's worker pool is the one goroutine site in internal/bench; the
 # whole package is slow under -race, so race only the Suite tests.
 go test -race -run TestSuite ./internal/bench
