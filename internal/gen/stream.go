@@ -15,6 +15,7 @@ import (
 	"io"
 	"strconv"
 	"strings"
+	"unicode"
 
 	"fpart/internal/device"
 	"fpart/internal/hypergraph"
@@ -43,6 +44,7 @@ func (st ResStamp) hits(i int) bool {
 
 // ParseStamps parses a -resources spec of NAME:PERIOD pairs, e.g.
 // "DSP:16,BRAM:64" (one cell in 16 demands a DSP, one in 64 a BRAM).
+// Names may not contain whitespace.
 func ParseStamps(spec string) ([]ResStamp, error) {
 	if spec == "" {
 		return nil, nil
@@ -53,6 +55,11 @@ func ParseStamps(spec string) ([]ResStamp, error) {
 		name, per, ok := strings.Cut(tok, ":")
 		if !ok || name == "" {
 			return nil, fmt.Errorf("malformed resource token %q (want NAME:PERIOD)", tok)
+		}
+		// The name becomes part of a NAME:1 token on a PHG node line,
+		// which the reader splits on every unicode.IsSpace rune.
+		if strings.IndexFunc(name, unicode.IsSpace) >= 0 {
+			return nil, fmt.Errorf("resource name in token %q contains whitespace", tok)
 		}
 		if seen[name] {
 			return nil, fmt.Errorf("duplicate resource name in token %q", tok)

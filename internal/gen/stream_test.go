@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"fpart/internal/hypergraph"
 	"fpart/internal/netlist"
 )
 
@@ -110,12 +111,54 @@ func TestParseStamps(t *testing.T) {
 		"DSP:0":          `must be positive in token "DSP:0"`,
 		"DSP:16,:4":      "malformed resource token",
 		"DSP:16,BRAM:-2": `must be positive in token "BRAM:-2"`,
+		"D SP:16":        `resource name in token "D SP:16" contains whitespace`,
+		"DSP\u00a0:16":   "contains whitespace",
 	} {
 		_, err := ParseStamps(spec)
 		if err == nil || !strings.Contains(err.Error(), wantSub) {
 			t.Errorf("ParseStamps(%q) = %v, want error containing %q", spec, err, wantSub)
 		}
 	}
+}
+
+// FuzzParseStamps checks the -resources contract end to end: every spec
+// ParseStamps accepts must stream a PHG that ReadPHG parses, and each
+// stamp's column must hold a unit demand on exactly the interior cells
+// the stamp hits.
+func FuzzParseStamps(f *testing.F) {
+	for _, spec := range []string{"DSP:16,BRAM:64", "", "FF:1", "D SP:16", "#:2", "A:B:2", "x\u00a0:3", "Z:+7,Y:0003", "\xff:1", "DSP:16,DSP:8"} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		stamps, err := ParseStamps(spec)
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := StreamPHG(&buf, 60, 6, 1, false, stamps); err != nil {
+			t.Fatal(err)
+		}
+		h, err := netlist.ReadPHG(&buf)
+		if err != nil {
+			t.Fatalf("spec %q: ReadPHG rejects the streamed output: %v", spec, err)
+		}
+		for _, st := range stamps {
+			col := h.ResourceColumn(st.Name)
+			for v := 0; v < h.NumNodes(); v++ {
+				want := int32(0)
+				if h.KindOf(hypergraph.NodeID(v)) == hypergraph.Interior && st.hits(v) {
+					want = 1
+				}
+				got := int32(0)
+				if col != nil {
+					got = col[v]
+				}
+				if got != want {
+					t.Fatalf("spec %q: %s demand of node %d is %d, want %d", spec, st.Name, v, got, want)
+				}
+			}
+		}
+	})
 }
 
 // Streamed output must parse back into the same graph shape.

@@ -278,8 +278,7 @@ type Builder struct {
 	netOff   []int32 // net e's pins are pins[netOff[e]:netOff[e+1]]; nil until the first net
 	// stamp[v] is one more than the last net that took v as a pin, so
 	// AddNet collapses duplicate pins without a set per net.
-	stamp  []int32
-	byName map[string]NodeID
+	stamp []int32
 	// res holds sparse per-resource demands until Build packs them into
 	// dense columns; most circuits never touch it.
 	res map[string]map[NodeID]int32
@@ -290,8 +289,7 @@ type Builder struct {
 
 // AddNode appends a node and returns its ID. Pads are forced to size zero;
 // interior nodes must have size >= 1 (size 0 is promoted to 1). Names need
-// not be unique, but NodeByName resolves only the first occurrence. A size
-// past the int32 range makes Build fail.
+// not be unique. A size past the int32 range makes Build fail.
 func (b *Builder) AddNode(name string, kind NodeKind, size int) NodeID {
 	if kind == Pad {
 		size = 0
@@ -305,15 +303,6 @@ func (b *Builder) AddNode(name string, kind NodeKind, size int) NodeID {
 	b.names = appendName(b.names, int(id), name)
 	b.kinds = append(b.kinds, kind)
 	b.sizes = append(b.sizes, int32(size))
-	if name == "" {
-		return id
-	}
-	if b.byName == nil {
-		b.byName = make(map[string]NodeID)
-	}
-	if _, dup := b.byName[name]; !dup {
-		b.byName[name] = id
-	}
 	return id
 }
 
@@ -351,12 +340,6 @@ func (b *Builder) SetResource(id NodeID, name string, demand int) {
 		b.res[name] = col
 	}
 	col[id] = int32(demand)
-}
-
-// NodeByName returns the ID of the first node added with the given name.
-func (b *Builder) NodeByName(name string) (NodeID, bool) {
-	id, ok := b.byName[name]
-	return id, ok
 }
 
 // NumNodes returns the number of nodes added so far.

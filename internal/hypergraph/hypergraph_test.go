@@ -53,19 +53,6 @@ func TestBuilderBasics(t *testing.T) {
 	}
 }
 
-func TestBuilderNodeByName(t *testing.T) {
-	var b Builder
-	a := b.AddInterior("x", 1)
-	b.AddInterior("x", 1) // duplicate name: first wins
-	got, ok := b.NodeByName("x")
-	if !ok || got != a {
-		t.Errorf("NodeByName(x) = %v,%v want %v,true", got, ok, a)
-	}
-	if _, ok := b.NodeByName("missing"); ok {
-		t.Error("NodeByName(missing) unexpectedly found")
-	}
-}
-
 func TestBuildRejectsEmptyNet(t *testing.T) {
 	var b Builder
 	b.AddInterior("a", 1)

@@ -12,6 +12,7 @@ package netlist
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"strconv"
@@ -33,10 +34,15 @@ import (
 // node's demand on named resource axes (DSP, BRAM, ...); absent tokens
 // mean zero, so scalar netlists are written and parsed exactly as before.
 func WritePHG(w io.Writer, h *hypergraph.Hypergraph) error {
+	resNames := h.ResourceNames()
+	for _, name := range resNames {
+		if strings.ContainsFunc(name, func(r rune) bool { return r == ':' || isSpace(r) }) {
+			return fmt.Errorf("phg: resource name %q holds ':' or a space, so it cannot be written as NAME:DEMAND", name)
+		}
+	}
 	bw := bufio.NewWriter(w)
 	fmt.Fprintln(bw, "phg")
 	fmt.Fprintf(bw, "# nodes=%d nets=%d\n", h.NumNodes(), h.NumNets())
-	resNames := h.ResourceNames()
 	resCols := make([][]int32, len(resNames))
 	for i, name := range resNames {
 		resCols[i] = h.ResourceColumn(name)
@@ -65,12 +71,14 @@ func WritePHG(w io.Writer, h *hypergraph.Hypergraph) error {
 	return bw.Flush()
 }
 
+// sanitizeName makes name one PHG field: every rune the reader splits on
+// becomes '_', and an empty name becomes "_<fallback>".
 func sanitizeName(name string, fallback int) string {
 	if name == "" {
 		return fmt.Sprintf("_%d", fallback)
 	}
 	return strings.Map(func(r rune) rune {
-		if r == ' ' || r == '\t' || r == '\n' {
+		if isSpace(r) {
 			return '_'
 		}
 		return r
@@ -90,76 +98,79 @@ func ReadPHGLimits(r io.Reader, lim Limits) (*hypergraph.Hypergraph, error) {
 	lim = lim.normalize()
 	sc := bufio.NewScanner(r)
 	lim.bufferFor(sc)
-	var b hypergraph.Builder
+	var (
+		b    hypergraph.Builder
+		tok  [][]byte
+		pins []hypergraph.NodeID // reused: AddNet copies
+	)
 	lineNo := 0
 	sawHeader := false
 	nets := 0
 	for sc.Scan() {
 		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+		tok = fields(tok[:0], sc.Bytes())
+		if len(tok) == 0 || tok[0][0] == '#' {
 			continue
 		}
-		fields := strings.Fields(line)
-		switch fields[0] {
+		switch string(tok[0]) {
 		case "phg":
 			sawHeader = true
 		case "node":
-			if len(fields) < 3 {
+			if len(tok) < 3 {
 				return nil, fmt.Errorf("phg line %d: node wants 2 args", lineNo)
 			}
 			// Sizes and demands are packed into int32 columns: wider
 			// values are rejected rather than wrapped.
-			size, err := strconv.ParseInt(fields[2], 10, 32)
-			if err != nil || size < 1 {
-				return nil, fmt.Errorf("phg line %d: bad size %q", lineNo, fields[2])
+			size, ok := parseInt32(tok[2])
+			if !ok || size < 1 {
+				return nil, fmt.Errorf("phg line %d: bad size %q", lineNo, tok[2])
 			}
 			if b.NumNodes() >= lim.MaxNodes {
 				return nil, &LimitError{Format: "phg", Quantity: "nodes", Limit: lim.MaxNodes}
 			}
-			id := b.AddInterior(fields[1], int(size))
+			id := b.AddInterior(string(tok[1]), int(size))
 			// Optional trailing NAME:DEMAND resource tokens.
-			for _, tok := range fields[3:] {
-				name, demStr, ok := strings.Cut(tok, ":")
-				if !ok || name == "" {
-					return nil, fmt.Errorf("phg line %d: bad resource token %q (want NAME:DEMAND)", lineNo, tok)
+			for _, t := range tok[3:] {
+				colon := bytes.IndexByte(t, ':')
+				if colon < 1 {
+					return nil, fmt.Errorf("phg line %d: bad resource token %q (want NAME:DEMAND)", lineNo, t)
 				}
-				dem, err := strconv.ParseInt(demStr, 10, 32)
-				if err != nil || dem < 0 {
-					return nil, fmt.Errorf("phg line %d: bad resource demand %q", lineNo, tok)
+				dem, ok := parseInt32(t[colon+1:])
+				if !ok || dem < 0 {
+					return nil, fmt.Errorf("phg line %d: bad resource demand %q", lineNo, t)
 				}
-				b.SetResource(id, name, int(dem))
+				b.SetResource(id, string(t[:colon]), int(dem))
 			}
 		case "pad":
-			if len(fields) != 2 {
+			if len(tok) != 2 {
 				return nil, fmt.Errorf("phg line %d: pad wants 1 arg", lineNo)
 			}
 			if b.NumNodes() >= lim.MaxNodes {
 				return nil, &LimitError{Format: "phg", Quantity: "nodes", Limit: lim.MaxNodes}
 			}
-			b.AddPad(fields[1])
+			b.AddPad(string(tok[1]))
 		case "net":
-			if len(fields) < 3 {
+			if len(tok) < 3 {
 				return nil, fmt.Errorf("phg line %d: net wants a name and pins", lineNo)
 			}
-			if len(fields)-2 > lim.MaxPins {
+			if len(tok)-2 > lim.MaxPins {
 				return nil, &LimitError{Format: "phg", Quantity: "pins", Limit: lim.MaxPins}
 			}
 			if nets >= lim.MaxNets {
 				return nil, &LimitError{Format: "phg", Quantity: "nets", Limit: lim.MaxNets}
 			}
-			pins := make([]hypergraph.NodeID, 0, len(fields)-2)
-			for _, f := range fields[2:] {
-				idx, err := strconv.Atoi(f)
-				if err != nil || idx < 0 || idx >= b.NumNodes() {
-					return nil, fmt.Errorf("phg line %d: bad pin %q", lineNo, f)
+			pins = pins[:0]
+			for _, t := range tok[2:] {
+				idx, ok := parseInt(t)
+				if !ok || idx < 0 || idx >= int64(b.NumNodes()) {
+					return nil, fmt.Errorf("phg line %d: bad pin %q", lineNo, t)
 				}
 				pins = append(pins, hypergraph.NodeID(idx))
 			}
-			b.AddNet(fields[1], pins...)
+			b.AddNet(string(tok[1]), pins...)
 			nets++
 		default:
-			return nil, fmt.Errorf("phg line %d: unknown directive %q", lineNo, fields[0])
+			return nil, fmt.Errorf("phg line %d: unknown directive %q", lineNo, tok[0])
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -208,13 +219,14 @@ func ReadHgrLimits(r io.Reader, lim Limits) (*hypergraph.Hypergraph, error) {
 	lim = lim.normalize()
 	sc := bufio.NewScanner(r)
 	lim.bufferFor(sc)
-	readLine := func() ([]string, error) {
+	var tok [][]byte
+	readLine := func() ([][]byte, error) {
 		for sc.Scan() {
-			line := strings.TrimSpace(sc.Text())
-			if line == "" || strings.HasPrefix(line, "%") {
+			tok = fields(tok[:0], sc.Bytes())
+			if len(tok) == 0 || tok[0][0] == '%' {
 				continue
 			}
-			return strings.Fields(line), nil
+			return tok, nil
 		}
 		if err := sc.Err(); err != nil {
 			return nil, lim.lineErr("hgr", err)
@@ -228,74 +240,81 @@ func ReadHgrLimits(r io.Reader, lim Limits) (*hypergraph.Hypergraph, error) {
 	if len(header) < 2 || len(header) > 3 {
 		return nil, fmt.Errorf("hgr: header wants 2 or 3 fields, got %d", len(header))
 	}
-	nNets, err1 := strconv.Atoi(header[0])
-	nNodes, err2 := strconv.Atoi(header[1])
-	if err1 != nil || err2 != nil || nNets < 0 || nNodes <= 0 {
-		return nil, fmt.Errorf("hgr: bad header %v", header)
+	nNets, ok1 := parseInt(header[0])
+	nNodes, ok2 := parseInt(header[1])
+	if !ok1 || !ok2 || nNets < 0 || nNodes <= 0 {
+		return nil, fmt.Errorf("hgr: bad header %s", header)
 	}
-	if nNodes > lim.MaxNodes {
+	if nNodes > int64(lim.MaxNodes) {
 		return nil, &LimitError{Format: "hgr", Quantity: "nodes", Limit: lim.MaxNodes}
 	}
-	if nNets > lim.MaxNets {
+	if nNets > int64(lim.MaxNets) {
 		return nil, &LimitError{Format: "hgr", Quantity: "nets", Limit: lim.MaxNets}
 	}
 	format := "0"
 	if len(header) == 3 {
-		format = header[2]
+		format = string(header[2])
 	}
 	if format != "0" && format != "10" {
 		return nil, fmt.Errorf("hgr: unsupported fmt %q (net weights not supported)", format)
 	}
 
-	type netRec []hypergraph.NodeID
-	nets := make([]netRec, 0, nNets)
-	for e := 0; e < nNets; e++ {
-		fields, err := readLine()
+	// The nets are staged in one flat slab: net e's pins are
+	// pins[ends[e-1]:ends[e]].
+	var pins []hypergraph.NodeID
+	ends := make([]int, 0, nNets)
+	for e := 0; e < int(nNets); e++ {
+		toks, err := readLine()
 		if err != nil {
 			return nil, fmt.Errorf("hgr: net %d: %w", e+1, err)
 		}
-		if len(fields) > lim.MaxPins {
+		if len(toks) > lim.MaxPins {
 			return nil, &LimitError{Format: "hgr", Quantity: "pins", Limit: lim.MaxPins}
 		}
-		pins := make(netRec, 0, len(fields))
-		for _, f := range fields {
-			idx, err := strconv.Atoi(f)
-			if err != nil || idx < 1 || idx > nNodes {
-				return nil, fmt.Errorf("hgr: net %d: bad pin %q", e+1, f)
+		for _, t := range toks {
+			idx, ok := parseInt(t)
+			if !ok || idx < 1 || idx > nNodes {
+				return nil, fmt.Errorf("hgr: net %d: bad pin %q", e+1, t)
 			}
 			pins = append(pins, hypergraph.NodeID(idx-1))
 		}
-		nets = append(nets, pins)
+		ends = append(ends, len(pins))
 	}
 	weights := make([]int, nNodes)
 	for i := range weights {
 		weights[i] = 1
 	}
 	if format == "10" {
-		for i := 0; i < nNodes; i++ {
-			fields, err := readLine()
+		for i := range weights {
+			toks, err := readLine()
 			if err != nil {
 				return nil, fmt.Errorf("hgr: weight %d: %w", i+1, err)
 			}
 			// Weights become int32 node sizes: wider values are
 			// rejected rather than wrapped.
-			wgt, err := strconv.ParseInt(fields[0], 10, 32)
-			if err != nil || wgt < 0 {
-				return nil, fmt.Errorf("hgr: weight %d: bad value %q", i+1, fields[0])
+			wgt, ok := parseInt32(toks[0])
+			if !ok || wgt < 0 {
+				return nil, fmt.Errorf("hgr: weight %d: bad value %q", i+1, toks[0])
 			}
 			weights[i] = int(wgt)
 		}
 	}
 	var b hypergraph.Builder
-	for i := 0; i < nNodes; i++ {
-		if weights[i] == 0 {
-			b.AddPad(fmt.Sprintf("p%d", i+1))
+	var name []byte
+	for i, w := range weights {
+		if w == 0 {
+			name = strconv.AppendInt(append(name[:0], 'p'), int64(i+1), 10)
+			b.AddPad(string(name))
 		} else {
-			b.AddInterior(fmt.Sprintf("v%d", i+1), weights[i])
+			name = strconv.AppendInt(append(name[:0], 'v'), int64(i+1), 10)
+			b.AddInterior(string(name), w)
 		}
 	}
-	for e, pins := range nets {
-		b.AddNet(fmt.Sprintf("e%d", e+1), pins...)
+	start := 0
+	for e, end := range ends {
+		name = strconv.AppendInt(append(name[:0], 'e'), int64(e+1), 10)
+		b.AddNet(string(name), pins[start:end]...)
+		start = end
 	}
 	return b.Build()
 }

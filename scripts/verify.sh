@@ -36,7 +36,7 @@ go test -race ./internal/obs ./internal/core ./internal/sanchis ./internal/seed 
 # bench.Suite's worker pool is the one goroutine site in internal/bench; the
 # whole package is slow under -race, so race only the Suite tests.
 go test -race -run TestSuite ./internal/bench
-go test -short -run '^$' -bench . -benchtime 1x . ./internal/sanchis
+go test -short -run '^$' -bench . -benchtime 1x . ./internal/sanchis ./internal/netlist
 # go build compiles the examples but never runs them; run each so its
 # output cannot rot unnoticed. set -e fails the gate on a non-zero exit.
 for ex in examples/*/; do
