@@ -3,11 +3,13 @@ package flow
 // Edge-case tests for the flow network and FBB machinery.
 
 import (
+	"context"
 	"testing"
 
 	"fpart/internal/device"
 	"fpart/internal/hypergraph"
 	"fpart/internal/partition"
+	"fpart/internal/seed"
 )
 
 func TestGraphAccessors(t *testing.T) {
@@ -116,7 +118,7 @@ func TestFBBPeelTinyRemainder(t *testing.T) {
 	h := b.MustBuild()
 	dev := device.Device{Name: "d", DatasheetCells: 4, Pins: 4, Fill: 1.0}
 	p := partition.New(h, dev)
-	if _, ok := FBBPeel(p, 0, dev, 0.5); ok {
+	if _, ok, _ := fbbPeelCtx(context.Background(), p, 0, dev, 0.5); ok {
 		t.Error("single-node remainder peeled")
 	}
 }
@@ -130,7 +132,7 @@ func TestFarthestInRemainderDisconnected(t *testing.T) {
 	h := b.MustBuild()
 	dev := device.Device{Name: "d", DatasheetCells: 4, Pins: 4, Fill: 1.0}
 	p := partition.New(h, dev)
-	if far := farthestInRemainder(p, 0, a); far != d {
+	if far := seed.Farthest(p, 0, a); far != d {
 		t.Errorf("farthest = %d, want the disconnected node %d", far, d)
 	}
 }

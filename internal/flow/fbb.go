@@ -147,21 +147,15 @@ func (nw *fbbNetwork) evaluate(side []int32) (size, term int) {
 	return size, term
 }
 
-// FBBPeel extracts one block from the remainder using flow-balanced
+// fbbPeelCtx extracts one block from the remainder using flow-balanced
 // bipartition: the source side is grown node by node (collapsing each min
 // cut into the source) until its size would exceed S_MAX, keeping the best
 // device-feasible candidate seen. minFill sets the smallest acceptable
 // size as a fraction of S_MAX for pin evaluation (evaluation below it is
 // skipped for speed but candidates are still tracked by the final pick).
-// It returns the chosen node set, or ok=false when nothing fits.
-func FBBPeel(p *partition.Partition, rem partition.BlockID, dev device.Device, minFill float64) ([]hypergraph.NodeID, bool) {
-	set, ok, _ := fbbPeelCtx(context.Background(), p, rem, dev, minFill)
-	return set, ok
-}
-
-// fbbPeelCtx is FBBPeel with cancellation: the grow loop — one max-flow
-// plus merge per round, the carve's pass loop — polls ctx and returns its
-// error when the context dies mid-carve.
+// It returns the chosen node set, or ok=false when nothing fits. The grow
+// loop — one max-flow plus merge per round, the carve's pass loop — polls
+// ctx and returns its error when the context dies mid-carve.
 func fbbPeelCtx(ctx context.Context, p *partition.Partition, rem partition.BlockID, dev device.Device, minFill float64) ([]hypergraph.NodeID, bool, error) {
 	remNodes := p.NodesIn(rem)
 	if len(remNodes) < 2 {
@@ -176,9 +170,8 @@ func fbbPeelCtx(ctx context.Context, p *partition.Partition, rem partition.Block
 	if s < 0 {
 		s = remNodes[0]
 	}
-	t := farthestInRemainder(p, rem, s)
 	nw.mergeSource(nw.flowIdx[s])
-	if t != s {
+	if t := seed.Farthest(p, rem, s); t >= 0 {
 		nw.mergeSink(nw.flowIdx[t])
 	}
 
@@ -299,45 +292,4 @@ func (nw *fbbNetwork) bestFrontier(side []int32, inSide map[int32]bool, toSource
 		}
 	}
 	return -1
-}
-
-// farthestInRemainder returns the remainder node at maximal BFS distance
-// from s, restricted to remainder nodes (unreachable interior nodes win).
-func farthestInRemainder(p *partition.Partition, rem partition.BlockID, s hypergraph.NodeID) hypergraph.NodeID {
-	h := p.Hypergraph()
-	dist := map[hypergraph.NodeID]int{s: 0}
-	queue := []hypergraph.NodeID{s}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, e := range h.NodeNets(v) {
-			for _, u := range h.NetPins(e) {
-				if p.Block(u) != rem {
-					continue
-				}
-				if _, ok := dist[u]; !ok {
-					dist[u] = dist[v] + 1
-					queue = append(queue, u)
-				}
-			}
-		}
-	}
-	best := s
-	bestD := -1
-	for _, v := range p.NodesIn(rem) {
-		if v == s {
-			continue
-		}
-		d, ok := dist[v]
-		if !ok {
-			if h.KindOf(v) != hypergraph.Interior {
-				continue
-			}
-			d = 1 << 30
-		}
-		if d > bestD {
-			best, bestD = v, d
-		}
-	}
-	return best
 }

@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -131,9 +132,9 @@ func TestFBBPeelFindsCluster(t *testing.T) {
 	h := twoClusters(t, 8)
 	dev := device.Device{Name: "d", DatasheetCells: 9, Pins: 10, Fill: 1.0}
 	p := partition.New(h, dev)
-	set, ok := FBBPeel(p, 0, dev, 0.2)
-	if !ok {
-		t.Fatal("FBBPeel failed")
+	set, ok, err := fbbPeelCtx(context.Background(), p, 0, dev, 0.2)
+	if err != nil || !ok {
+		t.Fatal("fbbPeelCtx failed")
 	}
 	size := 0
 	for _, v := range set {
@@ -165,7 +166,10 @@ func TestFBBPeelRespectsPinConstraint(t *testing.T) {
 	h := b.MustBuild()
 	dev := device.Device{Name: "d", DatasheetCells: 10, Pins: 12, Fill: 1.0}
 	p := partition.New(h, dev)
-	set, ok := FBBPeel(p, 0, dev, 0.2)
+	set, ok, err := fbbPeelCtx(context.Background(), p, 0, dev, 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !ok {
 		t.Skip("no pin-feasible block on the star; acceptable")
 	}
@@ -233,20 +237,32 @@ func TestMultiwayErrors(t *testing.T) {
 	}
 }
 
-func TestGreedyFallback(t *testing.T) {
-	h := twoClusters(t, 6)
-	dev := device.Device{Name: "d", DatasheetCells: 7, Pins: 2, Fill: 1.0}
-	p := partition.New(h, dev)
-	set := greedyFallback(p, 0, dev)
-	if len(set) == 0 {
-		t.Fatal("fallback returned nothing")
+// A pad-only remainder has no interior node to grow from; the fallback
+// carve must still honour T_MAX instead of scooping every pad into one
+// block.
+func TestPadOnlyRemainderIsPinAware(t *testing.T) {
+	var b hypergraph.Builder
+	pads := make([]hypergraph.NodeID, 10)
+	for i := range pads {
+		pads[i] = b.AddPad("p")
 	}
-	size := 0
-	for _, v := range set {
-		size += h.SizeOf(v)
+	b.AddNet("bus", pads...)
+	h := b.MustBuild()
+	dev := device.Device{Name: "d", DatasheetCells: 4, Pins: 4, Fill: 1.0}
+	r, err := Partition(h, dev, Config{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if size > dev.SMax() {
-		t.Errorf("fallback block size %d > S_MAX %d", size, dev.SMax())
+	if r.M != 3 {
+		t.Fatalf("M = %d, want 3", r.M)
+	}
+	if !r.Feasible || r.K < r.M {
+		t.Errorf("K = %d feasible = %v, want a feasible K >= M = %d", r.K, r.Feasible, r.M)
+	}
+	for blk := 0; blk < r.Partition.NumBlocks(); blk++ {
+		if term := r.Partition.Terminals(partition.BlockID(blk)); term > dev.TMax() {
+			t.Errorf("block %d has %d terminals > T_MAX %d", blk, term, dev.TMax())
+		}
 	}
 }
 

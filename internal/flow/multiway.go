@@ -42,8 +42,8 @@ func PartitionCtx(ctx context.Context, h *hypergraph.Hypergraph, dev device.Devi
 }
 
 // carve is the FBB-MW peel step: the best device-feasible FBB source side
-// or, when flow finds no pin-feasible side, a pin-aware greedy carve from
-// the biggest node so the recursion can continue with a feasible (if
+// or, when flow finds no pin-feasible side, the pin-aware greedy carve of
+// seed.GrowBiggest so the recursion can continue with a feasible (if
 // small) block.
 func carve(ctx context.Context, p *partition.Partition, rem partition.BlockID, _ *core.Stats) ([]hypergraph.NodeID, error) {
 	dev := p.Device()
@@ -51,61 +51,5 @@ func carve(ctx context.Context, p *partition.Partition, rem partition.BlockID, _
 	if err != nil || ok {
 		return set, err
 	}
-	if s := p.Hypergraph().BiggestInterior(p.NodesIn(rem)); s >= 0 {
-		set = seed.Grow(p, rem, dev, []hypergraph.NodeID{s})
-	}
-	if len(set) == 0 {
-		set = greedyFallback(p, rem, dev)
-	}
-	return set, nil
-}
-
-// greedyFallback grows a block by connectivity until S_MAX, ignoring pins —
-// the last-resort carve when flow cannot find any pin-feasible side.
-func greedyFallback(p *partition.Partition, rem partition.BlockID, dev device.Device) []hypergraph.NodeID {
-	h := p.Hypergraph()
-	remNodes := p.NodesIn(rem)
-	if len(remNodes) == 0 {
-		return nil
-	}
-	seedNode := h.BiggestInterior(remNodes)
-	if seedNode < 0 {
-		seedNode = remNodes[0]
-	}
-	in := map[hypergraph.NodeID]bool{seedNode: true}
-	set := []hypergraph.NodeID{seedNode}
-	size := h.SizeOf(seedNode)
-	frontier := map[hypergraph.NodeID]int{}
-	expand := func(v hypergraph.NodeID) {
-		for _, e := range h.NodeNets(v) {
-			for _, u := range h.NetPins(e) {
-				if !in[u] && p.Block(u) == rem {
-					frontier[u]++
-				}
-			}
-		}
-	}
-	expand(seedNode)
-	for size < dev.SMax() {
-		var best hypergraph.NodeID = -1
-		bestC := -1
-		for u, c := range frontier {
-			if c > bestC || (c == bestC && u < best) {
-				best, bestC = u, c
-			}
-		}
-		if best < 0 {
-			break
-		}
-		if size+h.SizeOf(best) > dev.SMax() {
-			delete(frontier, best)
-			continue
-		}
-		in[best] = true
-		set = append(set, best)
-		size += h.SizeOf(best)
-		delete(frontier, best)
-		expand(best)
-	}
-	return set
+	return seed.GrowBiggest(p, rem, dev), nil
 }

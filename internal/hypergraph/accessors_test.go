@@ -60,20 +60,6 @@ func TestMustBuildPanics(t *testing.T) {
 	b.MustBuild()
 }
 
-func TestFarthestFromSizeTieBreak(t *testing.T) {
-	// Two nodes at the same distance: the bigger one wins.
-	var b Builder
-	s := b.AddInterior("s", 1)
-	small := b.AddInterior("small", 1)
-	big := b.AddInterior("big", 5)
-	b.AddNet("n1", s, small)
-	b.AddNet("n2", s, big)
-	h := b.MustBuild()
-	if far := h.FarthestFrom(s); far != big {
-		t.Errorf("FarthestFrom = %d, want the bigger node %d", far, big)
-	}
-}
-
 func TestInducedEmptySet(t *testing.T) {
 	var b Builder
 	v0 := b.AddInterior("a", 1)

@@ -589,69 +589,6 @@ func (b *Builder) MustBuild() *Hypergraph {
 	return h
 }
 
-// BFSDistances returns, for every node, its hop distance from the seed node
-// (two nodes are adjacent when they share a net). Unreachable nodes get -1.
-func (h *Hypergraph) BFSDistances(seed NodeID) []int {
-	dist := make([]int, h.NumNodes())
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[seed] = 0
-	queue := []NodeID{seed}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, e := range h.NodeNets(v) {
-			for _, u := range h.NetPins(e) {
-				if dist[u] == -1 {
-					dist[u] = dist[v] + 1
-					queue = append(queue, u)
-				}
-			}
-		}
-	}
-	return dist
-}
-
-// FarthestFrom returns the node at maximal BFS distance from seed, preferring
-// interior nodes, then larger sizes, then lower IDs for determinism. If the
-// graph is disconnected it returns an unreached interior node when one
-// exists (distance treated as infinite).
-func (h *Hypergraph) FarthestFrom(seed NodeID) NodeID {
-	dist := h.BFSDistances(seed)
-	best := seed
-	bestDist := -2 // below any real distance so seed itself can win only alone
-	for i := range h.nodeKind {
-		id := NodeID(i)
-		if id == seed {
-			continue
-		}
-		d := dist[i]
-		if d == -1 {
-			if h.nodeKind[i] != Interior {
-				continue
-			}
-			d = int(^uint(0) >> 2) // effectively infinite: disconnected
-		}
-		better := false
-		switch {
-		case d > bestDist:
-			better = true
-		case d == bestDist:
-			bk, ck := h.nodeKind[best], h.nodeKind[i]
-			if ck == Interior && bk != Interior {
-				better = true
-			} else if ck == bk && h.nodeSize[i] > h.nodeSize[best] {
-				better = true
-			}
-		}
-		if better {
-			best, bestDist = id, d
-		}
-	}
-	return best
-}
-
 // Components returns the connected components of the hypergraph as slices of
 // node IDs, largest (by total interior size, then node count) first.
 func (h *Hypergraph) Components() [][]NodeID {

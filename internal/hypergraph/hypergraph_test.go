@@ -135,35 +135,6 @@ func TestIncidenceIsConsistent(t *testing.T) {
 	}
 }
 
-func TestBFSDistancesOnChain(t *testing.T) {
-	h := chain(t, 6)
-	dist := h.BFSDistances(0)
-	for i, want := range []int{0, 1, 2, 3, 4, 5} {
-		if dist[i] != want {
-			t.Errorf("dist[%d] = %d, want %d", i, dist[i], want)
-		}
-	}
-	if far := h.FarthestFrom(0); far != 5 {
-		t.Errorf("FarthestFrom(0) = %d, want 5", far)
-	}
-}
-
-func TestBFSDisconnected(t *testing.T) {
-	var b Builder
-	a := b.AddInterior("a", 1)
-	c := b.AddInterior("b", 1)
-	d := b.AddInterior("c", 2)
-	b.AddNet("n", a, c)
-	h := b.MustBuild()
-	dist := h.BFSDistances(a)
-	if dist[d] != -1 {
-		t.Errorf("disconnected node distance = %d, want -1", dist[d])
-	}
-	if far := h.FarthestFrom(a); far != d {
-		t.Errorf("FarthestFrom should prefer unreachable interior node, got %d want %d", far, d)
-	}
-}
-
 func TestComponentsOrdering(t *testing.T) {
 	var b Builder
 	// Component 1: two nodes, total size 2.
@@ -283,38 +254,6 @@ func TestQuickIncidenceInvariant(t *testing.T) {
 			}
 		}
 		return pinRefs == nodeRefs && size == h.TotalSize() && pads == h.NumPads()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: BFS distances change by at most 1 across any net (triangle-ish
-// inequality on the net adjacency relation).
-func TestQuickBFSLipschitz(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 2 + r.Intn(30)
-		h := randomGraph(r, n, 1+r.Intn(50))
-		dist := h.BFSDistances(0)
-		for ei := 0; ei < h.NumNets(); ei++ {
-			pins := h.NetPins(NetID(ei))
-			for _, u := range pins {
-				for _, v := range pins {
-					du, dv := dist[u], dist[v]
-					if du == -1 || dv == -1 {
-						if du != dv { // one reachable, one not, sharing a net: impossible
-							return false
-						}
-						continue
-					}
-					if du-dv > 1 || dv-du > 1 {
-						return false
-					}
-				}
-			}
-		}
-		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)

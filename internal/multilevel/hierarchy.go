@@ -38,9 +38,9 @@ func (c HierarchyConfig) normalize() HierarchyConfig {
 // is the input graph, each following level the heavy-edge contraction of
 // the previous one with its parallel nets merged into weighted nets
 // (hypergraph.MergeParallelNets). It is the shared substructure of the
-// one-shot V-cycle baseline (vCycleSplit builds a throwaway one per peel)
-// and the mlfpart engine (which builds one for the whole input and peels
-// on its coarsest graph).
+// multilevel baseline (vCycleSplit builds one for the remainder of every
+// peel and discards it after the carve) and the mlfpart engine (which
+// builds one for the whole input and peels on its coarsest graph).
 type Hierarchy struct {
 	levels []*level
 }

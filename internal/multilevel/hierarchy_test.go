@@ -270,29 +270,3 @@ func TestBuildHierarchyCancelInsideCoarsenLoop(t *testing.T) {
 		t.Fatalf("ctx polled %d times before aborting", ctx.calls)
 	}
 }
-
-// BuildHierarchy and the one-shot vCycle coarsener share coarsenCtx; a
-// background context must never alter results vs the historical behaviour.
-func TestCoarsenCtxMatchesCoarsen(t *testing.T) {
-	h := gen.Synthetic(800, 40, 9, true)
-	a, okA := coarsen(h, 16)
-	b, okB, err := coarsenCtx(context.Background(), h, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if okA != okB {
-		t.Fatalf("ok: %v vs %v", okA, okB)
-	}
-	if !okA {
-		return
-	}
-	if a.h.NumNodes() != b.h.NumNodes() || a.h.NumNets() != b.h.NumNets() {
-		t.Fatalf("coarse graphs differ: %d/%d nodes, %d/%d nets",
-			a.h.NumNodes(), b.h.NumNodes(), a.h.NumNets(), b.h.NumNets())
-	}
-	for i := range a.fineToCoarse {
-		if a.fineToCoarse[i] != b.fineToCoarse[i] {
-			t.Fatalf("node %d: cluster %d vs %d", i, a.fineToCoarse[i], b.fineToCoarse[i])
-		}
-	}
-}

@@ -11,7 +11,7 @@ package multilevel
 
 import (
 	"context"
-	"sort"
+	"fmt"
 
 	"fpart/internal/core"
 	"fpart/internal/device"
@@ -47,160 +47,121 @@ type level struct {
 	fineToCoarse []hypergraph.NodeID
 }
 
-// coarsen builds one coarser level without a cancellation context; it is
-// coarsenCtx (hierarchy.go) under context.Background, kept for callers like
-// ClusterOrder that have no deadline to honour.
-func coarsen(h *hypergraph.Hypergraph, maxClusterSize int) (*level, bool) {
-	lv, ok, _ := coarsenCtx(context.Background(), h, maxClusterSize)
-	return lv, ok
-}
-
 // vCycleSplit selects a node set of the remainder whose projection targets
-// a device-sized, min-cut block: coarsen, split the coarsest level, then
-// uncoarsen with FM refinement at every level. Returns the chosen fine-level
-// node set and the number of levels used. Cancelling ctx aborts between
-// coarsening levels and mid-refinement, returning ctx's error.
+// a device-sized, min-cut block: coarsen the remainder with BuildHierarchy,
+// split the coarsest level, then project down with FM refinement at every
+// level. Returns the chosen fine-level node set and the number of levels
+// used. Cancelling ctx aborts between and inside coarsening levels and
+// mid-refinement, returning ctx's error.
 func vCycleSplit(ctx context.Context, p *partition.Partition, rem partition.BlockID, dev device.Device, st *obs.Stats) ([]hypergraph.NodeID, int, bool, error) {
 	remNodes := p.NodesIn(rem)
 	if len(remNodes) < 2 {
 		return nil, 0, false, nil
 	}
 	base, back := p.Hypergraph().Induced(remNodes)
-	levels := []*level{{h: base}}
-	maxCluster := int(maxClusterFrac * float64(dev.SMax()))
-	if maxCluster < 2 {
-		maxCluster = 2
+	hr, err := BuildHierarchy(ctx, base, HierarchyConfig{
+		CoarsestNodes:  coarsestNodes,
+		MaxClusterSize: max(int(maxClusterFrac*float64(dev.SMax())), 2),
+	})
+	if err != nil {
+		return nil, 1, false, err
 	}
-	for levels[len(levels)-1].h.NumNodes() > coarsestNodes {
-		if err := ctx.Err(); err != nil {
-			return nil, len(levels), false, err
-		}
-		// coarsenCtx polls ctx inside its matching loop too, so one huge
-		// level cannot blow past a deadline before the between-level check
-		// above runs again.
-		lv, ok, err := coarsenCtx(ctx, levels[len(levels)-1].h, maxCluster)
-		if err != nil {
-			return nil, len(levels), false, err
-		}
-		if !ok {
-			break
-		}
-		levels = append(levels, lv)
-	}
+	levels := hr.Depth() + 1
 
-	// Every level above the input is matched; merge their parallel nets
-	// for the split and the refinement.
-	for _, lv := range levels[1:] {
-		lv.h = lv.h.MergeParallelNets()
-	}
-
-	// Split the coarsest level: grow a block toward S_MAX by connectivity.
-	coarsest := levels[len(levels)-1].h
-	inA := growSplit(coarsest, dev.SMax())
-
-	// Refine upward. At each level, build a scratch 2-block partition and
-	// run the FM engine with a cut objective and size window around S_MAX.
-	for li := len(levels) - 1; li >= 0; li-- {
-		lh := levels[li].h
-		scratch := partition.New(lh, dev)
-		blkA := scratch.AddBlock()
-		for v := 0; v < lh.NumNodes(); v++ {
-			if inA[hypergraph.NodeID(v)] {
-				scratch.Move(hypergraph.NodeID(v), blkA)
-			}
+	// Split the coarsest level (side 1 is the block), then refine every
+	// level in one arena partition: a 2-block FM with a cut objective and
+	// a size window around S_MAX, projected one level down in between.
+	side := growSplit(hr.Coarsest(), dev.SMax())
+	var arena partition.Partition
+	var fine []partition.BlockID
+	for li := hr.Depth(); ; li-- {
+		lh := hr.Graph(li)
+		if err := arena.Load(lh, dev, side, 2); err != nil {
+			return nil, levels, false, fmt.Errorf("multilevel: load level %d: %w", li, err)
 		}
-		eng := sanchis.New(scratch, sanchis.Config{
+		eng := sanchis.New(&arena, sanchis.Config{
 			CutObjective: true,
 			StackDepth:   -1,
 			MaxPasses:    4,
 		})
-		est, err := eng.ImproveCtx(ctx, []partition.BlockID{0, blkA}, 0, device.LowerBound(lh, dev))
+		est, err := eng.ImproveCtx(ctx, []partition.BlockID{0, 1}, 0, device.LowerBound(lh, dev))
 		st.ImproveCalls++
 		est.FoldInto(st)
 		if err != nil {
-			return nil, len(levels), false, err
+			return nil, levels, false, err
 		}
-		// Re-read side A and project one level down.
-		if li > 0 {
-			finer := levels[li-1].h
-			f2c := levels[li].fineToCoarse
-			next := make(map[hypergraph.NodeID]bool, finer.NumNodes())
-			for v := 0; v < finer.NumNodes(); v++ {
-				if scratch.Block(f2c[v]) == blkA {
-					next[hypergraph.NodeID(v)] = true
-				}
-			}
-			inA = next
-		} else {
-			next := make(map[hypergraph.NodeID]bool)
-			for v := 0; v < lh.NumNodes(); v++ {
-				if scratch.Block(hypergraph.NodeID(v)) == blkA {
-					next[hypergraph.NodeID(v)] = true
-				}
-			}
-			inA = next
+		side = arena.Assignment(side)
+		if li == 0 {
+			break
 		}
+		fine = hr.Project(li, side, fine)
+		side, fine = fine, side
 	}
 
-	// Map the finest-level side A back to global node IDs, then trim to
-	// device feasibility (the V-cycle minimizes cut at target size but
-	// does not check pins).
+	// Map the finest-level side back to global node IDs (Induced keeps
+	// their order); the caller makes the block device-feasible.
 	var set []hypergraph.NodeID
-	for v, in := range inA {
-		if in {
+	for v, b := range side {
+		if b == 1 {
 			set = append(set, back[v])
 		}
 	}
-	sort.Slice(set, func(i, j int) bool { return set[i] < set[j] })
 	if len(set) == 0 || len(set) == len(remNodes) {
-		return nil, len(levels), false, nil
+		return nil, levels, false, nil
 	}
-	return set, len(levels), true, nil
+	return set, levels, true, nil
 }
 
-// growSplit grows a connectivity-first cluster on the coarse graph until
-// the next addition would exceed S_MAX.
-func growSplit(h *hypergraph.Hypergraph, smax int) map[hypergraph.NodeID]bool {
-	inA := make(map[hypergraph.NodeID]bool)
+// growSplit grows a connectivity-first cluster (side 1) on the coarse
+// graph: from the biggest interior node, it adds the candidate with the
+// most net weight into the cluster, lowest ID on ties, that keeps the
+// cluster within S_MAX.
+func growSplit(h *hypergraph.Hypergraph, smax int) []partition.BlockID {
+	side := make([]partition.BlockID, h.NumNodes())
 	seedNode := h.BiggestInterior(h.NodeIDs())
 	if seedNode < 0 {
-		return inA
+		return side
 	}
-	inA[seedNode] = true
-	size := h.SizeOf(seedNode)
-	gainTo := map[hypergraph.NodeID]int{}
-	expand := func(v hypergraph.NodeID) {
+	gain := make([]int, h.NumNodes())
+	var cands []hypergraph.NodeID // every node with a gain, in first-touch order
+	size := 0
+	add := func(v hypergraph.NodeID) {
+		side[v] = 1
+		size += h.SizeOf(v)
 		for _, e := range h.NodeNets(v) {
 			w := h.NetWeight(e)
 			for _, u := range h.NetPins(e) {
-				if !inA[u] {
-					gainTo[u] += w
+				if side[u] == 0 {
+					if gain[u] == 0 {
+						cands = append(cands, u)
+					}
+					gain[u] += w
 				}
 			}
 		}
 	}
-	expand(seedNode)
+	add(seedNode)
 	for {
 		var best hypergraph.NodeID = -1
 		bestG := -1
-		for u, g := range gainTo {
-			if inA[u] {
-				continue
+		keep := cands[:0]
+		for _, u := range cands {
+			if side[u] == 1 {
+				continue // compact out: members never leave
 			}
+			keep = append(keep, u)
 			if size+h.SizeOf(u) > smax {
 				continue
 			}
-			if g > bestG || (g == bestG && u < best) {
+			if g := gain[u]; g > bestG || (g == bestG && u < best) {
 				best, bestG = u, g
 			}
 		}
+		cands = keep
 		if best < 0 {
-			return inA
+			return side
 		}
-		inA[best] = true
-		size += h.SizeOf(best)
-		delete(gainTo, best)
-		expand(best)
+		add(best)
 	}
 }
 
@@ -212,7 +173,7 @@ func growSplit(h *hypergraph.Hypergraph, smax int) map[hypergraph.NodeID]bool {
 func ClusterOrder(h *hypergraph.Hypergraph) []hypergraph.NodeID {
 	levels := []*level{{h: h}}
 	for levels[len(levels)-1].h.NumNodes() > 8 {
-		lv, ok := coarsen(levels[len(levels)-1].h, 1<<30)
+		lv, ok, _ := coarsenCtx(context.Background(), levels[len(levels)-1].h, 1<<30)
 		if !ok {
 			break
 		}
@@ -292,9 +253,9 @@ func PartitionCtx(ctx context.Context, h *hypergraph.Hypergraph, dev device.Devi
 }
 
 // carve is the multilevel peel step: the V-cycle's min-cut side saturated
-// under every device constraint, exactly as the flow baseline does with
-// its nucleus, or a pin-aware greedy block from the biggest node when the
-// V-cycle finds no split.
+// under every device constraint by seed.Saturate, as the flow baseline
+// does with its nucleus, or seed.GrowBiggest when the V-cycle finds no
+// split.
 func carve(ctx context.Context, p *partition.Partition, rem partition.BlockID, st *core.Stats) ([]hypergraph.NodeID, error) {
 	dev := p.Device()
 	set, _, ok, err := vCycleSplit(ctx, p, rem, dev, st)
@@ -302,76 +263,7 @@ func carve(ctx context.Context, p *partition.Partition, rem partition.BlockID, s
 		return nil, err
 	}
 	if ok {
-		set = trimToFeasible(p, rem, dev, set)
+		return seed.Saturate(p, rem, dev, set), nil
 	}
-	if !ok || len(set) == 0 {
-		var init []hypergraph.NodeID
-		if s := p.Hypergraph().BiggestInterior(p.NodesIn(rem)); s >= 0 {
-			init = []hypergraph.NodeID{s}
-		}
-		set = seed.Grow(p, rem, dev, init)
-	}
-	return set, nil
-}
-
-// trimToFeasible shrinks/saturates a candidate set so the carved block
-// meets every device constraint: it regrows from the candidate's highest
-// connectivity core using the pin-aware greedy growth.
-func trimToFeasible(p *partition.Partition, rem partition.BlockID, dev device.Device, set []hypergraph.NodeID) []hypergraph.NodeID {
-	// Check the set as-is first: size and every resource axis summed
-	// over the whole set.
-	h := p.Hypergraph()
-	size := 0
-	res := make([]int, p.NumRes())
-	for _, v := range set {
-		size += h.SizeOf(v)
-		for r := range res {
-			res[r] += p.ResDemandOf(v, r)
-		}
-	}
-	if size <= dev.SMax() && dev.FitsRes(res) {
-		if term := probeTerminals(p, rem, set); term <= dev.TMax() {
-			return seed.Grow(p, rem, dev, set)
-		}
-	}
-	// Infeasible as a whole: regrow from its densest member.
-	if len(set) == 0 {
-		return nil
-	}
-	return seed.Grow(p, rem, dev, set[:1])
-}
-
-// probeTerminals evaluates the terminal count the set would have as a block.
-func probeTerminals(p *partition.Partition, rem partition.BlockID, set []hypergraph.NodeID) int {
-	h := p.Hypergraph()
-	in := make(map[hypergraph.NodeID]bool, len(set))
-	for _, v := range set {
-		in[v] = true
-	}
-	term := 0
-	seen := map[hypergraph.NetID]bool{}
-	for _, v := range set {
-		if h.KindOf(v) == hypergraph.Pad {
-			term++
-		}
-		for _, e := range h.NodeNets(v) {
-			if seen[e] {
-				continue
-			}
-			seen[e] = true
-			outside := p.Span(e) > 1
-			if !outside {
-				for _, u := range h.NetPins(e) {
-					if !in[u] {
-						outside = true
-						break
-					}
-				}
-			}
-			if outside {
-				term++
-			}
-		}
-	}
-	return term
+	return seed.GrowBiggest(p, rem, dev), nil
 }

@@ -40,7 +40,7 @@ func ring(t testing.TB, c, n, pads int) *hypergraph.Hypergraph {
 
 func TestCoarsenHalvesGraph(t *testing.T) {
 	h := ring(t, 4, 16, 8)
-	lv, ok := coarsen(h, 8)
+	lv, ok, _ := coarsenCtx(context.Background(), h, 8)
 	if !ok {
 		t.Fatal("coarsening stalled on a dense ring")
 	}
@@ -70,10 +70,10 @@ func TestCoarsenRespectsClusterCap(t *testing.T) {
 	b.AddNet("n", a, c)
 	h := b.MustBuild()
 	// Cap 8 < 10: the pair must not merge, so matching stalls.
-	if _, ok := coarsen(h, 8); ok {
+	if _, ok, _ := coarsenCtx(context.Background(), h, 8); ok {
 		t.Error("coarsening merged beyond the cluster cap")
 	}
-	if lv, ok := coarsen(h, 10); !ok || lv.h.NumNodes() != 1 {
+	if lv, ok, _ := coarsenCtx(context.Background(), h, 10); !ok || lv.h.NumNodes() != 1 {
 		t.Error("coarsening should merge exactly at the cap")
 	}
 }
@@ -85,7 +85,7 @@ func TestCoarsenNeverMergesPads(t *testing.T) {
 	v := b.AddInterior("v", 1)
 	b.AddNet("n", p1, p2, v)
 	h := b.MustBuild()
-	lv, ok := coarsen(h, 100)
+	lv, ok, _ := coarsenCtx(context.Background(), h, 100)
 	if ok {
 		if lv.h.NumPads() != 2 {
 			t.Errorf("pads merged: %d", lv.h.NumPads())
@@ -95,10 +95,12 @@ func TestCoarsenNeverMergesPads(t *testing.T) {
 
 func TestGrowSplitTargetsSMax(t *testing.T) {
 	h := ring(t, 2, 12, 0)
-	inA := growSplit(h, 10)
+	side := growSplit(h, 10)
 	size := 0
-	for v := range inA {
-		size += h.SizeOf(v)
+	for v, b := range side {
+		if b == 1 {
+			size += h.SizeOf(hypergraph.NodeID(v))
+		}
 	}
 	if size == 0 || size > 10 {
 		t.Errorf("grown side size %d outside (0,10]", size)
@@ -163,26 +165,6 @@ func TestMultilevelErrors(t *testing.T) {
 	}
 	if _, err := Partition(ring(t, 2, 3, 0), device.Device{Name: "bad"}, Config{}); err == nil {
 		t.Error("bad device accepted")
-	}
-}
-
-func TestProbeTerminals(t *testing.T) {
-	h := ring(t, 2, 4, 2)
-	dev := device.Device{Name: "d", DatasheetCells: 10, Pins: 10, Fill: 1.0}
-	p := partition.New(h, dev)
-	// Whole circuit as "set": terminals = pads only.
-	all := p.NodesIn(0)
-	if term := probeTerminals(p, 0, all); term != 2 {
-		t.Errorf("whole-set terminals = %d, want 2 (pads)", term)
-	}
-	// One cluster: 2 bridge nets cut + any pads inside.
-	var set []hypergraph.NodeID
-	for v := 0; v < 4; v++ {
-		set = append(set, hypergraph.NodeID(v))
-	}
-	term := probeTerminals(p, 0, set)
-	if term < 2 {
-		t.Errorf("cluster terminals = %d, want >= 2 (bridges)", term)
 	}
 }
 

@@ -204,6 +204,12 @@ func (t *tracker) resWithin() bool {
 	return true
 }
 
+// fits reports whether the cluster as a block would meet every constraint
+// of dev: size, terminals and each extra resource axis.
+func (t *tracker) fits(dev device.Device) bool {
+	return t.size <= dev.SMax() && t.term <= dev.TMax() && t.resWithin()
+}
+
 // Contains reports whether v is already in the cluster.
 func (t *tracker) Contains(v hypergraph.NodeID) bool { return t.inC[v] }
 
@@ -244,40 +250,48 @@ func restrictedBFS(bs *bfsScratch, p *partition.Partition, rem partition.BlockID
 	return dist
 }
 
-// seeds picks the two seed nodes of §3.2: the biggest interior node of the
-// remainder, and the remainder node at maximal BFS distance from it
-// (unreachable nodes count as farthest). Ties break toward lower IDs.
-func seeds(p *partition.Partition, rem partition.BlockID) (s1, s2 hypergraph.NodeID, ok bool) {
+// Farthest returns the remainder node at maximal BFS distance from s,
+// the distance running over remainder nodes only, or -1 when no other
+// remainder node qualifies. Unreachable interior nodes count as farthest;
+// unreachable pads never qualify. Ties break toward lower IDs.
+func Farthest(p *partition.Partition, rem partition.BlockID, s hypergraph.NodeID) hypergraph.NodeID {
 	h := p.Hypergraph()
-	nodes := p.NodesIn(rem)
-	if len(nodes) < 2 {
-		return 0, 0, false
-	}
-	s1 = h.BiggestInterior(nodes)
-	if s1 < 0 {
-		s1 = nodes[0] // pad-only remainder: degenerate but handled
-	}
 	bs := bfsPool.Get().(*bfsScratch)
 	defer bfsPool.Put(bs)
-	dist := restrictedBFS(bs, p, rem, s1)
-	s2 = -1
+	dist := restrictedBFS(bs, p, rem, s)
+	var far hypergraph.NodeID = -1
 	best := -1
-	const inf = math.MaxInt32
-	for _, v := range nodes {
-		if v == s1 {
+	for i, d32 := range dist {
+		v := hypergraph.NodeID(i)
+		if v == s || p.Block(v) != rem {
 			continue
 		}
-		d := int(dist[v])
+		d := int(d32)
 		if d < 0 {
 			if h.KindOf(v) != hypergraph.Interior {
 				continue
 			}
-			d = inf
+			d = math.MaxInt32
 		}
 		if d > best {
-			best, s2 = d, v
+			best, far = d, v
 		}
 	}
+	return far
+}
+
+// seeds picks the two seed nodes of §3.2: the biggest interior node of the
+// remainder, and the Farthest node from it.
+func seeds(p *partition.Partition, rem partition.BlockID) (s1, s2 hypergraph.NodeID, ok bool) {
+	nodes := p.NodesIn(rem)
+	if len(nodes) < 2 {
+		return 0, 0, false
+	}
+	s1 = p.Hypergraph().BiggestInterior(nodes)
+	if s1 < 0 {
+		s1 = nodes[0] // pad-only remainder: degenerate but handled
+	}
+	s2 = Farthest(p, rem, s1)
 	if s2 < 0 {
 		s2 = nodes[1]
 		if s2 == s1 {
@@ -682,10 +696,44 @@ func sweepFrom(p *partition.Partition, rem partition.BlockID, dev device.Device,
 // baseline's min-cut side).
 func Grow(p *partition.Partition, rem partition.BlockID, dev device.Device, init []hypergraph.NodeID) []hypergraph.NodeID {
 	g := newGrow(p, rem)
-	defer g.release()
 	for _, v := range init {
 		g.add(v)
 	}
+	return g.saturate(dev)
+}
+
+// GrowBiggest is Grow from the remainder's biggest interior node, or from
+// nothing when the remainder holds only pads: the fallback carve of the
+// baselines when their own split finds no block.
+func GrowBiggest(p *partition.Partition, rem partition.BlockID, dev device.Device) []hypergraph.NodeID {
+	var init []hypergraph.NodeID
+	if s := p.Hypergraph().BiggestInterior(p.NodesIn(rem)); s >= 0 {
+		init = []hypergraph.NodeID{s}
+	}
+	return Grow(p, rem, dev, init)
+}
+
+// Saturate is Grow from set when the set as a whole meets every device
+// constraint (size, terminals and each resource axis), and Grow from the
+// set's first node otherwise: Grow only adds nodes, so it could never
+// repair a nucleus that is already over a cap.
+func Saturate(p *partition.Partition, rem partition.BlockID, dev device.Device, set []hypergraph.NodeID) []hypergraph.NodeID {
+	g := newGrow(p, rem)
+	for _, v := range set {
+		g.add(v)
+	}
+	if !g.t.fits(dev) {
+		g.release()
+		g = newGrow(p, rem)
+		g.add(set[0])
+	}
+	return g.saturate(dev)
+}
+
+// saturate steps g until no candidate fits the device, then returns its
+// members and releases it.
+func (g *grow) saturate(dev device.Device) []hypergraph.NodeID {
+	defer g.release()
 	smax, tmax := dev.SMax(), dev.TMax()
 	for g.step(smax, tmax) {
 	}
