@@ -100,7 +100,7 @@ func RunOn(h *hypergraph.Hypergraph, name string, dev device.Device, m Method) (
 	start := time.Now()
 	switch m {
 	case WCDP:
-		r, err := wcdp.Partition(h, dev, wcdp.Config{})
+		r, err := wcdp.Partition(h, dev)
 		if err != nil {
 			return out, err
 		}

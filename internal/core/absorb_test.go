@@ -158,8 +158,8 @@ func TestRepairShedsAuxViolations(t *testing.T) {
 }
 
 func TestMaxBlocksCap(t *testing.T) {
-	// An impossible instance (pins too tight) must terminate at the cap
-	// with Feasible=false rather than loop.
+	// An impossible instance (pins too tight) must terminate at the
+	// device.BlockCap(M) cap with Feasible=false rather than loop.
 	var b hypergraph.Builder
 	center := b.AddInterior("c", 1)
 	for i := 0; i < 30; i++ {
@@ -168,16 +168,14 @@ func TestMaxBlocksCap(t *testing.T) {
 	}
 	h := b.MustBuild()
 	dev := device.Device{Name: "d", DatasheetCells: 4, Pins: 2, Fill: 1.0}
-	cfg := Default()
-	cfg.MaxBlocks = 6
-	r, err := Partition(h, dev, cfg)
+	r, err := Partition(h, dev, Default())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Feasible {
 		t.Error("impossible instance reported feasible")
 	}
-	if r.Partition.NumBlocks() > 6 {
-		t.Errorf("cap ignored: %d blocks", r.Partition.NumBlocks())
+	if c := device.BlockCap(r.M); r.Partition.NumBlocks() > c {
+		t.Errorf("cap ignored: %d blocks > device.BlockCap(%d) = %d", r.Partition.NumBlocks(), r.M, c)
 	}
 }

@@ -58,9 +58,6 @@ type Config struct {
 	// DisableSchedule reduces the improvement schedule to the single
 	// newest-pair pass, the k-way.x strategy (see KWayX).
 	DisableSchedule bool
-	// MaxBlocks caps the iteration count for termination safety; zero
-	// selects device.BlockCap(M).
-	MaxBlocks int
 	// DisableAbsorb turns off the final absorption pass that dissolves
 	// small leftover blocks into the free space of the others once a
 	// feasible solution exists. Absorption is this implementation's
@@ -178,12 +175,8 @@ func Run(ctx context.Context, h *hypergraph.Hypergraph, dev device.Device, cfg C
 	if cost == (partition.CostParams{}) {
 		cost = partition.DefaultCost()
 	}
-	maxBlocks := cfg.MaxBlocks
-	if maxBlocks == 0 {
-		maxBlocks = device.BlockCap(pl.m)
-	}
 	r := &runState{peel: pl, cfg: cfg, dev: dev, eng: eng, cost: cost}
-	if err := pl.loop(maxBlocks, r.bipartition, r.schedule); err != nil {
+	if err := pl.loop(r.bipartition, r.schedule); err != nil {
 		return pl.cancelled(err)
 	}
 

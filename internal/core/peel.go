@@ -71,7 +71,7 @@ func Peel(ctx context.Context, h *hypergraph.Hypergraph, dev device.Device, carv
 	if err != nil {
 		return nil, err
 	}
-	err = pl.loop(device.BlockCap(pl.m), func() (partition.BlockID, error) {
+	err = pl.loop(func() (partition.BlockID, error) {
 		set, err := carve(ctx, pl.p, pl.rem, pl.st)
 		if err != nil || len(set) == 0 {
 			return partition.NoBlock, err
@@ -124,12 +124,13 @@ func startPeel(ctx context.Context, h *hypergraph.Hypergraph, dev device.Device,
 	return &peel{ctx: ctx, start: start, p: p, rem: 0, m: m, res: res, st: &res.Stats, em: em}, nil
 }
 
-// loop peels until the remainder fits the device, maxBlocks blocks exist,
-// carve finds no block (returns NoBlock), or the remainder empties. carve
-// creates the new block; improve, when non-nil, runs after each one. An
-// error is ctx's: the trajectory is abandoned.
-func (pl *peel) loop(maxBlocks int, carve func() (partition.BlockID, error), improve func(pk partition.BlockID) error) error {
+// loop peels until the remainder fits the device, device.BlockCap(M)
+// blocks exist, carve finds no block (returns NoBlock), or the remainder
+// empties. carve creates the new block; improve, when non-nil, runs after
+// each one. An error is ctx's: the trajectory is abandoned.
+func (pl *peel) loop(carve func() (partition.BlockID, error), improve func(pk partition.BlockID) error) error {
 	st := pl.st
+	maxBlocks := device.BlockCap(pl.m)
 	for !pl.p.Feasible(pl.rem) {
 		if err := pl.ctx.Err(); err != nil {
 			return err

@@ -1,15 +1,20 @@
 // Package flow implements a network-flow-based multi-way partitioning
 // baseline in the spirit of FBB-MW (Liu & Wong, TCAD 1998), the strongest
-// competitor in the FPART paper's Tables 2–5.
+// competitor in the FPART paper's Tables 2–5, and the corridor flow
+// refinement the multilevel engine runs on coarse levels.
 //
-// The package provides three layers:
+// The package provides four layers:
 //
 //   - a Dinic max-flow solver on an adjacency-array residual graph;
-//   - FBB, the flow-balanced bipartition of Yang & Wong: a hypergraph is
-//     transformed into a flow network (each net becomes a bridging edge of
-//     capacity 1 between two auxiliary nodes, pins attach with infinite
-//     capacity), and repeated max-flow/min-cut computations with node
-//     merging steer the source side into a size window;
+//   - network, the one Yang–Wong transform of a hypergraph region that
+//     both flow problems are built through: each net becomes a bridging
+//     edge, of capacity equal to the net's weight, between two auxiliary
+//     nodes, its region pins attach with infinite capacity, and nets
+//     pinned to a side by pins outside the region attach to the source or
+//     sink;
+//   - FBB, the flow-balanced bipartition of Yang & Wong: repeated
+//     max-flow/min-cut computations with node merging steer the source
+//     side into a size window;
 //   - a multi-way driver that repeatedly peels one device-feasible block,
 //     enforcing both the size and the pin constraint, until the remainder
 //     fits — the FBB-MW recursion.
@@ -46,6 +51,22 @@ func NewGraph(n, arcHint int) *Graph {
 // NumNodes returns the node count.
 func (g *Graph) NumNodes() int { return len(g.head) }
 
+// reset empties g to n nodes and no arcs, keeping its storage.
+func (g *Graph) reset(n int) {
+	g.head = g.head[:0]
+	g.addNodes(n)
+	g.next, g.to, g.cap = g.next[:0], g.to[:0], g.cap[:0]
+}
+
+// addNodes appends k nodes and returns the index of the first.
+func (g *Graph) addNodes(k int) int32 {
+	first := int32(len(g.head))
+	for ; k > 0; k-- {
+		g.head = append(g.head, -1)
+	}
+	return first
+}
+
 // AddEdge adds a directed edge u→v with the given capacity and its residual
 // counterpart v→u with capacity 0. It returns the arc index of the forward
 // arc (the reverse arc is always arc^1).
@@ -71,12 +92,7 @@ func (g *Graph) Flow(a int32) int32 { return g.cap[a^1] }
 
 // bfsLevel builds the level graph; returns false when t is unreachable.
 func (g *Graph) bfsLevel(s, t int32) bool {
-	if g.level == nil {
-		g.level = make([]int32, len(g.head))
-	}
-	for i := range g.level {
-		g.level[i] = -1
-	}
+	g.level = fill(g.level, len(g.head), -1)
 	g.level[s] = 0
 	queue := []int32{s}
 	for len(queue) > 0 {
@@ -127,9 +143,7 @@ func (g *Graph) MaxFlow(s, t int32) int64 {
 		return 0
 	}
 	var total int64
-	if g.iter == nil {
-		g.iter = make([]int32, len(g.head))
-	}
+	g.iter = resize(g.iter, len(g.head))
 	for g.bfsLevel(s, t) {
 		copy(g.iter, g.head)
 		for {

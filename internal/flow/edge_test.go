@@ -47,15 +47,15 @@ func TestMergeIdempotent(t *testing.T) {
 	h := b.MustBuild()
 	dev := device.Device{Name: "d", DatasheetCells: 4, Pins: 4, Fill: 1.0}
 	p := partition.New(h, dev)
-	nw := buildNetwork(p, 0)
+	nw := remainderNetwork(p, 0, p.NodesIn(0))
 	before := len(nw.g.to)
-	nw.mergeSource(0)
-	nw.mergeSource(0)                           // second call must not add another edge
+	nw.merge(0, true)
+	nw.merge(0, true)                           // second call must not add another edge
 	if got := len(nw.g.to) - before; got != 2 { // one edge = 2 residual arcs
 		t.Errorf("duplicate merge added arcs: %d", got)
 	}
-	nw.mergeSink(1)
-	nw.mergeSink(1)
+	nw.merge(1, false)
+	nw.merge(1, false)
 	if got := len(nw.g.to) - before; got != 4 {
 		t.Errorf("arcs after both merges = %d, want 4", got)
 	}
@@ -74,7 +74,7 @@ func TestNetworkExcludesCutNets(t *testing.T) {
 	p := partition.New(h, dev)
 	carved := p.AddBlock()
 	p.Move(out, carved)
-	nw := buildNetwork(p, 0)
+	nw := remainderNetwork(p, 0, p.NodesIn(0))
 	// Remainder has 2 nodes; only "internal" is bridged: total flow nodes
 	// = 2 + 2 aux + s + t = 6.
 	if nw.g.NumNodes() != 6 {
@@ -96,19 +96,20 @@ func TestEvaluateCountsStubsAndPads(t *testing.T) {
 	p := partition.New(h, dev)
 	carved := p.AddBlock()
 	p.Move(ext, carved)
-	nw := buildNetwork(p, 0)
-	// Evaluate the side {v0, pd}: terminals = stub (cut already, counts) +
-	// padnet (pad inside, v0 inside => internal... all pins of padnet are
-	// inside the side, so no crossing) + pad IOB + pair (v1 outside).
-	side := []int32{nw.flowIdx[v0], nw.flowIdx[pd]}
-	size, term := nw.evaluate(side)
-	if size != 1 {
-		t.Errorf("size = %d, want 1 (pad is size-free)", size)
+	// Evaluate the side {v0, pd} against devices one unit either side of
+	// its size and terminal count.
+	side := []hypergraph.NodeID{v0, pd}
+	fits := func(cells, pins int) bool {
+		return seed.Fits(p, 0, device.Device{Name: "d", DatasheetCells: cells, Pins: pins, Fill: 1.0}, side)
+	}
+	// size = 1: the pad is size-free.
+	if !fits(1, 4) {
+		t.Error("size > 1, want 1 (pad is size-free)")
 	}
 	// stub crosses (ext in another block) = 1; pair crosses (v1 in
 	// remainder outside side) = 1; pad IOB = 1; padnet fully inside = 0.
-	if term != 3 {
-		t.Errorf("term = %d, want 3", term)
+	if !fits(4, 3) || fits(4, 2) {
+		t.Errorf("term != 3: fits T_MAX 3 = %v, T_MAX 2 = %v", fits(4, 3), fits(4, 2))
 	}
 }
 

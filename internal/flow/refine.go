@@ -86,32 +86,16 @@ func RefinePairCtx(ctx context.Context, p *partition.Partition, a, b partition.B
 	// weight; non-corridor pins pin the net to the source (block a) or
 	// sink (block b) side. A net pinned to both sides is cut no matter how
 	// the corridor falls, so it carries no bridging edge.
-	flowIdx := make([]int32, h.NumNodes())
-	for i := range flowIdx {
-		flowIdx[i] = -1
-	}
-	for i, v := range corridor {
-		flowIdx[v] = int32(i)
-	}
-	type netArc struct {
-		e1, e2  int32
-		w       int32
-		srcPin  bool
-		sinkPin bool
-		pins    []hypergraph.NodeID
-	}
-	var arcs []netArc
-	nc := int32(len(corridor))
-	aux := nc
+	nw := newNetwork(h, corridor)
+	defer nw.release()
 	for e := 0; e < h.NumNets(); e++ {
 		ne := hypergraph.NetID(e)
 		if !pairNet(ne) {
 			continue
 		}
-		pins := h.NetPins(ne)
 		hasCorr, srcPin, sinkPin := false, false, false
-		for _, v := range pins {
-			if flowIdx[v] >= 0 {
+		for _, v := range h.NetPins(ne) {
+			if inCorr[v] {
 				hasCorr = true
 			} else if p.Block(v) == a {
 				srcPin = true
@@ -119,35 +103,14 @@ func RefinePairCtx(ctx context.Context, p *partition.Partition, a, b partition.B
 				sinkPin = true
 			}
 		}
-		if !hasCorr || (srcPin && sinkPin) {
-			continue
-		}
-		arcs = append(arcs, netArc{e1: aux, e2: aux + 1, w: int32(h.NetWeight(ne)), srcPin: srcPin, sinkPin: sinkPin, pins: pins})
-		aux += 2
-	}
-	s, t := aux, aux+1
-	g := NewGraph(int(aux)+2, len(arcs)*6+int(nc))
-	for _, arc := range arcs {
-		g.AddEdge(arc.e1, arc.e2, arc.w)
-		for _, v := range arc.pins {
-			if vi := flowIdx[v]; vi >= 0 {
-				g.AddEdge(vi, arc.e1, Inf)
-				g.AddEdge(arc.e2, vi, Inf)
-			}
-		}
-		if arc.srcPin {
-			g.AddEdge(s, arc.e1, Inf)
-		}
-		if arc.sinkPin {
-			g.AddEdge(arc.e2, t, Inf)
+		if hasCorr && !(srcPin && sinkPin) {
+			nw.addNet(ne, srcPin, sinkPin)
 		}
 	}
 	if err := ctx.Err(); err != nil {
 		return false, err
 	}
-	g.MaxFlow(s, t)
-	mark := make([]bool, int(aux)+2)
-	g.MinCutSource(s, mark)
+	onA := nw.cut()
 
 	// Tentatively reassign the corridor along the min cut, then keep the
 	// result only if the cut strictly improved with both blocks feasible.
@@ -157,9 +120,9 @@ func RefinePairCtx(ctx context.Context, p *partition.Partition, a, b partition.B
 		from partition.BlockID
 	}
 	var moves []undo
-	for _, v := range corridor {
+	for i, v := range corridor {
 		target := b
-		if mark[flowIdx[v]] {
+		if onA[i] {
 			target = a
 		}
 		if from := p.Block(v); from != target {

@@ -148,9 +148,9 @@ func TestFarthestMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestSaturateMatchesOracle checks the tracker's whole-set check against
-// the map-based decision and against the block the set would really form,
-// and Saturate against the grow it selects, on the same random instances.
+// TestSaturateMatchesOracle checks Fits against the map-based decision and
+// against the block the set would really form, and Saturate against the
+// grow it selects, on the same random instances.
 func TestSaturateMatchesOracle(t *testing.T) {
 	fits, rejects := 0, 0
 	for seed := int64(1); seed <= 150; seed++ {
@@ -180,12 +180,8 @@ func TestSaturateMatchesOracle(t *testing.T) {
 			}
 
 			want := oracleFits(p, dev, set)
-			tr := newTracker(p, 0)
-			for _, v := range set {
-				tr.Add(v)
-			}
-			if got := tr.fits(dev); got != want {
-				t.Fatalf("%s: tracker fits %v, oracle %v (size %d term %d)", label, got, want, tr.size, tr.term)
+			if got := Fits(p, 0, dev, set); got != want {
+				t.Fatalf("%s: Fits %v, oracle %v", label, got, want)
 			}
 			if want {
 				fits++

@@ -204,12 +204,6 @@ func (t *tracker) resWithin() bool {
 	return true
 }
 
-// fits reports whether the cluster as a block would meet every constraint
-// of dev: size, terminals and each extra resource axis.
-func (t *tracker) fits(dev device.Device) bool {
-	return t.size <= dev.SMax() && t.term <= dev.TMax() && t.resWithin()
-}
-
 // Contains reports whether v is already in the cluster.
 func (t *tracker) Contains(v hypergraph.NodeID) bool { return t.inC[v] }
 
@@ -713,21 +707,34 @@ func GrowBiggest(p *partition.Partition, rem partition.BlockID, dev device.Devic
 	return Grow(p, rem, dev, init)
 }
 
-// Saturate is Grow from set when the set as a whole meets every device
-// constraint (size, terminals and each resource axis), and Grow from the
-// set's first node otherwise: Grow only adds nodes, so it could never
+// trackerPool recycles the trackers of Fits, which the flow baseline calls
+// on many grow rounds of one carve.
+var trackerPool = sync.Pool{New: func() any { return new(tracker) }}
+
+// Fits reports whether set, carved out of the remainder rem as one block,
+// would meet every constraint of dev: size, terminals (counted as the
+// tracker counts them, nets with their weight) and each extra resource
+// axis.
+func Fits(p *partition.Partition, rem partition.BlockID, dev device.Device, set []hypergraph.NodeID) bool {
+	t := trackerPool.Get().(*tracker)
+	t.reset(p, rem)
+	for _, v := range set {
+		t.Add(v)
+	}
+	ok := t.size <= dev.SMax() && t.term <= dev.TMax() && t.resWithin()
+	t.p, t.h = nil, nil
+	trackerPool.Put(t)
+	return ok
+}
+
+// Saturate is Grow from set when the set as a whole Fits, and Grow from
+// the set's first node otherwise: Grow only adds nodes, so it could never
 // repair a nucleus that is already over a cap.
 func Saturate(p *partition.Partition, rem partition.BlockID, dev device.Device, set []hypergraph.NodeID) []hypergraph.NodeID {
-	g := newGrow(p, rem)
-	for _, v := range set {
-		g.add(v)
+	if !Fits(p, rem, dev, set) {
+		set = set[:1]
 	}
-	if !g.t.fits(dev) {
-		g.release()
-		g = newGrow(p, rem)
-		g.add(set[0])
-	}
-	return g.saturate(dev)
+	return Grow(p, rem, dev, set)
 }
 
 // saturate steps g until no candidate fits the device, then returns its

@@ -17,7 +17,7 @@ func TestSuiteShape(t *testing.T) {
 		spec, _ := gen.ByName(c)
 		h := gen.Generate(spec, device.XC3000)
 		for _, dev := range []device.Device{device.XC3042, device.XC3090} {
-			r, err := Partition(h, dev, Config{})
+			r, err := Partition(h, dev)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -31,22 +31,4 @@ func TestSuiteShape(t *testing.T) {
 			t.Logf("%s/%s: K=%d M=%d", c, dev.Name, r.K, r.M)
 		}
 	}
-}
-
-// TestOrderingAblation shows the clustering order beating max-adjacency.
-func TestOrderingAblation(t *testing.T) {
-	spec, _ := gen.ByName("s9234")
-	h := gen.Generate(spec, device.XC3000)
-	cl, err := Partition(h, device.XC3042, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ma, err := Partition(h, device.XC3042, Config{MaxAdjacencyOrder: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cl.K > ma.K {
-		t.Errorf("clustering order (%d) should not lose to max-adjacency (%d)", cl.K, ma.K)
-	}
-	t.Logf("clustering K=%d, max-adjacency K=%d, M=%d", cl.K, ma.K, cl.M)
 }

@@ -4,10 +4,10 @@
 //
 // The method has two stages:
 //
-//  1. A max-adjacency linear ordering of the nodes: starting from the
-//     biggest node, repeatedly append the unordered node with the most
-//     connectivity to the ordered prefix. This concentrates each cluster
-//     of the circuit into a contiguous run of the ordering.
+//  1. A clustering linear ordering of the nodes (the "C" in WCDP): the
+//     depth-first expansion of a heavy-edge coarsening hierarchy
+//     (multilevel.ClusterOrder). This concentrates each cluster of the
+//     circuit into a contiguous run of the ordering.
 //  2. A dynamic program that cuts the ordering into the minimum number of
 //     consecutive segments, each of which meets the device constraints
 //     (size, terminals, and every extra resource axis). Segment terminal
@@ -42,29 +42,14 @@ type Result struct {
 	Elapsed time.Duration
 }
 
-// Config tunes the baseline. The zero value is canonical.
-type Config struct {
-	// MaxAdjacencyOrder switches the linear arrangement from the default
-	// clustering order (DFS of a coarsening hierarchy, the "C" in WCDP)
-	// to a plain max-adjacency sweep — an ablation that demonstrates how
-	// much the ordering quality matters.
-	MaxAdjacencyOrder bool
-}
-
 // Partition runs ordering + DP.
-func Partition(h *hypergraph.Hypergraph, dev device.Device, cfg Config) (*Result, error) {
+func Partition(h *hypergraph.Hypergraph, dev device.Device) (*Result, error) {
 	start := time.Now()
 	if err := core.CheckInput(context.Background(), h, dev); err != nil {
 		return nil, err
 	}
 	n := h.NumNodes()
-
-	var order []hypergraph.NodeID
-	if cfg.MaxAdjacencyOrder {
-		order = maxAdjacencyOrder(h)
-	} else {
-		order = multilevel.ClusterOrder(h)
-	}
+	order := multilevel.ClusterOrder(h)
 	// The DP's segment length bound in nodes: unit-size interiors
 	// dominate, so a segment may hold a full device of logic plus its
 	// share of pads.
@@ -112,66 +97,6 @@ func Partition(h *hypergraph.Hypergraph, dev device.Device, cfg Config) (*Result
 	res.Feasible = p.Classify() == partition.FeasibleSolution
 	res.Elapsed = time.Since(start)
 	return res, nil
-}
-
-// maxAdjacencyOrder produces the linear arrangement: biggest interior node
-// first, then repeatedly the node most connected to the prefix (ties to
-// lower ID); disconnected leftovers restart from the next biggest node.
-func maxAdjacencyOrder(h *hypergraph.Hypergraph) []hypergraph.NodeID {
-	n := h.NumNodes()
-	ordered := make([]bool, n)
-	attract := make([]int, n)
-	order := make([]hypergraph.NodeID, 0, n)
-
-	nextSeed := func() hypergraph.NodeID {
-		var best hypergraph.NodeID = -1
-		for v := 0; v < n; v++ {
-			id := hypergraph.NodeID(v)
-			if ordered[v] {
-				continue
-			}
-			if best < 0 {
-				best = id
-				continue
-			}
-			bk, ck := h.KindOf(best), h.KindOf(id)
-			if ck == hypergraph.Interior && bk != hypergraph.Interior {
-				best = id
-			} else if ck == bk && h.SizeOf(id) > h.SizeOf(best) {
-				best = id
-			}
-		}
-		return best
-	}
-	appendNode := func(v hypergraph.NodeID) {
-		ordered[v] = true
-		order = append(order, v)
-		for _, e := range h.NodeNets(v) {
-			for _, u := range h.NetPins(e) {
-				if !ordered[u] {
-					attract[u]++
-				}
-			}
-		}
-	}
-
-	for len(order) < n {
-		var best hypergraph.NodeID = -1
-		bestA := 0
-		for v := 0; v < n; v++ {
-			if ordered[v] {
-				continue
-			}
-			if a := attract[v]; a > bestA || (a == bestA && a > 0 && hypergraph.NodeID(v) < best) {
-				bestA, best = a, hypergraph.NodeID(v)
-			}
-		}
-		if best < 0 || bestA == 0 {
-			best = nextSeed()
-		}
-		appendNode(best)
-	}
-	return order
 }
 
 // segmentDP computes, for every prefix length i, the minimum number of

@@ -23,9 +23,18 @@ func chainGraph(t testing.TB, n int) *hypergraph.Hypergraph {
 	return b.MustBuild()
 }
 
+// chainOrder returns the linear arrangement Partition runs its DP on.
+func chainOrder(t *testing.T, n int) []hypergraph.NodeID {
+	t.Helper()
+	r, err := Partition(chainGraph(t, n), device.Device{Name: "d", DatasheetCells: 10, Pins: 10, Fill: 1.0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r.Order
+}
+
 func TestOrderingCoversAllNodes(t *testing.T) {
-	h := chainGraph(t, 20)
-	order := maxAdjacencyOrder(h)
+	order := chainOrder(t, 20)
 	if len(order) != 20 {
 		t.Fatalf("order length %d", len(order))
 	}
@@ -39,12 +48,9 @@ func TestOrderingCoversAllNodes(t *testing.T) {
 }
 
 func TestOrderingFollowsChain(t *testing.T) {
-	// On a path the max-adjacency order must be contiguous: each next node
-	// adjacent to the prefix, so positions of neighbours differ by small
-	// amounts — verify segments of the chain stay contiguous by checking
-	// the order is a walk from some start.
-	h := chainGraph(t, 12)
-	order := maxAdjacencyOrder(h)
+	// On a path the clustering order must keep the chain's runs
+	// contiguous, so positions of neighbours differ by small amounts.
+	order := chainOrder(t, 12)
 	pos := make([]int, 12)
 	for i, v := range order {
 		pos[v] = i
@@ -69,7 +75,7 @@ func TestDPCutsChainOptimally(t *testing.T) {
 	// 30-cell chain, device of 10 cells / plenty of pins: exactly 3 blocks.
 	h := chainGraph(t, 30)
 	dev := device.Device{Name: "d", DatasheetCells: 10, Pins: 10, Fill: 1.0}
-	r, err := Partition(h, dev, Config{})
+	r, err := Partition(h, dev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +109,7 @@ func TestDPRespectsPinConstraint(t *testing.T) {
 	}
 	h := b.MustBuild()
 	dev := device.Device{Name: "d", DatasheetCells: 30, Pins: 25, Fill: 1.0}
-	r, err := Partition(h, dev, Config{})
+	r, err := Partition(h, dev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +120,7 @@ func TestDPRespectsPinConstraint(t *testing.T) {
 	// With pins=3 and size cap 12, every split strands leaves: K must grow
 	// but every block must still be pin-feasible.
 	tight := device.Device{Name: "t", DatasheetCells: 12, Pins: 21, Fill: 1.0}
-	r2, err := Partition(h, tight, Config{})
+	r2, err := Partition(h, tight)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +146,7 @@ func TestAuxInDP(t *testing.T) {
 	h := b.MustBuild()
 	dev := device.Device{Name: "d", DatasheetCells: 50, Pins: 50, Fill: 1.0,
 		Resources: []device.Resource{{Name: "FF", Cap: 4}}}
-	r, err := Partition(h, dev, Config{})
+	r, err := Partition(h, dev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +158,7 @@ func TestAuxInDP(t *testing.T) {
 func TestOnBenchmark(t *testing.T) {
 	spec, _ := gen.ByName("s9234")
 	h := gen.Generate(spec, device.XC3000)
-	r, err := Partition(h, device.XC3042, Config{})
+	r, err := Partition(h, device.XC3042)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,17 +173,17 @@ func TestOnBenchmark(t *testing.T) {
 
 func TestErrors(t *testing.T) {
 	var b hypergraph.Builder
-	if _, err := Partition(b.MustBuild(), device.XC3020, Config{}); err == nil {
+	if _, err := Partition(b.MustBuild(), device.XC3020); err == nil {
 		t.Error("empty circuit accepted")
 	}
 	var b2 hypergraph.Builder
 	v := b2.AddInterior("huge", 999)
 	w := b2.AddInterior("w", 1)
 	b2.AddNet("n", v, w)
-	if _, err := Partition(b2.MustBuild(), device.XC3020, Config{}); err == nil {
+	if _, err := Partition(b2.MustBuild(), device.XC3020); err == nil {
 		t.Error("oversized node accepted")
 	}
-	if _, err := Partition(chainGraph(t, 3), device.Device{Name: "bad"}, Config{}); err == nil {
+	if _, err := Partition(chainGraph(t, 3), device.Device{Name: "bad"}); err == nil {
 		t.Error("bad device accepted")
 	}
 }
@@ -206,7 +212,7 @@ func TestQuickDPValid(t *testing.T) {
 		}
 		h := b.MustBuild()
 		dev := device.Device{Name: "d", DatasheetCells: 5 + r.Intn(20), Pins: 6 + r.Intn(25), Fill: 1.0}
-		res, err := Partition(h, dev, Config{})
+		res, err := Partition(h, dev)
 		if err != nil {
 			return true
 		}
@@ -238,7 +244,7 @@ func TestQuickSegmentsMeetConstraints(t *testing.T) {
 		}
 		h := b.MustBuild()
 		dev := device.Device{Name: "d", DatasheetCells: 4 + r.Intn(10), Pins: 10 + r.Intn(20), Fill: 1.0}
-		res, err := Partition(h, dev, Config{})
+		res, err := Partition(h, dev)
 		if err != nil || !res.Feasible {
 			return true
 		}
@@ -263,7 +269,7 @@ func BenchmarkWCDPS9234(b *testing.B) {
 	h := gen.Generate(spec, device.XC3000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Partition(h, device.XC3020, Config{}); err != nil {
+		if _, err := Partition(h, device.XC3020); err != nil {
 			b.Fatal(err)
 		}
 	}
