@@ -1,11 +1,12 @@
 package fpart_test
 
-// One benchmark per table/figure of the paper, plus ablation benches for
-// the design choices called out in DESIGN.md. Each device-table benchmark
-// runs the three implemented methods on every circuit of that table and
-// reports the total device count as a custom metric, so `go test -bench=.`
-// regenerates the comparison shape of Tables 2-5 alongside wall-clock cost
-// (Table 6's subject).
+// One benchmark per table of the paper, plus scaling, portfolio and
+// early-stop benchmarks whose point is their time; the device-count
+// ablations live in the sensitivity table (benchtables -table 8). Each
+// device-table benchmark runs the implemented methods on every circuit of
+// that table and reports the total device count as a custom metric, so
+// `go test -bench=.` regenerates the comparison shape of Tables 2-5
+// alongside wall-clock cost (Table 6's subject).
 
 import (
 	"bytes"
@@ -20,7 +21,6 @@ import (
 	"fpart/internal/gen"
 	"fpart/internal/mlfpart"
 	"fpart/internal/netlist"
-	"fpart/internal/sanchis"
 )
 
 // benchOrder trims a table's circuit list under -short so the verify gate
@@ -31,15 +31,6 @@ func benchOrder(order []string) []string {
 		return order[:2]
 	}
 	return order
-}
-
-// ablationCircuit is the instance the ablation benches stress: the hardest
-// row of Table 2 normally, a mid-size circuit under -short.
-func ablationCircuit() string {
-	if testing.Short() {
-		return "s9234"
-	}
-	return "s38584"
 }
 
 // peakRSSKB reports the process high-water resident set in KiB, so the
@@ -197,126 +188,19 @@ func BenchmarkTable6ResourceVector(b *testing.B) {
 	}
 }
 
-// ablationBench runs FPART with a modified configuration on the hardest
-// instance of Table 2 (s38584/XC3020, 2904 CLBs into 52 devices) and
-// reports the resulting device count, so the damage done by removing one
-// design element is visible next to the time.
-func ablationBench(b *testing.B, cfg core.Config) {
-	b.Helper()
-	spec, _ := gen.ByName(ablationCircuit())
-	h := gen.Generate(spec, device.XC3000)
-	k := 0
-	for i := 0; i < b.N; i++ {
-		r, err := core.Partition(h, device.XC3020, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		k = r.K
-		if !r.Feasible {
-			k += 100 // make infeasibility loud in the metric
-		}
-	}
-	b.ReportMetric(float64(k), "devices")
-}
-
-// BenchmarkAblationInfeasibilityCost compares the infeasibility-distance
-// cost function (§3.3) against the net-count-only cost of [9].
-func BenchmarkAblationInfeasibilityCost(b *testing.B) {
-	b.Run("published", func(b *testing.B) { ablationBench(b, core.Default()) })
-	b.Run("cut-only", func(b *testing.B) {
-		cfg := core.Default()
-		cfg.Engine.CutObjective = true
-		ablationBench(b, cfg)
-	})
-}
-
-// BenchmarkAblationSolutionStack toggles the dual solution stacks (§3.6).
-func BenchmarkAblationSolutionStack(b *testing.B) {
-	b.Run("depth4", func(b *testing.B) { ablationBench(b, core.Default()) })
-	b.Run("disabled", func(b *testing.B) {
-		cfg := core.Default()
-		cfg.Engine.StackDepth = -1
-		ablationBench(b, cfg)
-	})
-}
-
-// BenchmarkAblationLevelGains toggles the 2-level Krishnamurthy gains
-// (§3.7); the paper predicts a small effect.
-func BenchmarkAblationLevelGains(b *testing.B) {
-	b.Run("level2", func(b *testing.B) { ablationBench(b, core.Default()) })
-	b.Run("level1", func(b *testing.B) {
-		cfg := core.Default()
-		cfg.Engine.UseLevel2 = false
-		ablationBench(b, cfg)
-	})
-}
-
-// BenchmarkAblationSchedule reduces the improvement schedule (§3.1) to the
-// newest-pair pass only.
-func BenchmarkAblationSchedule(b *testing.B) {
-	b.Run("full", func(b *testing.B) { ablationBench(b, core.Default()) })
-	b.Run("pair-only", func(b *testing.B) {
-		cfg := core.Default()
-		cfg.DisableSchedule = true
-		ablationBench(b, cfg)
-	})
-}
-
-// BenchmarkAblationMoveRegion disables the feasible move regions of §3.5 /
-// Figure 3.
-func BenchmarkAblationMoveRegion(b *testing.B) {
-	b.Run("windows", func(b *testing.B) { ablationBench(b, core.Default()) })
-	b.Run("unbounded", func(b *testing.B) {
-		cfg := core.Default()
-		cfg.Engine.DisableWindows = true
-		ablationBench(b, cfg)
-	})
-}
-
-// BenchmarkAblationExternalBalance removes the external-I/O balancing
-// factor d_k^E (§3.4) by zeroing every pad's influence via the cost
-// lambdas on an I/O-critical instance.
-func BenchmarkAblationExternalBalance(b *testing.B) {
-	run := func(b *testing.B, cfg core.Config) {
-		h := gen.Synthetic(300, 260, 7, false)
-		dev := device.Device{Name: "pin-poor", Family: device.XC3000, DatasheetCells: 120, Pins: 48, Fill: 1.0}
-		k := 0
-		for i := 0; i < b.N; i++ {
-			r, err := core.Partition(h, dev, cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			k = r.K
-			if !r.Feasible {
-				k += 100
-			}
-		}
-		b.ReportMetric(float64(k), "devices")
-	}
-	b.Run("published", func(b *testing.B) { run(b, core.Default()) })
-	b.Run("io-blind", func(b *testing.B) {
-		cfg := core.Default()
-		cfg.Engine.Cost.LambdaT = 0
-		cfg.Engine.Cost.LambdaS = 1
-		run(b, cfg)
-	})
-}
-
-// BenchmarkExtensionPinGain evaluates the paper's §5 future-work idea (a):
-// bucketing cells by the real I/O-pin delta instead of the cut-net gain.
-func BenchmarkExtensionPinGain(b *testing.B) {
-	b.Run("cut-gain", func(b *testing.B) { ablationBench(b, core.Default()) })
-	b.Run("pin-gain", func(b *testing.B) {
-		cfg := core.Default()
-		cfg.Engine.PinGain = true
-		ablationBench(b, cfg)
-	})
-}
-
 // BenchmarkExtensionEarlyStop evaluates the paper's §5 future-work idea
 // (b): stopping an FM pass once the solution drifts away from the feasible
-// region, trading a little quality for time.
+// region, trading a little quality for time. It runs the hardest instance
+// of Table 2 (s38584/XC3020, 2904 CLBs into 52 devices; s9234 under
+// -short) and reports the device count next to the time; the sensitivity
+// table (benchtables -table 8) sums the same rows over Tables 2-5.
 func BenchmarkExtensionEarlyStop(b *testing.B) {
+	circuit := "s38584"
+	if testing.Short() {
+		circuit = "s9234"
+	}
+	spec, _ := gen.ByName(circuit)
+	h := gen.Generate(spec, device.XC3000)
 	for _, stop := range []int{0, 50, 200} {
 		name := "off"
 		switch stop {
@@ -328,19 +212,18 @@ func BenchmarkExtensionEarlyStop(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			cfg := core.Default()
 			cfg.Engine.EarlyStop = stop
-			ablationBench(b, cfg)
-		})
-	}
-}
-
-// BenchmarkFigure3WindowSweep sweeps the 2-block lower window edge around
-// the published 0.95 to show the sensitivity Figure 3 illustrates.
-func BenchmarkFigure3WindowSweep(b *testing.B) {
-	for _, lower := range []float64{0.5, 0.8, 0.95} {
-		b.Run(lowerName(lower), func(b *testing.B) {
-			cfg := core.Default()
-			cfg.Engine.Windows = sanchis.Windows{Upper: 1.05, Lower2: lower, LowerMulti: 0.3}
-			ablationBench(b, cfg)
+			k := 0
+			for i := 0; i < b.N; i++ {
+				r, err := core.Partition(h, device.XC3020, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				k = r.K
+				if !r.Feasible {
+					k += 100 // make infeasibility loud in the metric
+				}
+			}
+			b.ReportMetric(float64(k), "devices")
 		})
 	}
 }
@@ -454,15 +337,4 @@ func BenchmarkPortfolio(b *testing.B) {
 			}
 		}
 	})
-}
-
-func lowerName(f float64) string {
-	switch f {
-	case 0.5:
-		return "lower0.50"
-	case 0.8:
-		return "lower0.80"
-	default:
-		return "lower0.95"
-	}
 }

@@ -3,14 +3,16 @@
 //
 // Usage:
 //
-//	benchtables              # all tables (1-7)
+//	benchtables              # all tables (1-8)
 //	benchtables -table 2     # one table
 //
 // Tables 2-5 print the paper's published competitor columns (marked *)
 // next to freshly measured results for the three methods implemented in
-// this repository; Table 6 reports FPART runtimes. Table 7 is this
-// repository's addition: the FPART effort counters (iterations, passes,
-// moves, window gating, stack restarts) collected through internal/obs.
+// this repository; Table 6 reports FPART runtimes. Tables 7 and 8 are this
+// repository's additions: the FPART effort counters (iterations, passes,
+// moves, window gating, stack restarts) collected through internal/obs,
+// and the sensitivity of FPART's device count and cut to each published
+// constant, ablation and extension, summed over the Tables 2-5 instances.
 package main
 
 import (
@@ -23,8 +25,8 @@ import (
 )
 
 func main() {
-	table := flag.Int("table", 0, "table number to regenerate (1-7); 0 = all")
-	formatName := flag.String("format", "text", "rendering for tables 2-5 and 7: text, md, csv")
+	table := flag.Int("table", 0, "table number to regenerate (1-8); 0 = all")
+	formatName := flag.String("format", "text", "rendering for tables 2-5, 7 and 8: text, md, csv")
 	flag.Parse()
 
 	format, err := bench.ParseFormat(*formatName)
@@ -44,12 +46,14 @@ func main() {
 			return bench.WriteTable6(os.Stdout)
 		case 7:
 			return bench.WriteInstrumentation(os.Stdout, device.XC3020, format)
+		case 8:
+			return bench.WriteSensitivity(os.Stdout, format)
 		default:
-			return fmt.Errorf("no table %d (valid: 1-7)", n)
+			return fmt.Errorf("no table %d (valid: 1-8)", n)
 		}
 	}
 
-	tables := []int{1, 2, 3, 4, 5, 6, 7}
+	tables := []int{1, 2, 3, 4, 5, 6, 7, 8}
 	if *table != 0 {
 		tables = []int{*table}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"unicode/utf8"
 )
 
 // Format selects the rendering of regenerated tables.
@@ -69,10 +70,12 @@ func (tw *tableWriter) emit(cells []string) {
 			if i < len(tw.widths) {
 				w = tw.widths[i]
 			}
+			// Pad by runes, not bytes, so a header like ΣK lines up.
+			pad := strings.Repeat(" ", max(w-utf8.RuneCountInString(c), 0))
 			if i == 0 {
-				fmt.Fprintf(tw.w, "%-*s", w, c)
+				fmt.Fprint(tw.w, c, pad)
 			} else {
-				fmt.Fprintf(tw.w, " %*s", w, c)
+				fmt.Fprint(tw.w, " ", pad, c)
 			}
 		}
 		fmt.Fprintln(tw.w)

@@ -68,7 +68,10 @@ type Outcome struct {
 	K        int
 	M        int
 	Feasible bool
-	Elapsed  time.Duration
+	// Cut is the number of nets the partition cuts, each counted with its
+	// weight.
+	Cut     int
+	Elapsed time.Duration
 	// Stats carries the effort counters of the run. Every registry engine
 	// reports them; WCDP and SC leave the zero value.
 	Stats core.Stats
@@ -104,13 +107,13 @@ func RunOn(h *hypergraph.Hypergraph, name string, dev device.Device, m Method) (
 		if err != nil {
 			return out, err
 		}
-		out.K, out.Feasible = r.K, r.Feasible
+		out.K, out.Feasible, out.Cut = r.K, r.Feasible, r.Partition.Cut()
 	case SC:
 		r, err := setcover.Partition(h, dev)
 		if err != nil {
 			return out, err
 		}
-		out.K, out.Feasible = r.K, r.Feasible
+		out.K, out.Feasible, out.Cut = r.K, r.Feasible, r.Partition.Cut()
 	default:
 		method, ok := engineNames[m]
 		if !ok {
@@ -120,7 +123,7 @@ func RunOn(h *hypergraph.Hypergraph, name string, dev device.Device, m Method) (
 		if err != nil {
 			return out, err
 		}
-		out.K, out.Feasible, out.Stats = r.K, r.Feasible, *r.Stats
+		out.K, out.Feasible, out.Cut, out.Stats = r.K, r.Feasible, r.Partition.Cut(), *r.Stats
 	}
 	out.Elapsed = time.Since(start)
 	return out, nil
@@ -129,45 +132,53 @@ func RunOn(h *hypergraph.Hypergraph, name string, dev device.Device, m Method) (
 // Suite runs every (circuit, method) pair for one device concurrently and
 // returns outcomes keyed by circuit then method.
 func Suite(circuits []string, dev device.Device, methods []Method) (map[string]map[Method]Outcome, error) {
+	outs := make([]Outcome, len(circuits)*len(methods))
+	err := forEach(len(outs), func(i int) error {
+		c, m := circuits[i/len(methods)], methods[i%len(methods)]
+		out, err := Run(c, dev, m)
+		if err != nil {
+			return fmt.Errorf("%s/%s/%v: %w", c, dev.Name, m, err)
+		}
+		outs[i] = out
+		return nil
+	})
 	results := make(map[string]map[Method]Outcome, len(circuits))
-	for _, c := range circuits {
+	for ci, c := range circuits {
 		results[c] = make(map[Method]Outcome, len(methods))
+		for mi, m := range methods {
+			results[c][m] = outs[ci*len(methods)+mi]
+		}
 	}
-	type job struct {
-		circuit string
-		method  Method
-	}
-	jobs := make(chan job)
-	var mu sync.Mutex
-	var firstErr error
+	return results, err
+}
+
+// forEach calls fn(0), …, fn(n−1) on a pool of at most eight workers (one
+// per GOMAXPROCS slot) and returns the error of the lowest failing index.
+// The calls run in any order, so fn must write its result to slot i.
+func forEach(n int, fn func(i int) error) error {
+	errs := make([]error, n)
+	jobs := make(chan int)
 	var wg sync.WaitGroup
-	workers := runtime.GOMAXPROCS(0)
-	if workers > 8 {
-		workers = 8
-	}
-	for w := 0; w < workers; w++ {
+	for w := min(runtime.GOMAXPROCS(0), 8); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for j := range jobs {
-				out, err := Run(j.circuit, dev, j.method)
-				mu.Lock()
-				if err != nil && firstErr == nil {
-					firstErr = fmt.Errorf("%s/%s/%v: %w", j.circuit, dev.Name, j.method, err)
-				}
-				results[j.circuit][j.method] = out
-				mu.Unlock()
+			for i := range jobs {
+				errs[i] = fn(i)
 			}
 		}()
 	}
-	for _, c := range circuits {
-		for _, m := range methods {
-			jobs <- job{c, m}
-		}
+	for i := 0; i < n; i++ {
+		jobs <- i
 	}
 	close(jobs)
 	wg.Wait()
-	return results, firstErr
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // cell renders a published integer, with "-" for unreported.

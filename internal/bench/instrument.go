@@ -9,8 +9,6 @@ package bench
 import (
 	"fmt"
 	"io"
-	"runtime"
-	"sync"
 
 	"fpart/internal/device"
 )
@@ -24,30 +22,16 @@ func WriteInstrumentation(w io.Writer, dev device.Device, format Format) error {
 		fmt.Fprintf(w, "Instrumentation. FPART effort counters on %s device (fresh runs on the synthetic suite)\n", dev.Name)
 	}
 
-	outs := make([]Outcome, len(CircuitOrder))
-	errs := make([]error, len(CircuitOrder))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, min(runtime.GOMAXPROCS(0), 8))
-	for i, name := range CircuitOrder {
-		wg.Add(1)
-		go func(i int, name string) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			outs[i], errs[i] = Run(name, dev, FPART)
-		}(i, name)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
+	res, err := Suite(CircuitOrder, dev, []Method{FPART})
+	if err != nil {
+		return err
 	}
 
 	tw := newTableWriter(w, format, []int{8, 3, 6, 7, 8, 11, 8, 9, 6, 8})
 	tw.header([]string{"Circuit", "K", "iters", "passes", "moves", "moves/pass", "gated%", "restarts", "peak", "time"})
 	var total Outcome
-	for _, out := range outs {
+	for _, name := range CircuitOrder {
+		out := res[name][FPART]
 		st := out.Stats
 		tw.emit([]string{
 			out.Circuit,

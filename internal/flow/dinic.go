@@ -32,6 +32,7 @@ type Graph struct {
 	cap   []int32 // per arc: residual capacity
 	level []int32
 	iter  []int32
+	queue []int32 // BFS queue of bfsLevel and MinCutSource, head-indexed
 }
 
 // NewGraph creates a flow network with n nodes and capacity hint for arcs.
@@ -94,10 +95,9 @@ func (g *Graph) Flow(a int32) int32 { return g.cap[a^1] }
 func (g *Graph) bfsLevel(s, t int32) bool {
 	g.level = fill(g.level, len(g.head), -1)
 	g.level[s] = 0
-	queue := []int32{s}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
+	queue := append(g.queue[:0], s)
+	for i := 0; i < len(queue); i++ {
+		u := queue[i]
 		for a := g.head[u]; a != -1; a = g.next[a] {
 			v := g.to[a]
 			if g.cap[a] > 0 && g.level[v] == -1 {
@@ -106,6 +106,7 @@ func (g *Graph) bfsLevel(s, t int32) bool {
 			}
 		}
 	}
+	g.queue = queue
 	return g.level[t] != -1
 }
 
@@ -164,10 +165,9 @@ func (g *Graph) MinCutSource(s int32, mark []bool) {
 		mark[i] = false
 	}
 	mark[s] = true
-	queue := []int32{s}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
+	queue := append(g.queue[:0], s)
+	for i := 0; i < len(queue); i++ {
+		u := queue[i]
 		for a := g.head[u]; a != -1; a = g.next[a] {
 			v := g.to[a]
 			if g.cap[a] > 0 && !mark[v] {
@@ -176,4 +176,5 @@ func (g *Graph) MinCutSource(s int32, mark []bool) {
 			}
 		}
 	}
+	g.queue = queue
 }

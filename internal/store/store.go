@@ -151,8 +151,9 @@ func validKey(key string) bool {
 }
 
 // Get returns the payload stored under key, if present and intact. A
-// corrupt entry (bad envelope, version or checksum mismatch, or an entry
-// filed under the wrong key) is deleted, counted, and reported as a miss.
+// corrupt entry (bad envelope, version or checksum mismatch, no payload,
+// or an entry filed under the wrong key) is deleted, counted, and
+// reported as a miss.
 func (s *Store) Get(key string) ([]byte, bool) {
 	if !validKey(key) {
 		s.misses.Add(1)
@@ -176,9 +177,11 @@ func (s *Store) Get(key string) ([]byte, bool) {
 		s.misses.Add(1)
 		return nil, false
 	}
+	// Put stores only valid JSON, so an envelope without a payload is
+	// corrupt too, even when its sum is that of the empty string.
 	var env envelope
 	if err := json.Unmarshal(raw, &env); err != nil ||
-		env.Version != Version || env.Key != key ||
+		env.Version != Version || env.Key != key || len(env.Payload) == 0 ||
 		env.Sum != payloadSum(env.Payload) {
 		s.corrupt.Add(1)
 		s.removeFile(key)

@@ -32,9 +32,13 @@ go test ./...
 # same winner at any goroutine schedule; repeat the registry differential so
 # a schedule-dependent winner fails here instead of passing most runs.
 go test -count=5 -run TestRegistryDispatchMatchesDirectCalls ./internal/driver
-go test -race ./internal/obs ./internal/core ./internal/sanchis ./internal/seed ./internal/service ./internal/store ./internal/cluster ./internal/driver ./internal/engine ./internal/flow ./internal/multilevel ./internal/mlfpart ./cmd/fpartd
-# bench.Suite's worker pool is the one goroutine site in internal/bench; the
-# whole package is slow under -race, so race only the Suite tests.
+# TestFlowTablesGolden runs on one goroutine, so the race detector has
+# nothing to check there and it costs ten times its plain run; the
+# go test ./... leg above still runs it.
+go test -race -skip TestFlowTablesGolden ./internal/obs ./internal/core ./internal/sanchis ./internal/seed ./internal/service ./internal/store ./internal/cluster ./internal/driver ./internal/engine ./internal/flow ./internal/multilevel ./internal/mlfpart ./cmd/fpartd
+# The worker pool behind bench.Suite and the sensitivity table is the one
+# goroutine site in internal/bench; the whole package is slow under -race,
+# so race only the Suite tests.
 go test -race -run TestSuite ./internal/bench
 go test -short -run '^$' -bench . -benchtime 1x . ./internal/sanchis ./internal/netlist \
     ./internal/seed ./internal/flow ./internal/multilevel
