@@ -161,10 +161,8 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if res.Stats != nil {
-		fmt.Printf("FPART: %d iterations, %d passes, %d moves, %v\n",
-			res.Stats.Iterations, res.Stats.Passes, res.Stats.MovesApplied, res.Elapsed.Round(time.Millisecond))
-	}
+	fmt.Printf("FPART: %d iterations, %d passes, %d moves, %v\n",
+		res.Stats.Iterations, res.Stats.Passes, res.Stats.MovesApplied, res.Elapsed.Round(time.Millisecond))
 	p := res.Partition
 
 	fmt.Printf("result: %d devices, feasible=%v, cut=%d\n", res.K, res.Feasible, p.Cut())
@@ -178,9 +176,7 @@ func run() error {
 	}
 	if *stats {
 		quality.Analyze(p, res.M).Write(os.Stdout)
-		if res.Stats != nil {
-			res.Stats.Report(os.Stdout)
-		}
+		res.Stats.Report(os.Stdout)
 	} else {
 		for b := 0; b < p.NumBlocks(); b++ {
 			id := partition.BlockID(b)

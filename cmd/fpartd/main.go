@@ -44,6 +44,7 @@ import (
 
 	"fpart/internal/cluster"
 	"fpart/internal/driver"
+	"fpart/internal/engine"
 	"fpart/internal/service"
 	"fpart/internal/store"
 )
@@ -231,8 +232,7 @@ func run() error {
 	cfg := svc.Config()
 	log.Printf("fpartd: %d workers, queue %d, cache %d entries",
 		cfg.Workers, cfg.QueueDepth, cfg.CacheEntries)
-	log.Printf("fpartd: methods: %s (GET /methods for capabilities)",
-		strings.Join(driver.Methods(), ", "))
+	log.Printf("fpartd: methods: %s (GET /methods for capabilities)", engine.UsageString())
 
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()

@@ -60,6 +60,11 @@ type Source interface {
 	Execute(ctx context.Context, job *StolenJob) ([]byte, error)
 }
 
+// peerClient makes the steal and result-push calls. Forwarded submissions
+// use untimed requests bounded by the caller's context instead, since
+// partitioning can outlast any fixed RTT budget.
+var peerClient = &http.Client{Timeout: 10 * time.Second}
+
 // Config describes this peer's place in the cluster.
 type Config struct {
 	// Self is this peer's advertise address; it must appear in Peers.
@@ -69,11 +74,6 @@ type Config struct {
 	Peers []string
 	// Replicas is the virtual-node count per peer (0 = 64).
 	Replicas int
-	// Client is the HTTP client for peer calls; nil gets a 10s-timeout
-	// default. Forwarded submissions use untimed requests bounded by the
-	// caller's context instead, since partitioning can outlast any fixed
-	// RTT budget.
-	Client *http.Client
 	// StealInterval paces the steal loop (0 = 500ms).
 	StealInterval time.Duration
 }
@@ -106,9 +106,6 @@ func New(cfg Config) (*Node, error) {
 	}
 	if !self {
 		return nil, fmt.Errorf("cluster: advertise address %q not in peer list %v", cfg.Self, cfg.Peers)
-	}
-	if cfg.Client == nil {
-		cfg.Client = &http.Client{Timeout: 10 * time.Second}
 	}
 	if cfg.StealInterval <= 0 {
 		cfg.StealInterval = 500 * time.Millisecond
@@ -148,7 +145,7 @@ func (n *Node) Forward(ctx context.Context, owner string, contentType string, bo
 		req.Header.Set("Content-Type", contentType)
 	}
 	req.Header.Set(ForwardedHeader, n.cfg.Self)
-	// Deliberately not n.cfg.Client: a cache hit answers in microseconds
+	// Deliberately not peerClient: a cache hit answers in microseconds
 	// but a cold fpart run can take seconds, so the forward is bounded by
 	// the caller's request context, not the peer-RPC timeout.
 	resp, err := (&http.Client{}).Do(req)
@@ -163,7 +160,8 @@ func (n *Node) Forward(ctx context.Context, owner string, contentType string, bo
 func (n *Node) FallbackObserved() { n.forwardFallbacks.Add(1) }
 
 // StealFrom asks one peer for a queued job. ok is false when the peer has
-// nothing to give (HTTP 204) — not an error.
+// nothing to give (HTTP 204) — not an error. A job without an ID is an
+// error: its result could not be pushed back.
 func (n *Node) StealFrom(ctx context.Context, peer string) (job *StolenJob, ok bool, err error) {
 	body, _ := json.Marshal(map[string]string{"from": n.cfg.Self})
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
@@ -172,7 +170,7 @@ func (n *Node) StealFrom(ctx context.Context, peer string) (job *StolenJob, ok b
 		return nil, false, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := n.cfg.Client.Do(req)
+	resp, err := peerClient.Do(req)
 	if err != nil {
 		return nil, false, err
 	}
@@ -184,6 +182,11 @@ func (n *Node) StealFrom(ctx context.Context, peer string) (job *StolenJob, ok b
 		var sj StolenJob
 		if err := json.NewDecoder(io.LimitReader(resp.Body, 64<<20)).Decode(&sj); err != nil {
 			return nil, false, fmt.Errorf("cluster: bad steal response from %s: %w", peer, err)
+		}
+		// The ID is what the result push names; without it the victim
+		// refuses the push, so running the job would be wasted work.
+		if sj.ID == "" {
+			return nil, false, fmt.Errorf("cluster: steal response from %s carries no job id", peer)
 		}
 		return &sj, true, nil
 	default:
@@ -207,7 +210,7 @@ func (n *Node) PushResult(ctx context.Context, peer, id string, env []byte) erro
 		return err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := n.cfg.Client.Do(req)
+	resp, err := peerClient.Do(req)
 	if err != nil {
 		return err
 	}

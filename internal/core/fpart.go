@@ -53,7 +53,10 @@ const sigma1, sigma2 = 0.5, 0.5
 type Config struct {
 	// Engine configures the iterative-improvement engine (§3.3–§3.7).
 	Engine sanchis.Config
-	// NSmall separates the small-k and big-k improvement strategies (§3.1).
+	// NSmall separates the small-k and big-k improvement strategies
+	// (§3.1): a peel whose lower bound M is at most NSmall runs the
+	// small-k strategy. Zero selects the published value 15; -1 runs the
+	// big-k strategy on every peel; a positive value is kept.
 	NSmall int
 	// DisableSchedule reduces the improvement schedule to the single
 	// newest-pair pass, the k-way.x strategy (see KWayX).

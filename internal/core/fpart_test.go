@@ -181,6 +181,18 @@ func TestImprovementScheduleFigure1(t *testing.T) {
 	}
 }
 
+// TestConfigNormalize pins the NSmall sentinels: 0 is the published 15,
+// -1 stays below every lower bound M ≥ 1 so no peel runs the small-k
+// strategy, and a positive value is kept. sanchis's TestConfigNormalize
+// pins the StackDepth sentinels of the engine configuration.
+func TestConfigNormalize(t *testing.T) {
+	for _, tc := range []struct{ in, want int }{{0, 15}, {-1, -1}, {7, 7}} {
+		if got := (Config{NSmall: tc.in}).normalize().NSmall; got != tc.want {
+			t.Errorf("NSmall %d normalizes to %d, want %d", tc.in, got, tc.want)
+		}
+	}
+}
+
 func TestScheduleBigMSkipsAllPass(t *testing.T) {
 	// With NSmall forced below M, the all-blocks pass must not run.
 	h := ringOfClusters(t, 4, 10, 4)

@@ -29,11 +29,11 @@ func solutionKey(p *partition.Partition) string {
 	return sb.String()
 }
 
-// TestRegistryDispatchMatchesDirectCalls is the refactor's differential
-// guard: dispatching through the engine registry (RunOpts with no budget
-// and no sink) must produce solutions bit-identical to calling each
-// algorithm package directly, the way the pre-registry method switch did.
-// Any drift means the adapters changed behavior, not just plumbing.
+// TestRegistryDispatchMatchesDirectCalls is the dispatch differential
+// guard: dispatching through the engine's method table (RunOpts with no
+// budget and no sink) must produce solutions bit-identical to calling each
+// algorithm package directly. Any drift means a table row changed
+// behaviour, not just plumbing.
 func TestRegistryDispatchMatchesDirectCalls(t *testing.T) {
 	spec, _ := gen.ByName("c3540")
 	h := gen.Generate(spec, device.XC3000)
@@ -87,8 +87,8 @@ func TestRegistryDispatchMatchesDirectCalls(t *testing.T) {
 			return r.Partition, nil
 		}},
 	}
-	if len(cases) != len(Methods()) {
-		t.Fatalf("differential test covers %d methods, registry has %v", len(cases), Methods())
+	if len(cases) != len(engine.Names()) {
+		t.Fatalf("differential test covers %d methods, method table has %v", len(cases), engine.Names())
 	}
 	for _, tc := range cases {
 		t.Run(tc.method, func(t *testing.T) {
@@ -101,7 +101,7 @@ func TestRegistryDispatchMatchesDirectCalls(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got, want := solutionKey(viaRegistry.Partition), solutionKey(direct); got != want {
-				t.Errorf("registry dispatch diverged from the direct %s call", tc.method)
+				t.Errorf("table dispatch diverged from the direct %s call", tc.method)
 			}
 		})
 	}
@@ -114,7 +114,7 @@ func TestRegistryDispatchMatchesDirectCalls(t *testing.T) {
 	// accident.
 	vdev := dev
 	vdev.Resources = []device.Resource{{Name: "DSP", Cap: 1 << 30}, {Name: "LUT", Cap: 1 << 30}}
-	for _, method := range Methods() {
+	for _, method := range engine.Names() {
 		t.Run(method+"/vector-r1", func(t *testing.T) {
 			scalar, err := RunOpts(ctx, method, h, dev, Options{})
 			if err != nil {
@@ -136,7 +136,7 @@ func TestRegistryDispatchMatchesDirectCalls(t *testing.T) {
 }
 
 // TestRunOptsErrorPaths covers the dispatch failure contract, table-driven
-// over the live registry so a newly registered engine is held to it
+// over the method table so a newly added method is held to it
 // automatically.
 func TestRunOptsErrorPaths(t *testing.T) {
 	dev, _ := device.ByName("XC3020")
@@ -146,23 +146,23 @@ func TestRunOptsErrorPaths(t *testing.T) {
 	}
 	h := c.Hypergraph
 
-	// Unknown methods are rejected with the registry's names in the message,
+	// Unknown methods are rejected with every valid name in the message,
 	// before any budget token is taken.
 	_, err = RunOpts(context.Background(), "anneal", h, dev, Options{})
 	if err == nil {
 		t.Fatal("unknown method accepted")
 	}
-	for _, want := range append([]string{"anneal"}, Methods()...) {
+	for _, want := range append([]string{"anneal"}, engine.Names()...) {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("unknown-method error missing %q: %v", want, err)
 		}
 	}
 
 	// A context cancelled before dispatch returns ctx.Err() for every
-	// registered engine — no partial work, no panic.
+	// method — no partial work, no panic.
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, method := range Methods() {
+	for _, method := range engine.Names() {
 		res, err := RunOpts(cancelled, method, h, dev, Options{})
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: cancelled-before-start: want context.Canceled, got %v", method, err)
@@ -179,7 +179,7 @@ func TestRunOptsErrorPaths(t *testing.T) {
 
 	// Nil sinks are free: every engine must run to completion without a
 	// sink, a budget, or any option set.
-	for _, method := range Methods() {
+	for _, method := range engine.Names() {
 		if _, err := RunOpts(context.Background(), method, h, dev, Options{}); err != nil {
 			t.Errorf("%s: nil-sink run failed: %v", method, err)
 		}

@@ -5,10 +5,10 @@
 // Both entry points consume it — the one-shot `cmd/fpart` CLI and the
 // long-running `cmd/fpartd` service — so the circuit-loading rules (format
 // selection, BLIF technology mapping, parser limits) live in exactly one
-// place. Method dispatch resolves through the internal/engine registry:
+// place. Method dispatch goes through internal/engine's method table:
 // every partitioner sits behind the same instrumented, cancellable
-// Engine interface, and RunOpts only adds the shared Budget token
-// discipline on top.
+// engine.Run, and RunOpts only adds the shared Budget token discipline on
+// top.
 package driver
 
 import (
@@ -23,7 +23,6 @@ import (
 	"fpart/internal/gen"
 	"fpart/internal/hypergraph"
 	"fpart/internal/netlist"
-	"fpart/internal/obs"
 	"fpart/internal/techmap"
 )
 
@@ -139,22 +138,9 @@ func BuiltinNames() []string {
 	return out
 }
 
-// Methods lists the partitioning methods Run dispatches, in documentation
-// order, derived from the engine registry. "fpart" is the paper's
-// algorithm; "portfolio" races the core.DefaultPortfolio configuration
-// mix; the rest are baselines.
-func Methods() []string { return engine.Names() }
-
-// ValidMethod reports whether Run accepts method (i.e. whether an engine
-// of that name is registered).
-func ValidMethod(method string) bool {
-	_, ok := engine.Lookup(method)
-	return ok
-}
-
-// Result is the outcome of one Run dispatch. Every registered engine is
-// instrumented, so Stats is non-nil on success and Elapsed is the engine's
-// own measurement (token waits and dispatch overhead excluded).
+// Result is the outcome of one RunOpts dispatch. Stats is non-nil on
+// success and Elapsed is the engine's own measurement (token waits and
+// dispatch overhead excluded).
 type Result = engine.Result
 
 // ClampParallel normalizes a user-facing worker/parallelism count: values
@@ -169,33 +155,24 @@ func ClampParallel(n int) int {
 }
 
 // Options tunes a RunOpts dispatch beyond the method name. It is the
-// engine layer's option set: Sink receives every registered engine's event
-// stream, and Budget is the shared concurrency pool (RunOpts holds one token
-// for the run itself; budgeted engines draw extras from the same pool).
+// engine layer's option set: Sink receives every method's event stream,
+// and Budget is the shared concurrency pool (RunOpts holds one token for
+// the run itself; budgeted methods draw extras from the same pool).
 type Options = engine.Options
 
-// Run dispatches method on circuit h targeting dev. ctx and sink apply to
-// every registered engine — all of them poll cancellation in their pass
-// loops and emit structured events. It is RunOpts with only a sink.
-func Run(ctx context.Context, method string, h *hypergraph.Hypergraph, dev device.Device, sink obs.Sink) (*Result, error) {
-	return RunOpts(ctx, method, h, dev, Options{Sink: sink})
-}
-
-// RunOpts resolves method in the engine registry and dispatches it on
+// RunOpts resolves method in the engine's method table and dispatches it on
 // circuit h targeting dev under opts. When opts.Budget is set, the call
 // blocks until a worker token is free (or ctx dies) and holds it for the
 // whole dispatch, so concurrent callers — the fpartd job runners — cannot
 // oversubscribe the machine. An unknown method is rejected (quoting the
-// registry) before any token is taken.
+// valid names) before any token is taken.
 func RunOpts(ctx context.Context, method string, h *hypergraph.Hypergraph, dev device.Device, opts Options) (*Result, error) {
-	if _, ok := engine.Lookup(method); !ok {
-		return nil, fmt.Errorf("unknown method %q (valid: %v)", method, Methods())
+	if _, err := engine.Lookup(method); err != nil {
+		return nil, err
 	}
 	if err := opts.Budget.Acquire(ctx); err != nil {
 		return nil, err
 	}
 	defer opts.Budget.Release()
-	// Dispatch through engine.Run, not the engine directly: the board
-	// feasibility gate (Options.Board) is applied there.
 	return engine.Run(ctx, method, h, dev, opts)
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"fpart/internal/device"
+	"fpart/internal/engine"
 	"fpart/internal/netlist"
 	"fpart/internal/obs"
 )
@@ -86,9 +87,9 @@ func TestRunMethods(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, method := range Methods() {
+	for _, method := range engine.Names() {
 		var coll obs.Collector
-		r, err := Run(context.Background(), method, c.Hypergraph, dev, &coll)
+		r, err := RunOpts(context.Background(), method, c.Hypergraph, dev, Options{Sink: &coll})
 		if err != nil {
 			t.Fatalf("%s: %v", method, err)
 		}
@@ -104,11 +105,8 @@ func TestRunMethods(t *testing.T) {
 			t.Fatalf("%s: no events reached the sink", method)
 		}
 	}
-	if _, err := Run(context.Background(), "nope", c.Hypergraph, dev, nil); err == nil {
+	if _, err := RunOpts(context.Background(), "nope", c.Hypergraph, dev, Options{}); err == nil {
 		t.Fatal("unknown method accepted")
-	}
-	if ValidMethod("nope") || !ValidMethod("fpart") {
-		t.Fatal("ValidMethod broken")
 	}
 }
 

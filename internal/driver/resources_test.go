@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"fpart/internal/device"
+	"fpart/internal/engine"
 	"fpart/internal/gen"
 	"fpart/internal/mlfpart"
 	"fpart/internal/partition"
@@ -49,7 +50,7 @@ func TestBindingResourceVectors(t *testing.T) {
 			t.Error(err)
 		}
 	}
-	for _, method := range Methods() {
+	for _, method := range engine.Names() {
 		t.Run(method, func(t *testing.T) {
 			r, err := RunOpts(ctx, method, h, dev, Options{})
 			if err != nil {
@@ -113,7 +114,7 @@ func TestBlifFFColumnBindsThroughLoad(t *testing.T) {
 	if m := device.LowerBound(h, dev); m != 4 {
 		t.Fatalf("M = %d, want 4 (32 FFs / 8)", m)
 	}
-	for _, method := range Methods() {
+	for _, method := range engine.Names() {
 		t.Run(method, func(t *testing.T) {
 			r, err := RunOpts(context.Background(), method, h, dev, Options{})
 			if err != nil {

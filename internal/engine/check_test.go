@@ -11,7 +11,7 @@ import (
 )
 
 // TestUnplaceableNodeIsErrUnsplittable holds every partitioner — the
-// registry engines, set cover and WCDP — to the shared input check: a node
+// table's methods, set cover and WCDP — to the shared input check: a node
 // over S_MAX and a node over a resource cap are both ErrUnsplittable.
 func TestUnplaceableNodeIsErrUnsplittable(t *testing.T) {
 	pair := func(size, dsp int) *hypergraph.Hypergraph {
@@ -37,8 +37,7 @@ func TestUnplaceableNodeIsErrUnsplittable(t *testing.T) {
 			if run, ok := goldenRuns[method]; ok {
 				_, _, err = run(tc.h, dev)
 			} else {
-				eng, _ := Lookup(method)
-				_, err = eng.Run(context.Background(), tc.h, dev, Options{})
+				_, err = Run(context.Background(), method, tc.h, dev, Options{})
 			}
 			if !errors.Is(err, core.ErrUnsplittable) {
 				t.Errorf("%s/%s: err = %v, want core.ErrUnsplittable", method, tc.name, err)

@@ -9,7 +9,7 @@ import (
 	"testing"
 )
 
-// enginePackages are the algorithm packages behind the registry, relative
+// enginePackages are the algorithm packages behind the method table, relative
 // to this package's directory.
 var enginePackages = []string{
 	"core", "sanchis", "mlfpart", "multilevel", "flow",

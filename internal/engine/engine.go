@@ -1,16 +1,16 @@
 // Package engine puts every partitioner of the repository behind one
-// instrumented, cancellable interface and a self-registration registry.
+// instrumented, cancellable dispatch over an ordered method table.
 //
 // The FPART paper's value is comparative — §5 pits guided iterative
 // improvement against set-cover and multilevel baselines — so the pipeline
-// must treat "which partitioner" as data, not as a hardcoded switch. Each
-// algorithm package's adapter registers itself here under a stable name
-// ("fpart", "portfolio", "kwayx", "flow", "multilevel"); the driver, the
-// fpartd service, and the CLIs all resolve methods through Lookup and
-// derive their method lists, usage strings, and capability matrices from
-// the registry.
+// treats "which partitioner" as data, not as a hardcoded switch. The
+// methods table lists every method under a stable name ("fpart",
+// "portfolio", "kwayx", "flow", "multilevel", "mlfpart") in documentation
+// order: the paper's algorithm first, then the baselines. The driver, the
+// fpartd service and the CLIs resolve methods through Lookup and derive
+// their method lists and usage strings from the same table.
 //
-// Every registered engine honours the same contract:
+// Every method honours the same contract:
 //
 //   - Run returns promptly with ctx.Err() when ctx is cancelled, including
 //     before the first move (engines poll in their pass loops);
@@ -26,29 +26,19 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"fpart/internal/board"
 	"fpart/internal/core"
 	"fpart/internal/device"
+	"fpart/internal/flow"
 	"fpart/internal/hypergraph"
+	"fpart/internal/mlfpart"
+	"fpart/internal/multilevel"
 	"fpart/internal/obs"
 	"fpart/internal/partition"
 )
-
-// Capabilities describes how a registered engine differs from the others;
-// the service and CLI surface them so callers can choose before
-// dispatching. What every engine shares is the package-level contract.
-type Capabilities struct {
-	// Budgeted engines draw extra concurrency tokens from Options.Budget
-	// (portfolio members) beyond the one the caller holds.
-	Budgeted bool
-	// Summary is a one-line description for method listings.
-	Summary string
-}
 
 // Options tunes one Run dispatch beyond the method choice.
 type Options struct {
@@ -61,7 +51,7 @@ type Options struct {
 	// speculative peel; no engine reads it.
 	SpecWidth int
 	// Budget, when non-nil, is the shared concurrency budget budgeted
-	// engines draw extra tokens from. The caller is expected to hold one
+	// methods draw extra tokens from. The caller is expected to hold one
 	// token for the run itself (driver.RunOpts acquires it).
 	Budget *core.Budget
 	// Board, when non-nil, turns the dispatch into a board-aware run: after
@@ -72,7 +62,7 @@ type Options struct {
 	Board *board.Board
 }
 
-// Result is the outcome of one engine dispatch.
+// Result is the outcome of one Run dispatch.
 type Result struct {
 	// Partition holds the final assignment.
 	Partition *partition.Partition
@@ -80,8 +70,7 @@ type Result struct {
 	K, M int
 	// Feasible reports whether every block meets the device constraints.
 	Feasible bool
-	// Stats carries the effort counters; non-nil for every instrumented
-	// engine (all registered engines are).
+	// Stats carries the effort counters; Run always sets it.
 	Stats *obs.Stats
 	// Elapsed is the wall time of the run, measured by the engine itself.
 	Elapsed time.Duration
@@ -91,136 +80,141 @@ type Result struct {
 	Board *board.Report
 }
 
-// Engine is one partitioning method behind the common contract described
-// in the package comment.
-type Engine interface {
-	// Name is the registry key ("fpart", "kwayx", ...).
-	Name() string
-	// Caps reports how the engine differs from the others.
-	Caps() Capabilities
-	// Run partitions circuit h targeting device dev under opts.
-	Run(ctx context.Context, h *hypergraph.Hypergraph, dev device.Device, opts Options) (*Result, error)
-}
-
-// registry is the global engine table. Engines register at init time; the
-// rank fixes the documentation order regardless of init sequencing, so
-// Names() is deterministic.
-var (
-	regMu    sync.RWMutex
-	registry = map[string]regEntry{}
-)
-
-type regEntry struct {
-	eng  Engine
-	rank int
-}
-
-// Register adds e to the registry under e.Name(). rank orders method
-// listings (lower first; the paper's algorithm is 0, baselines follow).
-// Registering a duplicate name panics: it is a programmer error that
-// would make dispatch ambiguous.
-func Register(rank int, e Engine) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	name := e.Name()
-	if name == "" {
-		panic("engine: Register with empty name")
-	}
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("engine: duplicate Register(%q)", name))
-	}
-	registry[name] = regEntry{eng: e, rank: rank}
-}
-
-// Lookup resolves a registered engine by name.
-func Lookup(name string) (Engine, bool) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	ent, ok := registry[name]
-	return ent.eng, ok
-}
-
-// Names lists the registered engine names in rank order (documentation
-// order: the paper's algorithm first, then the baselines).
-func Names() []string {
-	infos := List()
-	out := make([]string, len(infos))
-	for i, inf := range infos {
-		out[i] = inf.Name
-	}
-	return out
-}
-
-// Info pairs a registered engine's name with its capabilities.
-type Info struct {
+// Method is one row of the method table.
+type Method struct {
+	// Name is the dispatch key ("fpart", "kwayx", ...).
 	Name string
-	Caps Capabilities
+	// Budgeted methods draw extra concurrency tokens from Options.Budget
+	// (portfolio members) beyond the one the caller holds.
+	Budgeted bool
+	// Summary is a one-line description for method listings.
+	Summary string
+	run     func(context.Context, *hypergraph.Hypergraph, device.Device, Options) (*core.Result, error)
 }
 
-// List returns every registered engine's name and capabilities in rank
-// order.
-func List() []Info {
-	regMu.RLock()
-	type ranked struct {
-		inf  Info
-		rank int
-	}
-	ents := make([]ranked, 0, len(registry))
-	for name, ent := range registry {
-		ents = append(ents, ranked{Info{Name: name, Caps: ent.eng.Caps()}, ent.rank})
-	}
-	regMu.RUnlock()
-	sort.Slice(ents, func(i, j int) bool {
-		if ents[i].rank != ents[j].rank {
-			return ents[i].rank < ents[j].rank
+// methods is the method table in documentation order.
+var methods = []Method{
+	{
+		Name:    "fpart",
+		Summary: "guided iterative improvement of Krupnova & Saucier (the paper's algorithm)",
+		run: func(ctx context.Context, h *hypergraph.Hypergraph, dev device.Device, opts Options) (*core.Result, error) {
+			cfg := core.Default()
+			cfg.Sink = opts.Sink
+			cfg.Label = opts.Label
+			return core.Run(ctx, h, dev, cfg)
+		},
+	},
+	{
+		Name:     "portfolio",
+		Budgeted: true,
+		Summary:  "races the core.DefaultPortfolio configuration mix, a K=M win cancels the later members",
+		run: func(ctx context.Context, h *hypergraph.Hypergraph, dev device.Device, opts Options) (*core.Result, error) {
+			cfgs := core.DefaultPortfolio()
+			for i := range cfgs {
+				cfgs[i].Sink = opts.Sink
+				cfgs[i].Budget = opts.Budget
+			}
+			return core.Portfolio(ctx, h, dev, cfgs)
+		},
+	},
+	{
+		Name:    "kwayx",
+		Summary: "k-way.x recursive bipartitioning baseline (Kuznar-Brglez-Kozminski)",
+		run: func(ctx context.Context, h *hypergraph.Hypergraph, dev device.Device, opts Options) (*core.Result, error) {
+			cfg := core.KWayX()
+			cfg.Sink = opts.Sink
+			cfg.Label = opts.Label
+			return core.Run(ctx, h, dev, cfg)
+		},
+	},
+	{
+		Name:    "flow",
+		Summary: "FBB-MW flow-based peeling baseline (Liu-Wong max-flow min-cut)",
+		run: func(ctx context.Context, h *hypergraph.Hypergraph, dev device.Device, opts Options) (*core.Result, error) {
+			return flow.PartitionCtx(ctx, h, dev, flow.Config{Sink: opts.Sink, Label: opts.Label})
+		},
+	},
+	{
+		Name:    "multilevel",
+		Summary: "multilevel coarsen/split/refine baseline (hMETIS-style V-cycles)",
+		run: func(ctx context.Context, h *hypergraph.Hypergraph, dev device.Device, opts Options) (*core.Result, error) {
+			return multilevel.PartitionCtx(ctx, h, dev, multilevel.Config{Sink: opts.Sink, Label: opts.Label})
+		},
+	},
+	{
+		Name:    "mlfpart",
+		Summary: "multilevel-accelerated FPART (coarsen, peel coarsest, refine down)",
+		run: func(ctx context.Context, h *hypergraph.Hypergraph, dev device.Device, opts Options) (*core.Result, error) {
+			r, err := mlfpart.PartitionCtx(ctx, h, dev, mlfpart.Config{Sink: opts.Sink, Label: opts.Label})
+			if err != nil {
+				return nil, err
+			}
+			return &r.Result, nil
+		},
+	},
+}
+
+// Lookup resolves a method by name, or returns the unknown-method error
+// that quotes every valid name.
+func Lookup(name string) (Method, error) {
+	for _, m := range methods {
+		if m.Name == name {
+			return m, nil
 		}
-		return ents[i].inf.Name < ents[j].inf.Name
-	})
-	out := make([]Info, len(ents))
-	for i, e := range ents {
-		out[i] = e.inf
+	}
+	return Method{}, fmt.Errorf("unknown method %q (valid: %v)", name, Names())
+}
+
+// List returns the method table in documentation order.
+func List() []Method { return append([]Method(nil), methods...) }
+
+// Names lists the method names in documentation order.
+func Names() []string {
+	out := make([]string, len(methods))
+	for i, m := range methods {
+		out[i] = m.Name
 	}
 	return out
 }
 
-// WriteList renders the registry as an aligned text table — one engine per
-// line with its budgeted flag ("-" when unset) and summary. `fpart -list-methods` prints
-// exactly this, and the README method table mirrors it.
+// WriteList renders the method table as aligned text — one method per
+// line with its budgeted flag ("-" when unset) and summary. `fpart
+// -list-methods` prints exactly this, and the README method block mirrors
+// it.
 func WriteList(w io.Writer) {
-	infos := List()
 	wide := 0
-	for _, inf := range infos {
-		if len(inf.Name) > wide {
-			wide = len(inf.Name)
-		}
+	for _, m := range methods {
+		wide = max(wide, len(m.Name))
 	}
-	for _, inf := range infos {
+	for _, m := range methods {
 		budgeted := "-"
-		if inf.Caps.Budgeted {
+		if m.Budgeted {
 			budgeted = "budgeted"
 		}
-		fmt.Fprintf(w, "%-*s  %-8s  %s\n", wide, inf.Name, budgeted, inf.Caps.Summary)
+		fmt.Fprintf(w, "%-*s  %-8s  %s\n", wide, m.Name, budgeted, m.Summary)
 	}
 }
 
-// UsageString is the one-line method enumeration for flag help text,
-// generated from the registry ("fpart, portfolio, kwayx, ...").
+// UsageString is the one-line method enumeration for flag help text
+// ("fpart, portfolio, kwayx, ...").
 func UsageString() string {
 	return strings.Join(Names(), ", ")
 }
 
-// Run dispatches the named engine, or an error quoting the registry when
-// the name is unknown. The caller is responsible for Budget token
+// Run dispatches the named method, or returns Lookup's error when the
+// name is unknown. It is the one place a core.Result becomes a Result and
+// the board gate applies. The caller is responsible for Budget token
 // acquisition (see driver.RunOpts).
 func Run(ctx context.Context, method string, h *hypergraph.Hypergraph, dev device.Device, opts Options) (*Result, error) {
-	eng, ok := Lookup(method)
-	if !ok {
-		return nil, fmt.Errorf("unknown method %q (valid: %v)", method, Names())
-	}
-	res, err := eng.Run(ctx, h, dev, opts)
+	m, err := Lookup(method)
 	if err != nil {
 		return nil, err
 	}
+	r, err := m.run(ctx, h, dev, opts)
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{Partition: r.Partition, K: r.K, M: r.M, Feasible: r.Feasible, Stats: &r.Stats, Elapsed: r.Elapsed}
 	gateBoard(res, opts.Board)
 	return res, nil
 }
@@ -230,7 +224,7 @@ func Run(ctx context.Context, method string, h *hypergraph.Hypergraph, dev devic
 // not fit the board's slots or its link capacities. A nil board is a no-op
 // (the plain flat-engine path).
 func gateBoard(res *Result, b *board.Board) {
-	if res == nil || b == nil || res.Partition == nil {
+	if b == nil || res.Partition == nil {
 		return
 	}
 	_, rep, err := board.Route(res.Partition, *b)

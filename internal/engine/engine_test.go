@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"os"
 	"strings"
 	"testing"
 
@@ -40,50 +41,55 @@ func ring(t testing.TB, c, n, pads int) *hypergraph.Hypergraph {
 	return b.MustBuild()
 }
 
-// realNames is the head of the shipped registry, in rank order; tests
-// assert on this prefix rather than the whole listing.
+// realNames is the head of the method table; tests assert on this prefix
+// rather than the whole listing.
 var realNames = []string{"fpart", "portfolio", "kwayx", "flow", "multilevel"}
 
 func TestRegistryOrderAndCaps(t *testing.T) {
-	infos := List()
-	if len(infos) < len(realNames) {
-		t.Fatalf("registry too small: %+v", infos)
+	list := List()
+	if len(list) < len(realNames) {
+		t.Fatalf("method table too small: %+v", list)
 	}
 	for i, want := range realNames {
-		inf := infos[i]
-		if inf.Name != want {
-			t.Fatalf("List()[%d] = %q, want %q (rank order broken)", i, inf.Name, want)
+		m := list[i]
+		if m.Name != want {
+			t.Fatalf("List()[%d] = %q, want %q (table order broken)", i, m.Name, want)
 		}
-		if inf.Caps.Summary == "" {
-			t.Errorf("%s: missing summary", inf.Name)
+		if m.Summary == "" {
+			t.Errorf("%s: missing summary", m.Name)
 		}
 		wantBudgeted := want == "portfolio"
-		if inf.Caps.Budgeted != wantBudgeted {
-			t.Errorf("%s: Budgeted = %v, want %v", inf.Name, inf.Caps.Budgeted, wantBudgeted)
+		if m.Budgeted != wantBudgeted {
+			t.Errorf("%s: Budgeted = %v, want %v", m.Name, m.Budgeted, wantBudgeted)
 		}
 	}
+	seen := map[string]bool{}
 	for _, name := range Names() {
-		if _, ok := Lookup(name); !ok {
-			t.Errorf("Names() lists %q but Lookup misses it", name)
+		if seen[name] {
+			t.Errorf("Names() lists %q twice: dispatch would be ambiguous", name)
+		}
+		seen[name] = true
+		if m, err := Lookup(name); err != nil || m.Name != name {
+			t.Errorf("Names() lists %q but Lookup returns %q, %v", name, m.Name, err)
 		}
 	}
 }
 
-// TestCapabilitiesFlags pins the capability field that remains: it must
-// differ across the registry, or it carries no information.
+// TestCapabilitiesFlags pins the one flag column of the method table: it
+// must differ across the methods, or it carries no information.
 func TestCapabilitiesFlags(t *testing.T) {
 	budgeted := map[bool]int{}
-	for _, inf := range List() {
-		budgeted[inf.Caps.Budgeted]++
+	for _, m := range List() {
+		budgeted[m.Budgeted]++
 	}
 	if budgeted[true] == 0 || budgeted[false] == 0 {
-		t.Errorf("Budgeted is constant across the registry: %v", budgeted)
+		t.Errorf("Budgeted is constant across the method table: %v", budgeted)
 	}
 }
 
 // TestRaceOptimalWinnerIsLowestIndex pins the winner rule of the racer
 // behind the portfolio method: the lowest-index member at K = M wins, so
-// the result through the registry is the same at any budget capacity and
+// the result through Run is the same at any budget capacity and
 // equals that member's run on its own.
 func TestRaceOptimalWinnerIsLowestIndex(t *testing.T) {
 	h := ring(t, 4, 10, 4)
@@ -121,7 +127,7 @@ func TestRaceOptimalWinnerIsLowestIndex(t *testing.T) {
 
 // TestRacePropagatesParentCancellation checks that cancelling the caller's
 // context aborts every member of the portfolio race and surfaces the
-// cancellation through the registry.
+// cancellation through Run.
 func TestRacePropagatesParentCancellation(t *testing.T) {
 	h := ring(t, 2, 4, 2)
 	dev := device.Device{Name: "d", DatasheetCells: 13, Pins: 30, Fill: 1.0}
@@ -186,7 +192,7 @@ func TestBoardGating(t *testing.T) {
 
 func TestUsageStringAndWriteList(t *testing.T) {
 	if !strings.HasPrefix(UsageString(), strings.Join(realNames, ", ")) {
-		t.Errorf("UsageString() = %q, want the registry in rank order", UsageString())
+		t.Errorf("UsageString() = %q, want the method table in order", UsageString())
 	}
 	var sb strings.Builder
 	WriteList(&sb)
@@ -198,38 +204,40 @@ func TestUsageStringAndWriteList(t *testing.T) {
 		if !strings.HasPrefix(lines[i], want) {
 			t.Errorf("WriteList line %d = %q, want method %q first", i, lines[i], want)
 		}
-		inf := List()[i]
+		m := List()[i]
 		flag := "-"
-		if inf.Caps.Budgeted {
+		if m.Budgeted {
 			flag = "budgeted"
 		}
-		if f := strings.Fields(lines[i]); len(f) < 3 || f[1] != flag || !strings.HasSuffix(lines[i], inf.Caps.Summary) {
+		if f := strings.Fields(lines[i]); len(f) < 3 || f[1] != flag || !strings.HasSuffix(lines[i], m.Summary) {
 			t.Errorf("WriteList line %d = %q, want the %q column then the summary", i, lines[i], flag)
 		}
 	}
 }
 
-func TestRegisterRejectsBadEngines(t *testing.T) {
-	mustPanic := func(name string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: Register should panic", name)
-			}
-		}()
-		f()
+// TestReadmeMethodBlock holds README.md to its claim that the fenced block
+// under "### Partitioning methods" is `fpart -list-methods` verbatim.
+func TestReadmeMethodBlock(t *testing.T) {
+	raw, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
 	}
-	mustPanic("empty name", func() { Register(999, fake{name: ""}) })
-	mustPanic("duplicate", func() { Register(999, fake{name: "fpart"}) })
-}
-
-// fake is a test engine for registry validation; it is never registered.
-type fake struct{ name string }
-
-func (f fake) Name() string       { return f.name }
-func (f fake) Caps() Capabilities { return Capabilities{} }
-func (f fake) Run(context.Context, *hypergraph.Hypergraph, device.Device, Options) (*Result, error) {
-	return nil, nil
+	_, section, ok := strings.Cut(string(raw), "\n### Partitioning methods\n")
+	if !ok {
+		t.Fatal(`README.md has no "### Partitioning methods" section`)
+	}
+	_, block, ok := strings.Cut(section, "\n```\n")
+	if ok {
+		block, _, ok = strings.Cut(block, "```\n")
+	}
+	if !ok {
+		t.Fatal("README.md's method section has no fenced block")
+	}
+	var sb strings.Builder
+	WriteList(&sb)
+	if block != sb.String() {
+		t.Errorf("README.md method block differs from WriteList:\n got %q\nwant %q", block, sb.String())
+	}
 }
 
 func TestRunUnknownMethod(t *testing.T) {
@@ -241,7 +249,7 @@ func TestRunUnknownMethod(t *testing.T) {
 	}
 	for _, want := range append([]string{"simulated-annealing"}, realNames...) {
 		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error should quote the registry (missing %q): %v", want, err)
+			t.Errorf("error should quote the method table (missing %q): %v", want, err)
 		}
 	}
 }

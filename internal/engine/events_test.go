@@ -32,8 +32,7 @@ func TestEngineEventSequence(t *testing.T) {
 	for _, method := range []string{"kwayx", "flow", "multilevel"} {
 		t.Run(method, func(t *testing.T) {
 			var c obs.Collector
-			eng, _ := Lookup(method)
-			if _, err := eng.Run(context.Background(), h, dev, Options{Sink: &c}); err != nil {
+			if _, err := Run(context.Background(), method, h, dev, Options{Sink: &c}); err != nil {
 				t.Fatal(err)
 			}
 			seq, hash := eventSequence(c.Events())

@@ -50,7 +50,7 @@ func goldenCircuit(t *testing.T, circuit, devName string) (*hypergraph.Hypergrap
 }
 
 // goldenRuns maps each pinned method to a runner returning the final
-// partition and its K: the registry engines through the registry, the
+// partition and its K: the table's methods through Run, the
 // set-cover and WCDP baselines directly.
 var goldenRuns = map[string]func(*hypergraph.Hypergraph, device.Device) (*partition.Partition, int, error){
 	"setcover": func(h *hypergraph.Hypergraph, dev device.Device) (*partition.Partition, int, error) {
@@ -83,8 +83,7 @@ func TestEngineGolden(t *testing.T) {
 					t.Fatalf("%s: %v", name, err)
 				}
 			} else {
-				eng, _ := Lookup(method)
-				r, err := eng.Run(context.Background(), h, dev, Options{})
+				r, err := Run(context.Background(), method, h, dev, Options{})
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
@@ -167,12 +166,11 @@ func TestFlowTablesGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs flow on all 34 Tables 2–5 pairs")
 	}
-	eng, _ := Lookup("flow")
 	for _, tab := range flowTables {
 		for _, circuit := range tab.circuits {
 			name := circuit + "/" + tab.device
 			h, dev := goldenCircuit(t, circuit, tab.device)
-			r, err := eng.Run(context.Background(), h, dev, Options{})
+			r, err := Run(context.Background(), "flow", h, dev, Options{})
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}

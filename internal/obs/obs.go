@@ -22,8 +22,8 @@
 //
 // Sinks are invoked synchronously from the partitioning goroutine. A sink
 // shared between concurrent runs (core.Portfolio members) must be safe for
-// concurrent use: Collector is; wrap anything else with Synchronized or
-// Locked. See ARCHITECTURE.md for where each event fires.
+// concurrent use: Collector is; wrap anything else with Locked. See
+// ARCHITECTURE.md for where each event fires.
 package obs
 
 import (

@@ -110,10 +110,10 @@ func TestJSONSinkEmitsOneObjectPerLine(t *testing.T) {
 	}
 }
 
-func TestSynchronizedAndLockedUnderConcurrency(t *testing.T) {
+func TestLockedUnderConcurrency(t *testing.T) {
 	var c Collector
 	var mu sync.Mutex
-	sinks := []Sink{Synchronized(&c), Locked(&mu, &c), &c}
+	sinks := []Sink{Locked(&mu, &c), &c}
 	const perSink = 200
 	var wg sync.WaitGroup
 	for _, s := range sinks {
@@ -131,24 +131,8 @@ func TestSynchronizedAndLockedUnderConcurrency(t *testing.T) {
 	if got, want := c.Len(), len(sinks)*4*perSink; got != want {
 		t.Errorf("collected %d events, want %d", got, want)
 	}
-	if Synchronized(nil) != nil || Locked(&mu, nil) != nil {
-		t.Error("nil sink wrappers must stay nil")
-	}
-}
-
-func TestMultiFansOut(t *testing.T) {
-	var a, b Collector
-	m := Multi(&a, nil, &b)
-	m.Event(Event{Type: RunStart})
-	m.Event(Event{Type: RunEnd})
-	if a.Len() != 2 || b.Len() != 2 {
-		t.Errorf("fan-out lens = %d,%d, want 2,2", a.Len(), b.Len())
-	}
-	if Multi(nil, nil) != nil {
-		t.Error("Multi of nils should be nil")
-	}
-	if one := Multi(&a); one != Sink(&a) {
-		t.Error("Multi of one sink should return it unwrapped")
+	if Locked(&mu, nil) != nil {
+		t.Error("a nil sink wrapper must stay nil")
 	}
 }
 

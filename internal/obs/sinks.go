@@ -121,15 +121,6 @@ func (l *lockedSink) Event(e Event) {
 	l.mu.Unlock()
 }
 
-// Synchronized wraps s with a private mutex so it can be shared by
-// concurrent runs. Returns nil for a nil sink.
-func Synchronized(s Sink) Sink {
-	if s == nil {
-		return nil
-	}
-	return &lockedSink{mu: new(sync.Mutex), s: s}
-}
-
 // Locked wraps s with the caller's mutex. Use it when several wrappers must
 // share one lock — core.Portfolio wraps every member's sink with a single
 // mutex so that distinct configurations pointing at the same underlying
@@ -139,29 +130,4 @@ func Locked(mu *sync.Mutex, s Sink) Sink {
 		return nil
 	}
 	return &lockedSink{mu: mu, s: s}
-}
-
-// Multi fans events out to every non-nil sink, in order.
-func Multi(sinks ...Sink) Sink {
-	live := make([]Sink, 0, len(sinks))
-	for _, s := range sinks {
-		if s != nil {
-			live = append(live, s)
-		}
-	}
-	switch len(live) {
-	case 0:
-		return nil
-	case 1:
-		return live[0]
-	}
-	return multiSink(live)
-}
-
-type multiSink []Sink
-
-func (m multiSink) Event(e Event) {
-	for _, s := range m {
-		s.Event(e)
-	}
 }

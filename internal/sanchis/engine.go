@@ -58,8 +58,8 @@ type Config struct {
 	Windows Windows
 	Cost    partition.CostParams
 	// StackDepth is D_stack, the depth of each of the two solution stacks
-	// (§3.6; published value 4). Zero disables solution stacks. Set to -1
-	// to explicitly disable while keeping other defaults.
+	// (§3.6). Zero selects the published value 4; -1 disables solution
+	// stacks; a positive value is kept.
 	StackDepth int
 	// MaxPasses bounds each pass series. Zero selects 10.
 	MaxPasses int

@@ -483,9 +483,12 @@ func TestConfigNormalize(t *testing.T) {
 	if c.Cost != partition.DefaultCost() {
 		t.Errorf("cost default wrong: %+v", c.Cost)
 	}
-	c2 := Config{StackDepth: -1}.normalize()
-	if c2.StackDepth != 0 {
-		t.Errorf("StackDepth -1 should normalize to 0, got %d", c2.StackDepth)
+	// The StackDepth sentinels: 0 is the published depth, -1 is off, a
+	// positive value is kept. core's TestConfigNormalize pins NSmall's.
+	for _, tc := range []struct{ in, want int }{{0, 4}, {-1, 0}, {7, 7}} {
+		if got := (Config{StackDepth: tc.in}).normalize().StackDepth; got != tc.want {
+			t.Errorf("StackDepth %d normalizes to %d, want %d", tc.in, got, tc.want)
+		}
 	}
 }
 

@@ -77,7 +77,7 @@ func (s *Service) SubmitBatch(base Request, devices []string) (*Group, error) {
 func (s *Service) rememberGroupLocked(g *Group) {
 	s.groups[g.id] = g
 	s.grpOrder = append(s.grpOrder, g.id)
-	for len(s.grpOrder) > s.cfg.GroupRetention {
+	for len(s.grpOrder) > groupRetention {
 		evicted := false
 		for i, id := range s.grpOrder {
 			if grp := s.groups[id]; grp != nil && grp.terminalLocked() {

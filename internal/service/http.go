@@ -137,7 +137,7 @@ func viewOf(snap Snapshot, withAssignment bool) JobView {
 	return v
 }
 
-// MethodView is the JSON rendering of one registered engine in the
+// MethodView is the JSON rendering of one method-table row in the
 // GET /methods discovery response.
 type MethodView struct {
 	Name     string `json:"name"`
@@ -186,17 +186,13 @@ func (s *Service) Handler() http.Handler {
 	return mux
 }
 
-// handleMethods renders the engine registry so clients can discover
-// which method names Submit accepts and how the engines differ.
+// handleMethods renders the engine's method table so clients can discover
+// which method names Submit accepts and how the methods differ.
 func handleMethods(w http.ResponseWriter, r *http.Request) {
-	infos := engine.List()
-	views := make([]MethodView, len(infos))
-	for i, info := range infos {
-		views[i] = MethodView{
-			Name:     info.Name,
-			Budgeted: info.Caps.Budgeted,
-			Summary:  info.Caps.Summary,
-		}
+	list := engine.List()
+	views := make([]MethodView, len(list))
+	for i, m := range list {
+		views[i] = MethodView{Name: m.Name, Budgeted: m.Budgeted, Summary: m.Summary}
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"methods": views})
 }
@@ -373,7 +369,7 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	sub := job.Events().Subscribe(s.cfg.EventBuffer)
+	sub := job.Events().Subscribe(eventBuffer)
 	defer sub.Cancel()
 	for _, e := range sub.History {
 		write(e)
@@ -481,7 +477,7 @@ func (s *Service) handleGroupEvents(w http.ResponseWriter, r *http.Request) {
 		if it.Job == nil {
 			continue
 		}
-		sub := it.Job.Events().Subscribe(s.cfg.EventBuffer)
+		sub := it.Job.Events().Subscribe(eventBuffer)
 		wg.Add(1)
 		go func(id, dev string) {
 			defer wg.Done()

@@ -261,8 +261,8 @@ func TestHTTPStatusCodes(t *testing.T) {
 		t.Fatalf("empty request: want 400, got %d", resp.StatusCode)
 	}
 
-	// 400: unknown method, rejected at submit by the engine-registry lookup;
-	// the error quotes the registry so the client sees what is valid.
+	// 400: unknown method, rejected at submit by engine.Lookup; the error
+	// quotes the method table so the client sees what is valid.
 	respM, bodyM := postJSON(t, ts, "/v1/partition", apiRequest{
 		Netlist: uniquePHG(39), Format: "phg", Device: "XC3020", Method: "simulated-annealing",
 	})
@@ -271,7 +271,7 @@ func TestHTTPStatusCodes(t *testing.T) {
 	}
 	for _, want := range []string{"simulated-annealing", "fpart", "kwayx", "multilevel"} {
 		if !strings.Contains(string(bodyM), want) {
-			t.Fatalf("unknown-method error should quote the registry (missing %q): %s", want, bodyM)
+			t.Fatalf("unknown-method error should quote the method table (missing %q): %s", want, bodyM)
 		}
 	}
 
@@ -386,9 +386,9 @@ func TestHTTPMetrics(t *testing.T) {
 	}
 }
 
-// TestHTTPMethods covers the engine-registry discovery endpoint: the
-// listing mirrors driver.Methods() order, carries each registry capability, and
-// every advertised name is accepted at submit.
+// TestHTTPMethods covers the method discovery endpoint: the listing
+// mirrors engine.List() in order, row for row, and every advertised name
+// is accepted at submit.
 func TestHTTPMethods(t *testing.T) {
 	s := New(Config{Workers: 2})
 	defer shutdownClean(t, s)
@@ -401,17 +401,14 @@ func TestHTTPMethods(t *testing.T) {
 	if resp := getJSON(t, ts, "/methods", &out); resp.StatusCode != http.StatusOK {
 		t.Fatalf("/methods: want 200, got %d", resp.StatusCode)
 	}
-	want := driver.Methods()
+	want := engine.List()
 	if len(out.Methods) != len(want) {
 		t.Fatalf("want %d methods, got %+v", len(want), out.Methods)
 	}
 	for i, m := range out.Methods {
-		if m.Name != want[i] {
-			t.Fatalf("method %d: want %q, got %q", i, want[i], m.Name)
-		}
-		eng, _ := engine.Lookup(m.Name)
-		if caps := eng.Caps(); m.Budgeted != caps.Budgeted || m.Summary != caps.Summary || m.Summary == "" {
-			t.Fatalf("method %s should advertise its registry capabilities %+v, got %+v", m.Name, caps, m)
+		w := want[i]
+		if m.Name != w.Name || m.Budgeted != w.Budgeted || m.Summary != w.Summary || m.Summary == "" {
+			t.Fatalf("method %d: want %s budgeted=%v %q, got %+v", i, w.Name, w.Budgeted, w.Summary, m)
 		}
 	}
 

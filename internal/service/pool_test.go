@@ -75,7 +75,7 @@ func TestServiceResultMatchesDirectRun(t *testing.T) {
 
 	p1, p2 := snap.Result.Partition, snap2.Result.Partition
 	h := p1.Hypergraph()
-	direct, err := driver.Run(context.Background(), "fpart", h, device.XC3042, nil)
+	direct, err := driver.RunOpts(context.Background(), "fpart", h, device.XC3042, driver.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

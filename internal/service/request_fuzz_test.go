@@ -9,7 +9,7 @@ import (
 	"encoding/json"
 	"testing"
 
-	"fpart/internal/driver"
+	"fpart/internal/engine"
 	"fpart/internal/netlist"
 )
 
@@ -52,7 +52,7 @@ func FuzzSubmitRequest(f *testing.F) {
 		if err := prep.dev.Validate(); err != nil {
 			t.Fatalf("accepted request carries an invalid device: %v", err)
 		}
-		if !driver.ValidMethod(prep.method) {
+		if _, err := engine.Lookup(prep.method); err != nil {
 			t.Fatalf("accepted request names unknown method %q", prep.method)
 		}
 		again, err := s.prepare(req.toRequest())

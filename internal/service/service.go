@@ -7,7 +7,7 @@
 //	POST /v1/partition ──▶ admission ──▶ bounded queue ──▶ worker pool
 //	                          │                                │
 //	                          │ cache hit / in-flight          ▼
-//	                          ▼ coalescing               driver.Run
+//	                          ▼ coalescing               driver.RunOpts
 //	                      result cache ◀──────────── quality.Analyze
 //	                                                        │
 //	     GET /v1/jobs/{id}/events ◀── obs.Broadcast fan-out ◀┘
@@ -35,6 +35,7 @@ import (
 	"fpart/internal/core"
 	"fpart/internal/device"
 	"fpart/internal/driver"
+	"fpart/internal/engine"
 	"fpart/internal/hypergraph"
 	"fpart/internal/netlist"
 	"fpart/internal/obs"
@@ -63,8 +64,6 @@ type Config struct {
 	DefaultTimeout time.Duration
 	// MaxRequestBytes caps an HTTP request body; 0 means 8 MiB.
 	MaxRequestBytes int64
-	// EventBuffer sizes each event subscriber's channel; 0 means 256.
-	EventBuffer int
 	// Limits bounds the netlist parsers for uploaded circuits; the zero
 	// value applies netlist.DefaultLimits.
 	Limits netlist.Limits
@@ -81,10 +80,14 @@ type Config struct {
 	// StealTTL bounds how long a stolen job may stay out with a work
 	// thief before the victim requeues it locally (0 = 30s).
 	StealTTL time.Duration
-	// GroupRetention bounds how many batch job groups stay queryable
-	// (0 = 256).
-	GroupRetention int
 }
+
+// eventBuffer sizes each event subscriber's channel, and groupRetention
+// bounds how many batch job groups stay queryable.
+const (
+	eventBuffer    = 256
+	groupRetention = 256
+)
 
 func (c Config) normalize() Config {
 	c.Workers = driver.ClampParallel(c.Workers)
@@ -100,14 +103,8 @@ func (c Config) normalize() Config {
 	if c.MaxRequestBytes <= 0 {
 		c.MaxRequestBytes = 8 << 20
 	}
-	if c.EventBuffer <= 0 {
-		c.EventBuffer = 256
-	}
 	if c.StealTTL <= 0 {
 		c.StealTTL = 30 * time.Second
-	}
-	if c.GroupRetention <= 0 {
-		c.GroupRetention = 256
 	}
 	return c
 }
@@ -363,8 +360,8 @@ func (s *Service) prepare(req Request) (*prepared, error) {
 	if method == "" {
 		method = "fpart"
 	}
-	if !driver.ValidMethod(method) {
-		return nil, fmt.Errorf("unknown method %q (valid: %v)", method, driver.Methods())
+	if _, err := engine.Lookup(method); err != nil {
+		return nil, err
 	}
 	if (req.Circuit == "") == (req.Netlist == "") {
 		return nil, errors.New("set exactly one of circuit (built-in) or netlist (upload)")
@@ -698,9 +695,7 @@ func (s *Service) runJob(job *Job) {
 		return
 	}
 	s.cache.add(job.key, cacheEntry{res: res, report: report, events: job.bcast.Events()})
-	if res.Stats != nil {
-		s.m.observePhases(job.method, res.Stats)
-	}
+	s.m.observePhases(job.method, res.Stats)
 	s.completeLocked(job, StateDone, res, &report, nil)
 }
 

@@ -1,6 +1,6 @@
 #!/bin/sh
 # The repository's verify gate (see ROADMAP.md):
-# build + vet + gofmt + full tests + a repeated racer-determinism test +
+# build + vet (both modules) + gofmt + full tests + a repeated racer-determinism test +
 # race run of the concurrency tests +
 # a short-mode pass over every benchmark so the harness cannot silently rot +
 # a run of every example + the scale, daemon and cluster smoke tests over
@@ -10,6 +10,10 @@ cd "$(dirname "$0")/.."
 
 go build ./...
 go vet ./...
+# perfbench/ is its own module, so the two lines above skip it; compile and
+# vet it here so a change to an API it imports fails the gate, not the
+# benchmark run.
+(cd perfbench && go build -o /dev/null . && go vet .)
 unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
     echo "gofmt needed:" >&2
