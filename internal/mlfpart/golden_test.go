@@ -61,3 +61,35 @@ func TestVCycleGolden(t *testing.T) {
 		t.Errorf("cells10000/3000x800 V-cycle:\n got %s\nwant %s", got, vcycleGoldenWant)
 	}
 }
+
+// rentGoldenWant pins mlfpart on the perfbench rent-100k instance
+// (variant 0): K, cut and an FNV-64a hash of the assignment. At K = 87
+// blocks its uncoarsening levels are the largest partitions any test
+// loads, so it is the golden that reaches Load's slot layout end to end.
+const rentGoldenWant = "K=87 cut=6755 hash=dd73663ee3fc7aca"
+
+func TestRent100kGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("100k-cell V-cycle")
+	}
+	h := gen.Synthetic(100000, 500, 1, false)
+	dev, ok := device.Parse("3000x800")
+	if !ok {
+		t.Fatal("device.Parse(3000x800)")
+	}
+	r, err := Partition(h, dev, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Partition.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	hash := fnv.New64a()
+	for v := 0; v < h.NumNodes(); v++ {
+		fmt.Fprintf(hash, "%d,", r.Partition.Block(hypergraph.NodeID(v)))
+	}
+	got := fmt.Sprintf("K=%d cut=%d hash=%016x", r.K, r.Partition.Cut(), hash.Sum64())
+	if got != rentGoldenWant {
+		t.Errorf("rent100k-1/3000x800 V-cycle:\n got %s\nwant %s", got, rentGoldenWant)
+	}
+}

@@ -36,10 +36,10 @@ go test ./...
 # same winner at any goroutine schedule; repeat the registry differential so
 # a schedule-dependent winner fails here instead of passing most runs.
 go test -count=5 -run TestRegistryDispatchMatchesDirectCalls ./internal/driver
-# TestFlowTablesGolden runs on one goroutine, so the race detector has
-# nothing to check there and it costs ten times its plain run; the
-# go test ./... leg above still runs it.
-go test -race -skip TestFlowTablesGolden ./internal/obs ./internal/core ./internal/sanchis ./internal/seed ./internal/service ./internal/store ./internal/cluster ./internal/driver ./internal/engine ./internal/flow ./internal/multilevel ./internal/mlfpart ./cmd/fpartd
+# TestFlowTablesGolden and TestRent100kGolden run on one goroutine, so the
+# race detector has nothing to check there and it costs ten times their
+# plain run; the go test ./... leg above still runs them.
+go test -race -skip 'TestFlowTablesGolden|TestRent100kGolden' ./internal/obs ./internal/core ./internal/sanchis ./internal/seed ./internal/service ./internal/store ./internal/cluster ./internal/driver ./internal/engine ./internal/flow ./internal/multilevel ./internal/mlfpart ./cmd/fpartd
 # The worker pool behind bench.Suite and the sensitivity table is the one
 # goroutine site in internal/bench; the whole package is slow under -race,
 # so race only the Suite tests.
