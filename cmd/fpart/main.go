@@ -58,7 +58,7 @@ func run() error {
 	method := flag.String("method", "fpart", "partitioner: "+engine.UsageString()+" (see -list-methods)")
 	circuit := flag.String("circuit", "", "use a built-in synthetic MCNC benchmark instead of a file")
 	assign := flag.Bool("assign", false, "print the full node-to-block assignment")
-	stats := flag.Bool("stats", false, "print the solution-quality report (and, for -method fpart, the effort counters)")
+	stats := flag.Bool("stats", false, "print the solution-quality report and the effort counters")
 	plot := flag.Bool("plot", false, "render the Figure 2 feasibility scatter (blocks in (T,S) space)")
 	outDir := flag.String("out", "", "write each block as a PHG netlist into this directory")
 	saveAssign := flag.String("saveassign", "", "write the node-to-block assignment to this file (verify with cmd/verify)")
@@ -161,7 +161,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("FPART: %d iterations, %d passes, %d moves, %v\n",
+	fmt.Printf("%s: %d iterations, %d passes, %d moves, %v\n", *method,
 		res.Stats.Iterations, res.Stats.Passes, res.Stats.MovesApplied, res.Elapsed.Round(time.Millisecond))
 	p := res.Partition
 

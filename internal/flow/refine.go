@@ -35,9 +35,17 @@ func RefinePairCtx(ctx context.Context, p *partition.Partition, a, b partition.B
 		return blk == a || blk == b
 	}
 	// pairNet reports whether every pin of e lies in a ∪ b; only such nets
-	// can change cut state when cells shuffle between a and b.
+	// can change cut state when cells shuffle between a and b. It reads
+	// the pins' blocks, not the partition's per-net pin counts: most nets
+	// have two or three pins, and the blocks of a corridor-sized level
+	// stay in cache.
 	pairNet := func(e hypergraph.NetID) bool {
-		return p.PinCount(e, a)+p.PinCount(e, b) == h.NetDegree(e)
+		for _, v := range h.NetPins(e) {
+			if !inPair(v) {
+				return false
+			}
+		}
+		return true
 	}
 
 	// Seed the corridor with the endpoints of nets currently cut strictly
@@ -55,7 +63,7 @@ func RefinePairCtx(ctx context.Context, p *partition.Partition, a, b partition.B
 	}
 	for e := 0; e < h.NumNets(); e++ {
 		ne := hypergraph.NetID(e)
-		if p.PinCount(ne, a) == 0 || p.PinCount(ne, b) == 0 || !pairNet(ne) {
+		if p.Span(ne) != 2 || !pairNet(ne) {
 			continue
 		}
 		for _, v := range h.NetPins(ne) {

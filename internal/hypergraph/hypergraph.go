@@ -170,6 +170,11 @@ func (h *Hypergraph) Degree(id NodeID) int { return int(h.nodeOff[id+1] - h.node
 // slab (one offset subtraction).
 func (h *Hypergraph) NetDegree(id NetID) int { return int(h.netOff[id+1] - h.netOff[id]) }
 
+// PinOffset returns where net id's pins start in the CSR pin slab: they
+// are entries [PinOffset(id), PinOffset(id)+NetDegree(id)) of a
+// NumPins()-long array. Per-pin side arrays index by it.
+func (h *Hypergraph) PinOffset(id NetID) int { return int(h.netOff[id]) }
+
 // NumPins returns the total pin count Σ_e |pins(e)| — the length of the
 // CSR pin slab.
 func (h *Hypergraph) NumPins() int { return len(h.pinOfNet) }

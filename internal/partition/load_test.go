@@ -78,6 +78,11 @@ func samePartition(a, b *Partition) error {
 		if !slices.Equal(ba, bb) {
 			return fmt.Errorf("net %d: blocks %v vs %v", e, ba, bb)
 		}
+		for blk := 0; blk < k; blk++ {
+			if oa, ob := a.OtherBlock(ne, BlockID(blk)), b.OtherBlock(ne, BlockID(blk)); oa != ob {
+				return fmt.Errorf("net %d: other block than %d: %d vs %d", e, blk, oa, ob)
+			}
+		}
 	}
 	if a.Cut() != b.Cut() {
 		return fmt.Errorf("cut %d vs %d", a.Cut(), b.Cut())
@@ -123,9 +128,9 @@ func samePartition(a, b *Partition) error {
 // netlists with pads, across scalar, FF-capped and R>1 devices (binding
 // and non-binding caps) and block counts that straddle bitset word
 // boundaries, one reused arena loaded from larger graphs and k down to
-// smaller ones must equal the Move-built partition in every observable,
-// before and after further identical moves and an AddBlock past its exact
-// stride.
+// smaller ones, in each per-net layout in turn, must equal the Move-built
+// partition in every observable, before and after further identical moves
+// and an AddBlock past its exact stride.
 func TestLoadMatchesMoveBuilt(t *testing.T) {
 	devs := []device.Device{
 		{Name: "tight", DatasheetCells: 6, Pins: 8, Fill: 1.0},
@@ -141,45 +146,48 @@ func TestLoadMatchesMoveBuilt(t *testing.T) {
 		arena := &Partition{}
 		for gi, h := range graphs {
 			for _, k := range ks {
-				name := fmt.Sprintf("%s/graph%d/k%d", dev.Name, gi, k)
-				blocks := make([]BlockID, h.NumNodes())
-				for v := range blocks {
-					blocks[v] = BlockID(r.Intn(k))
-				}
-				if err := arena.Load(h, dev, blocks, k); err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				ref := moveBuilt(h, dev, blocks, k)
-				if err := samePartition(arena, ref); err != nil {
-					t.Fatalf("%s: after Load: %v", name, err)
-				}
-				if err := arena.Validate(); err != nil {
-					t.Fatalf("%s: Validate after Load: %v", name, err)
-				}
-				if arena.Moves() != 0 {
-					t.Fatalf("%s: Moves() = %d after Load, want 0", name, arena.Moves())
-				}
-				for i := 0; i < 50; i++ {
-					v, to := hypergraph.NodeID(r.Intn(h.NumNodes())), BlockID(r.Intn(k))
-					arena.Move(v, to)
-					ref.Move(v, to)
-				}
-				if err := samePartition(arena, ref); err != nil {
-					t.Fatalf("%s: after moves: %v", name, err)
-				}
-				// The arena's stride is exactly k, so this AddBlock restrides.
-				nb := arena.AddBlock()
-				ref.AddBlock()
-				for i := 0; i < 20; i++ {
-					v := hypergraph.NodeID(r.Intn(h.NumNodes()))
-					arena.Move(v, nb)
-					ref.Move(v, nb)
-				}
-				if err := samePartition(arena, ref); err != nil {
-					t.Fatalf("%s: after AddBlock: %v", name, err)
-				}
-				if err := arena.Validate(); err != nil {
-					t.Fatalf("%s: Validate after AddBlock: %v", name, err)
+				for _, sparse := range []bool{false, true} {
+					name := fmt.Sprintf("%s/graph%d/k%d/slots=%v", dev.Name, gi, k, sparse)
+					blocks := make([]BlockID, h.NumNodes())
+					for v := range blocks {
+						blocks[v] = BlockID(r.Intn(k))
+					}
+					if err := arena.load(h, dev, blocks, k, sparse); err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					ref := moveBuilt(h, dev, blocks, k)
+					if err := samePartition(arena, ref); err != nil {
+						t.Fatalf("%s: after Load: %v", name, err)
+					}
+					if err := arena.Validate(); err != nil {
+						t.Fatalf("%s: Validate after Load: %v", name, err)
+					}
+					if arena.Moves() != 0 {
+						t.Fatalf("%s: Moves() = %d after Load, want 0", name, arena.Moves())
+					}
+					for i := 0; i < 50; i++ {
+						v, to := hypergraph.NodeID(r.Intn(h.NumNodes())), BlockID(r.Intn(k))
+						arena.Move(v, to)
+						ref.Move(v, to)
+					}
+					if err := samePartition(arena, ref); err != nil {
+						t.Fatalf("%s: after moves: %v", name, err)
+					}
+					// A dense arena's stride is exactly k, so this AddBlock
+					// restrides; a slot arena ignores k.
+					nb := arena.AddBlock()
+					ref.AddBlock()
+					for i := 0; i < 20; i++ {
+						v := hypergraph.NodeID(r.Intn(h.NumNodes()))
+						arena.Move(v, nb)
+						ref.Move(v, nb)
+					}
+					if err := samePartition(arena, ref); err != nil {
+						t.Fatalf("%s: after AddBlock: %v", name, err)
+					}
+					if err := arena.Validate(); err != nil {
+						t.Fatalf("%s: Validate after AddBlock: %v", name, err)
+					}
 				}
 			}
 		}

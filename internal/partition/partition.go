@@ -45,17 +45,29 @@ type Partition struct {
 	blockPads   []int // pad nodes per block (T_i^E)
 	blockNodes  []int // node count per block (interior + pads)
 
-	// Per-net block state, packed structure-of-arrays (PR 7 layout): one
-	// stride-wide row of pin counts per net in blockPins, the net's span in
-	// spans, and a touched-block bitset in netTouch (twords words per net).
-	// stride (≥ k) fixes the row width so PinCount and the Move inner loop
-	// are single indexed loads. Load sizes it to exactly k; AddBlock doubles
-	// it whenever k outgrows it.
+	// Per-net block state, packed structure-of-arrays: every net's span in
+	// spans and a touched-block bitset in netTouch (twords words per net),
+	// plus its per-block pin counts in one of two layouts.
+	//
+	// Dense rows (sparse == false; New, Reset, and Load of small nets·k):
+	// one stride-wide row of pin counts per net in blockPins. stride (≥ k)
+	// fixes the row width so PinCount and the Move inner loop are single
+	// indexed loads. Load sizes it to exactly k; AddBlock doubles it
+	// whenever k outgrows it.
+	//
+	// Slots (sparse == true; Load when nets·k > slotThreshold): net e owns
+	// the NetDegree(e) entries of slots at its pin offset and holds its
+	// Span(e) (block, count) pairs, unordered, in the first of them. A net
+	// touches at most as many blocks as it has pins, so the slab is
+	// pins-sized whatever k is. stride is then the bitset's capacity,
+	// 64·twords, so AddBlock widens only the bitset.
+	sparse    bool
 	stride    int
 	twords    int
 	blockPins []int32
 	spans     []int32
 	netTouch  []uint64
+	slots     []slot
 
 	cut   int   // weighted count of nets with span >= 2
 	moves int64 // total Move calls, for statistics
@@ -89,6 +101,18 @@ type Partition struct {
 	resOver  []int     // Σ_b max(0, blockRes[b][r] − cap_r), per axis
 }
 
+// slot is one (block, pin count) pair of a net in the slot layout.
+type slot struct {
+	block BlockID
+	count int32
+}
+
+// slotThreshold is the nets·k product above which Load stores per-net
+// state as slots rather than dense rows. Below it the dense rows take at
+// most 4 MB, and every partition that New or Reset builds — the flat peel
+// and the Sanchis kernel — keeps its one-load PinCount.
+const slotThreshold = 1 << 20
+
 func max0(x int) int {
 	if x < 0 {
 		return 0
@@ -98,7 +122,7 @@ func max0(x int) int {
 
 // growZeroed returns buf resized to n with every element zeroed, reusing
 // its backing array when it is large enough.
-func growZeroed[T int | int32 | uint64](buf []T, n int) []T {
+func growZeroed[T any](buf []T, n int) []T {
 	if cap(buf) < n {
 		return make([]T, n)
 	}
@@ -122,15 +146,22 @@ func FromAssignment(h *hypergraph.Hypergraph, dev device.Device, blocks []BlockI
 // Load rebinds p to hypergraph h on device dev and sets it to the k-block
 // partition given by blocks, reusing every buffer that still fits. The
 // mapping must cover every node with blocks in [0, k); on error p is left
-// untouched. Load sizes the packed row stride to exactly k and builds all
-// incremental state — pin-count rows, spans, touch bitsets, the cut, the
-// per-block totals, and the cost aggregates — in one counting sweep,
-// O(pins + n + k) plus clearing the nets·k pin-count slab. The result
-// equals the partition that New followed by k−1 AddBlock calls and one Move
-// per node would build, except that Moves() reads 0 and the external-
-// balance cache starts empty. The multilevel engine loads every
-// uncoarsening level into one presized arena this way.
+// untouched. Load builds all incremental state — per-net pin counts, spans,
+// the cut, the per-block totals, and the cost aggregates — in one counting
+// sweep. It picks the per-net layout from the product nets·k: up to
+// slotThreshold it builds dense rows of width exactly k, in O(pins + n + k)
+// plus clearing the nets·k slab; above it, pins-sized slots in
+// O(Σ_e degree(e)·span(e) + n + k). The result equals the partition that
+// New followed by k−1 AddBlock calls and one Move per node would build, in
+// every observable, except that Moves() reads 0 and the external-balance
+// cache starts empty. The multilevel engine loads every uncoarsening level
+// into one presized arena this way.
 func (p *Partition) Load(h *hypergraph.Hypergraph, dev device.Device, blocks []BlockID, k int) error {
+	return p.load(h, dev, blocks, k, h.NumNets()*k > slotThreshold)
+}
+
+// load is Load with the per-net layout given.
+func (p *Partition) load(h *hypergraph.Hypergraph, dev device.Device, blocks []BlockID, k int, sparse bool) error {
 	n := h.NumNodes()
 	if len(blocks) != n {
 		return fmt.Errorf("partition: assignment covers %d of %d nodes", len(blocks), n)
@@ -169,13 +200,45 @@ func (p *Partition) Load(h *hypergraph.Hypergraph, dev device.Device, blocks []B
 		}
 	}
 
-	// Per-net state: one pass over the pins, rows of width exactly k.
+	// Per-net state: one pass over the pins.
 	nets := h.NumNets()
-	p.stride, p.twords = k, (k+63)/64
-	p.blockPins = growZeroed(p.blockPins, nets*p.stride)
+	p.sparse = sparse
+	p.twords = (k + 63) / 64
 	p.spans = growZeroed(p.spans, nets)
 	p.netTouch = growZeroed(p.netTouch, nets*p.twords)
 	p.cut = 0
+	if sparse {
+		p.loadSlots(blocks)
+	} else {
+		p.loadRows(blocks)
+	}
+	p.moves = 0
+
+	// Cost aggregates: one pass over the blocks.
+	p.feasCount, p.termSum, p.sizeOver, p.termOver = 0, 0, 0, 0
+	p.ebM, p.ebNum = 0, 0
+	for b := 0; b < k; b++ {
+		id := BlockID(b)
+		t := p.Terminals(id)
+		p.termSum += t
+		p.sizeOver += max0(p.blockSize[b] - p.smax)
+		p.termOver += max0(t - p.tmax)
+		if p.Feasible(id) {
+			p.feasCount++
+		}
+		for r := 0; r < p.nres; r++ {
+			p.resOver[r] += max0(p.blockRes[b*p.nres+r] - p.resCaps[r])
+		}
+	}
+	return nil
+}
+
+// loadRows builds the dense per-net rows, of width exactly k, and the cut
+// from the assignment blocks.
+func (p *Partition) loadRows(blocks []BlockID) {
+	h, nets := p.h, p.h.NumNets()
+	p.stride = p.k
+	p.blockPins = growZeroed(p.blockPins, nets*p.stride)
 	for e := 0; e < nets; e++ {
 		row, tbase := e*p.stride, e*p.twords
 		var span int32
@@ -199,25 +262,43 @@ func (p *Partition) Load(h *hypergraph.Hypergraph, dev device.Device, blocks []B
 			}
 		}
 	}
-	p.moves = 0
+}
 
-	// Cost aggregates: one pass over the blocks.
-	p.feasCount, p.termSum, p.sizeOver, p.termOver = 0, 0, 0, 0
-	p.ebM, p.ebNum = 0, 0
-	for b := 0; b < k; b++ {
-		id := BlockID(b)
-		t := p.Terminals(id)
-		p.termSum += t
-		p.sizeOver += max0(p.blockSize[b] - p.smax)
-		p.termOver += max0(t - p.tmax)
-		if p.Feasible(id) {
-			p.feasCount++
+// loadSlots builds the per-net slots and the cut from the assignment
+// blocks. A net's slots are found by a scan of the ones it already holds,
+// which stays short because a net spans few blocks.
+func (p *Partition) loadSlots(blocks []BlockID) {
+	h, nets := p.h, p.h.NumNets()
+	p.stride = 64 * p.twords
+	p.slots = growZeroed(p.slots, h.NumPins())
+	for e := 0; e < nets; e++ {
+		ne := hypergraph.NetID(e)
+		off, tbase := h.PinOffset(ne), e*p.twords
+		s := p.slots[off : off+h.NetDegree(ne)]
+		span := 0
+	pins:
+		for _, v := range h.NetPins(ne) {
+			b := blocks[v]
+			for i := range s[:span] {
+				if s[i].block == b {
+					s[i].count++
+					continue pins
+				}
+			}
+			s[span] = slot{block: b, count: 1}
+			span++
+			p.netTouch[tbase+int(b)/64] |= 1 << (uint(b) % 64)
 		}
-		for r := 0; r < p.nres; r++ {
-			p.resOver[r] += max0(p.blockRes[b*p.nres+r] - p.resCaps[r])
+		p.spans[e] = int32(span)
+		if span < 2 {
+			continue
+		}
+		wt := h.NetWeight(ne)
+		p.cut += wt
+		for _, sl := range s[:span] {
+			p.blockCutInc[sl.block] += wt
 		}
 	}
-	return nil
 }
 
 // New creates a partition with a single block 0 containing every node.
@@ -248,6 +329,7 @@ func (p *Partition) Reset(h *hypergraph.Hypergraph, dev device.Device) {
 	p.blockPads = append(p.blockPads[:0], h.NumPads())
 	p.blockNodes = append(p.blockNodes[:0], n)
 	nets := h.NumNets()
+	p.sparse = false
 	// Keep the previous stride when the existing slabs already hold it, so
 	// a pooled partition cycling through same-shaped jobs never restrides.
 	if p.stride < 4 || cap(p.blockPins) < nets*p.stride {
@@ -382,7 +464,8 @@ func (p *Partition) Cut() int { return p.cut }
 func (p *Partition) Moves() int64 { return p.moves }
 
 // restride doubles the row width of the packed per-net state so it can
-// hold the new block count, copying every net's row into the wider layout.
+// hold the new block count, copying every net's row and bitset into the
+// wider layout (slots keep their slab and widen only the bitset).
 // Restrides are O(numNets·stride) but happen only log(k) times per run.
 func (p *Partition) restride() {
 	nets := len(p.spans)
@@ -392,22 +475,43 @@ func (p *Partition) restride() {
 		newStride *= 2
 	}
 	newTwords := (newStride + 63) / 64
-	pins := make([]int32, nets*newStride)
-	for e := 0; e < nets; e++ {
-		copy(pins[e*newStride:e*newStride+oldStride], p.blockPins[e*oldStride:(e+1)*oldStride])
+	if !p.sparse {
+		pins := make([]int32, nets*newStride)
+		for e := 0; e < nets; e++ {
+			copy(pins[e*newStride:e*newStride+oldStride], p.blockPins[e*oldStride:(e+1)*oldStride])
+		}
+		p.blockPins = pins
 	}
 	touch := make([]uint64, nets*newTwords)
 	for e := 0; e < nets; e++ {
 		copy(touch[e*newTwords:e*newTwords+oldTwords], p.netTouch[e*oldTwords:(e+1)*oldTwords])
 	}
-	p.blockPins, p.netTouch = pins, touch
+	p.netTouch = touch
 	p.stride, p.twords = newStride, newTwords
 }
 
-// PinCount returns the number of pins net e has in block b. It is a single
-// indexed load into the packed pin-count matrix.
+// PinCount returns the number of pins net e has in block b. With dense
+// rows it is a single indexed load into the packed pin-count matrix; with
+// slots, a scan of the net's Span(e) slots.
 func (p *Partition) PinCount(e hypergraph.NetID, b BlockID) int {
+	if p.sparse {
+		return p.slotCount(e, b)
+	}
 	return int(p.blockPins[int(e)*p.stride+int(b)])
+}
+
+// slotCount is PinCount in the slot layout. It stays out of line so the
+// dense rows' inlined PinCount is one branch and one load.
+//
+//go:noinline
+func (p *Partition) slotCount(e hypergraph.NetID, b BlockID) int {
+	off := p.h.PinOffset(e)
+	for _, s := range p.slots[off : off+int(p.spans[e])] {
+		if s.block == b {
+			return int(s.count)
+		}
+	}
+	return 0
 }
 
 // Span returns the number of distinct blocks net e touches.
@@ -522,18 +626,21 @@ func (p *Partition) MoveTrace(v hypergraph.NodeID, to BlockID, buf []NetDelta) [
 		p.blockPads[to]++
 	}
 
+	sparse := p.sparse
 	for _, e := range p.h.NodeNets(v) {
-		row := int(e) * p.stride
-		cf := p.blockPins[row+int(from)]
-		ct := p.blockPins[row+int(to)]
-		spanBefore := p.spans[e]
-		if buf != nil {
-			buf = append(buf, NetDelta{Net: e, FromPins: cf, ToPins: ct, SpanBefore: spanBefore})
+		var cf, ct int32
+		if sparse {
+			cf, ct = p.slotMove(e, from, to)
+		} else {
+			row := int(e) * p.stride
+			cf = p.blockPins[row+int(from)]
+			ct = p.blockPins[row+int(to)]
+			p.blockPins[row+int(from)] = cf - 1
+			p.blockPins[row+int(to)] = ct + 1
 		}
-		p.blockPins[row+int(from)] = cf - 1
-		p.blockPins[row+int(to)] = ct + 1
 		fromLeft := cf == 1
 		toJoined := ct == 0
+		spanBefore := p.spans[e]
 		spanAfter := spanBefore
 		tbase := int(e) * p.twords
 		if fromLeft {
@@ -546,7 +653,7 @@ func (p *Partition) MoveTrace(v hypergraph.NodeID, to BlockID, buf []NetDelta) [
 		}
 		p.spans[e] = spanAfter
 		if buf != nil {
-			buf[len(buf)-1].SpanAfter = spanAfter
+			buf = append(buf, NetDelta{Net: e, FromPins: cf, ToPins: ct, SpanBefore: spanBefore, SpanAfter: spanAfter})
 		}
 
 		// The weight is read only where a count changes, which keeps
@@ -578,6 +685,41 @@ func (p *Partition) MoveTrace(v hypergraph.NodeID, to BlockID, buf []NetDelta) [
 	p.aggUpdate(from, oldFromS, oldFromT, oldFromResOK)
 	p.aggUpdate(to, oldToS, oldToT, oldToResOK)
 	return buf
+}
+
+// slotMove moves one pin of net e from block from to block to in the slot
+// layout and returns the two blocks' pin counts before the move. The
+// caller updates the span. Depending on the counts it renames the from
+// slot, swap-removes it, appends a to slot, or bumps two counts.
+func (p *Partition) slotMove(e hypergraph.NetID, from, to BlockID) (cf, ct int32) {
+	off := p.h.PinOffset(e)
+	s := p.slots[off : off+int(p.spans[e])]
+	fi, ti := -1, -1
+	for i := range s {
+		switch s[i].block {
+		case from:
+			fi = i
+		case to:
+			ti = i
+		}
+	}
+	cf = s[fi].count
+	switch {
+	case ti >= 0:
+		ct = s[ti].count
+		s[ti].count++
+		if cf == 1 {
+			s[fi] = s[len(s)-1]
+		} else {
+			s[fi].count--
+		}
+	case cf == 1:
+		s[fi].block = to
+	default:
+		s[fi].count--
+		p.slots[off+len(s)] = slot{block: to, count: 1}
+	}
+	return cf, ct
 }
 
 // aggUpdate folds one block's state change into the incremental cost
@@ -886,6 +1028,7 @@ func (p *Partition) Validate() error {
 		}
 	}
 	cut := 0
+	var touched []BlockID
 	for e := 0; e < p.h.NumNets(); e++ {
 		want := map[BlockID]int{}
 		for _, v := range p.h.NetPins(hypergraph.NetID(e)) {
@@ -897,6 +1040,17 @@ func (p *Partition) Validate() error {
 		for b, c := range want {
 			if got := p.PinCount(hypergraph.NetID(e), b); got != c {
 				return fmt.Errorf("net %d block %d: pin count %d, recomputed %d", e, b, got, c)
+			}
+		}
+		// The membership bitset must name exactly the touched blocks, in
+		// strictly ascending order.
+		touched = p.Blocks(hypergraph.NetID(e), touched[:0])
+		if len(touched) != len(want) {
+			return fmt.Errorf("net %d: blocks %v, recomputed %v", e, touched, want)
+		}
+		for i, b := range touched {
+			if want[b] == 0 || i > 0 && touched[i-1] >= b {
+				return fmt.Errorf("net %d: blocks %v, recomputed %v", e, touched, want)
 			}
 		}
 		if len(want) >= 2 {
