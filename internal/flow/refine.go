@@ -34,18 +34,18 @@ func RefinePairCtx(ctx context.Context, p *partition.Partition, a, b partition.B
 		blk := p.Block(v)
 		return blk == a || blk == b
 	}
-	// pairNet reports whether every pin of e lies in a ∪ b; only such nets
-	// can change cut state when cells shuffle between a and b. It reads
-	// the pins' blocks, not the partition's per-net pin counts: most nets
-	// have two or three pins, and the blocks of a corridor-sized level
-	// stay in cache.
+	// pairNet reports whether every pin of e lies in a ∪ b, that is, every
+	// block e touches is a or b; only such nets can change cut state when
+	// cells shuffle between a and b.
 	pairNet := func(e hypergraph.NetID) bool {
-		for _, v := range h.NetPins(e) {
-			if !inPair(v) {
-				return false
-			}
+		n := 0
+		if p.Touches(e, a) {
+			n++
 		}
-		return true
+		if p.Touches(e, b) {
+			n++
+		}
+		return n == p.Span(e)
 	}
 
 	// Seed the corridor with the endpoints of nets currently cut strictly

@@ -160,8 +160,11 @@ func PartitionCtx(ctx context.Context, h *hypergraph.Hypergraph, dev device.Devi
 	// Uncoarsen: project the assignment one level down, load it into the
 	// arena partition on the finer graph (exact by the projection
 	// invariant), and refine its boundary. The arena and both assignment
-	// buffers are sized once for the finest graph — loading its all-zero
-	// assignment presizes every slab — so no level allocates.
+	// buffers are sized once for the finest graph: loading its all-zero
+	// assignment sizes the node and net arrays and the finest level's
+	// per-net layout. Coarser levels fit in them, except that a level
+	// which takes dense rows under a slot-layout finest level grows a row
+	// slab of at most 4 MB.
 	p := cr.Partition
 	k := p.NumBlocks()
 	t0 = time.Now()

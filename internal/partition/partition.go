@@ -108,9 +108,12 @@ type slot struct {
 }
 
 // slotThreshold is the nets·k product above which Load stores per-net
-// state as slots rather than dense rows. Below it the dense rows take at
-// most 4 MB, and every partition that New or Reset builds — the flat peel
-// and the Sanchis kernel — keeps its one-load PinCount.
+// state as slots rather than dense rows. It bounds memory, not time: the
+// rows under it take at most 4 MB. Measured both ways, slots slowed the
+// multilevel method's two-block kernel on Load-built partitions by a few
+// percent, and neither layout was faster for mlfpart from 7·10⁴ to
+// 1.3·10⁷ entries (EXPERIMENTS.md "Per-net pin-count slots"). Every
+// partition that New or Reset builds keeps dense rows.
 const slotThreshold = 1 << 20
 
 func max0(x int) int {
@@ -516,6 +519,12 @@ func (p *Partition) slotCount(e hypergraph.NetID, b BlockID) int {
 
 // Span returns the number of distinct blocks net e touches.
 func (p *Partition) Span(e hypergraph.NetID) int { return int(p.spans[e]) }
+
+// Touches reports whether net e has a pin in block b: one bit of the
+// membership bitset, in either layout.
+func (p *Partition) Touches(e hypergraph.NetID, b BlockID) bool {
+	return p.netTouch[int(e)*p.twords+int(b)/64]&(1<<(uint(b)%64)) != 0
+}
 
 // Blocks appends the blocks touched by net e to dst and returns it, in
 // ascending block order (a scan of the net's membership bitset).
