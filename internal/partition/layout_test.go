@@ -64,8 +64,9 @@ func sameLayouts(dense, slots *Partition) error {
 // R>1 device, are loaded into both layouts, which then take the same
 // random sequence of Move, MoveTrace, AddBlock, Snapshot and Restore
 // steps. After every step the two must agree on every pin count, span,
-// block list, OtherBlock answer and NetDelta trace, and both must pass
-// Validate. A Reset then returns the slot partition to dense rows.
+// block list, Touches and OtherBlock answer and NetDelta trace, and both
+// must pass Validate. A Reset then returns the slot partition to dense
+// rows.
 func TestSlotLayoutMatchesDenseRows(t *testing.T) {
 	devs := []device.Device{
 		{Name: "tight", DatasheetCells: 6, Pins: 8, Fill: 1.0},

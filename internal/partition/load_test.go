@@ -67,8 +67,12 @@ func samePartition(a, b *Partition) error {
 	for e := 0; e < h.NumNets(); e++ {
 		ne := hypergraph.NetID(e)
 		for blk := 0; blk < k; blk++ {
-			if ca, cb := a.PinCount(ne, BlockID(blk)), b.PinCount(ne, BlockID(blk)); ca != cb {
+			ca, cb := a.PinCount(ne, BlockID(blk)), b.PinCount(ne, BlockID(blk))
+			if ca != cb {
 				return fmt.Errorf("net %d block %d: pin count %d vs %d", e, blk, ca, cb)
+			}
+			if ta, tb := a.Touches(ne, BlockID(blk)), b.Touches(ne, BlockID(blk)); ta != (ca > 0) || tb != (cb > 0) {
+				return fmt.Errorf("net %d block %d: touches %v, %v with pin count %d", e, blk, ta, tb, ca)
 			}
 		}
 		if a.Span(ne) != b.Span(ne) {
